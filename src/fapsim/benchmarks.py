@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ArrayGeometry, PathComponent, reconstruct_from_paths
 from .errors import InvalidInputError
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _polar_dequantize,
-                       _polar_quantize_indices, basis_matrix, omp_approximate, quantize_angle)
+                       _polar_quantize_indices, dictionary, omp_approximate, quantize_angle)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def sparse_precoder(f_opt, cfg):
         raise InvalidInputError("num_rf_chains must be >= the number of streams")
     spec = BasisSpec(codebook=cfg.codebook, tx=cfg.tx, gamma=1)
     indices, g, _ = omp_approximate(f_opt, spec, cfg.num_rf_chains)
-    f_rf = basis_matrix(spec, cfg.codebook.centers[list(indices)])
+    f_rf = dictionary(spec)[:, list(indices)]
     return f_rf, g
 
 

@@ -206,7 +206,8 @@ def _add_common(parser):
     parser.add_argument("--trials", type=int, help="override the config trial count")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel trial workers (default 1; results are identical)")
+                        help="parallel trial workers, capped at the trial count and the CPU "
+                             "count (default 1; results are identical)")
 
 
 def main(argv=None):

@@ -38,23 +38,43 @@ class BeamPattern:
 
 
 def achievable_rate(h, f, snr_linear):
-    """log2 det(I_N + snr * H F F^H H^H) for a unit-Frobenius-norm precoder F."""
-    h = np.asarray(h, dtype=np.complex128)
-    f = np.asarray(f, dtype=np.complex128)
-    if h.ndim != 2 or f.ndim != 2 or h.shape[1] != f.shape[0]:
+    """log2 det(I_N + snr * H F F^H H^H) for a unit-Frobenius-norm precoder F.
+
+    Evaluated as sum_i log2(1 + snr * sigma_i^2) over the singular values of
+    H F, so one SVD serves every SNR: `snr_linear` may be a scalar (returns a
+    float) or an array of SNRs (returns an array of rates of the same shape).
+    """
+    h = numerics._as_matrix(h, "h")
+    f = numerics._as_matrix(f, "f")
+    if h.shape[1] != f.shape[0]:
         raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
     if abs(np.linalg.norm(f) - 1.0) > 1e-6:
         raise InvalidInputError("precoder must have unit Frobenius norm")
-    if not (snr_linear > 0 and np.isfinite(snr_linear)):
+    snr = np.asarray(snr_linear, dtype=float)
+    if snr.size == 0 or not np.all((snr > 0) & np.isfinite(snr)):
         raise InvalidInputError("snr_linear must be positive and finite")
-    hf = h @ f
-    n = h.shape[0]
-    gram = np.eye(n) + snr_linear * (hf @ hf.conj().T)
-    return numerics.log_det_hermitian(gram)
+    gains = np.linalg.svd(h @ f, compute_uv=False) ** 2
+    rate = np.sum(np.log2(1.0 + snr[..., None] * gains), axis=-1)
+    return float(rate) if rate.ndim == 0 else rate
 
 
-def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
-    """Uncoded QPSK over y = H F s + z with joint linear MMSE detection.
+def draw_qpsk(rng, num_streams, num_rx, num_symbols):
+    """Random inputs of one QPSK block: (bits, noise).
+
+    bits is 2 x S x T (in-phase, quadrature) in {0, 1}; noise is N x T
+    circularly-symmetric CN(0, 1). The draw order is fixed, so one generator
+    state gives the same block to every precoder detected on it.
+    """
+    if num_symbols < 1:
+        raise InvalidInputError("num_symbols must be >= 1")
+    bits = rng.integers(0, 2, size=(2, num_streams, num_symbols))
+    noise = (rng.standard_normal((num_rx, num_symbols))
+             + 1j * rng.standard_normal((num_rx, num_symbols))) / np.sqrt(2.0)
+    return bits, noise
+
+
+def detect_qpsk_mmse(h, f, snr_linear, bits, noise):
+    """Send `bits` over y = H F s + z with noise `noise`; joint LMMSE detection.
 
     Gray-mapped QPSK symbols with E[s s^H] = P * I (P = snr, unit noise
     variance), estimator s_hat = P F^H H^H (P H F F^H H^H + I)^{-1} y, and
@@ -64,16 +84,13 @@ def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
     f = np.asarray(f, dtype=np.complex128)
     if h.shape[1] != f.shape[0]:
         raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
-    if num_symbols < 1:
-        raise InvalidInputError("num_symbols must be >= 1")
     n = h.shape[0]
     s = f.shape[1]
+    if bits.shape[:2] != (2, s) or noise.shape != (n, bits.shape[2]):
+        raise InvalidInputError(f"bits {bits.shape} and noise {noise.shape} do not fit "
+                                f"{s} streams and {n} receive antennas")
     p = float(snr_linear)
-
-    bits = rng.integers(0, 2, size=(2, s, num_symbols))
     symbols = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
-    noise = (rng.standard_normal((n, num_symbols))
-             + 1j * rng.standard_normal((n, num_symbols))) / np.sqrt(2.0)
 
     hf = h @ f
     y = np.sqrt(p) * (hf @ symbols) + noise
@@ -83,7 +100,17 @@ def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
 
     errors = int(np.count_nonzero((est.real < 0) != bits[0]))
     errors += int(np.count_nonzero((est.imag < 0) != bits[1]))
-    return errors, 2 * s * num_symbols
+    return errors, bits.size
+
+
+def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
+    """Uncoded QPSK over y = H F s + z with joint linear MMSE detection.
+
+    Draws one block from `rng` (`draw_qpsk`) and detects it
+    (`detect_qpsk_mmse`). Returns (bit_errors, bits_sent).
+    """
+    bits, noise = draw_qpsk(rng, np.shape(f)[1], np.shape(h)[0], num_symbols)
+    return detect_qpsk_mmse(h, f, snr_linear, bits, noise)
 
 
 def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):

@@ -7,6 +7,7 @@ angles, a least-squares solve gives G, and the feedback message carries only
 the K angle indices plus the (optionally quantized) K x S combining matrix.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -150,8 +151,25 @@ def basis_matrix(spec, angles):
 
 
 def dictionary(spec):
-    """Full basis over every codebook center (the OMP search dictionary)."""
-    return basis_matrix(spec, spec.codebook.centers)
+    """Full basis over every codebook center (the OMP search dictionary).
+
+    The dictionary depends only on the shared codebook, the array and gamma,
+    never on the channel, so it is built once per spec and cached. The
+    returned array is read-only; column selections `dictionary(spec)[:, idx]`
+    are bitwise equal to `basis_matrix(spec, centers[idx])`.
+    """
+    cb, tx = spec.codebook, spec.tx
+    return _cached_dictionary(float(cb.sector[0]), float(cb.sector[1]), cb.size,
+                              tx.num_elements, float(tx.spacing_over_wavelength), spec.gamma)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_dictionary(lo, hi, size, num_elements, spacing, gamma):
+    # Keyed on plain values so that specs built from equal lists or tuples share an entry.
+    spec = BasisSpec(AngleCodebook((lo, hi), size), ArrayGeometry(num_elements, spacing), gamma)
+    psi = basis_matrix(spec, spec.codebook.centers)
+    psi.setflags(write=False)
+    return psi
 
 
 def omp_approximate(f_opt, spec, k):
@@ -168,13 +186,14 @@ def omp_approximate(f_opt, spec, k):
     if not 1 <= k <= cb.size:
         raise InvalidInputError(f"k must be in [1, {cb.size}], got {k}")
     psi = dictionary(spec)
+    psi_h = psi.conj().T
     f = f_opt.matrix
     f_res = f
     selected = []
     history = []
     g = None
     for _ in range(k):
-        corr = psi.conj().T @ f_res
+        corr = psi_h @ f_res
         metric = np.sum(np.abs(corr) ** 2, axis=1)     # diagonal of corr @ corr^H
         pick = int(np.argmax(metric))
         if pick in selected:
@@ -247,7 +266,7 @@ def build_report(f_opt, spec, k, cc, combining_mode="general"):
     if combining_mode not in COMBINING_MODES:
         raise InvalidInputError(f"unknown combining mode {combining_mode!r}")
     indices, g, _ = omp_approximate(f_opt, spec, k)
-    atoms = basis_matrix(spec, spec.codebook.centers[list(indices)])
+    atoms = dictionary(spec)[:, list(indices)]
     g = _apply_combining_mode(g, atoms, combining_mode)
 
     k_actual = len(indices)
@@ -299,7 +318,7 @@ def reconstruct_precoder(report, spec):
     idx = np.asarray(report.angle_indices, dtype=int)
     if idx.size == 0 or np.any(idx < 0) or np.any(idx >= cb.size):
         raise InvalidInputError("angle index out of codebook range")
-    psi = basis_matrix(spec, cb.centers[idx])
+    psi = dictionary(spec)[:, idx]
     f = psi @ report.combining
     norm = np.linalg.norm(f)
     if norm <= _ZERO_RESIDUAL:
@@ -457,7 +476,11 @@ def deserialize_report(data, spec, cc, num_streams):
         raise InvalidInputError("report mode flag does not match the shared complex codebook")
     scale = None
     if quantized:
+        if len(data) < offset + 8:
+            raise InvalidInputError("truncated report header")
         (scale,) = struct.unpack_from("<d", data, offset)
+        if not (np.isfinite(scale) and scale > 0):
+            raise InvalidInputError(f"magnitude scale must be positive and finite, got {scale}")
         offset += 8
 
     abits = spec.codebook.index_bits

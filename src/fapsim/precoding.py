@@ -41,7 +41,7 @@ class Precoder:
 
     def __post_init__(self):
         norm = np.linalg.norm(self.matrix)
-        if abs(norm - 1.0) > PRECODER_NORM_TOL:
+        if not abs(norm - 1.0) <= PRECODER_NORM_TOL:           # also rejects a NaN norm
             raise InvalidInputError(f"precoder must have unit Frobenius norm, got {norm}")
 
     @property

@@ -8,6 +8,7 @@ the resolved configuration embedded in '#' comment lines.
 
 import dataclasses
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -16,9 +17,16 @@ import numpy as np
 from .benchmarks import MultilevelCsiConfig, SparsePrecoderConfig, multilevel_csi_feedback, sparse_precoder
 from .channel import ChannelConfig, sample_channel, substream
 from .errors import InvalidInputError
-from .evaluation import LinkMetrics, achievable_rate, beam_pattern, ber_qpsk_mmse
+from .evaluation import LinkMetrics, achievable_rate, beam_pattern, detect_qpsk_mmse, draw_qpsk
 from .feedback import AngleCodebook, BasisSpec, ComplexCodebook, build_report, reconstruct_precoder
 from .precoding import PowerAllocation, optimal_precoder
+
+
+def _coeff_suffix(cc):
+    """Label suffix naming a quantized coefficient codebook; empty when ideal."""
+    if cc.mode == "ideal":
+        return ""
+    return f"_m{cc.magnitude_levels}p{cc.phase_levels}"
 
 
 @dataclass(frozen=True)
@@ -39,7 +47,8 @@ class ProposedScheme:
 
     @property
     def label(self):
-        return f"proposed_k{self.k}_g{self.gamma}_cb{self.angle_codebook_size}"
+        return (f"proposed_k{self.k}_g{self.gamma}_cb{self.angle_codebook_size}"
+                + _coeff_suffix(self.coeff_codebook))
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class MultilevelScheme:
 
     @property
     def label(self):
-        return f"multilevel_k{self.k}_cb{self.angle_codebook_size}"
+        return f"multilevel_k{self.k}_cb{self.angle_codebook_size}" + _coeff_suffix(self.coeff_codebook)
 
 
 @dataclass(frozen=True)
@@ -143,12 +152,15 @@ def scheme_overhead(scheme, cfg):
     raise InvalidInputError(f"unknown scheme type {type(scheme).__name__}")
 
 
-def _build_precoder(scheme, ch, cfg, alloc):
-    """Unit-norm M x S precoding matrix for one scheme on one channel draw."""
+def _build_precoder(scheme, ch, cfg, alloc, f_opt):
+    """Unit-norm M x S precoding matrix for one scheme on one channel draw.
+
+    `f_opt` is the optimal precoder of `ch` under `alloc`, computed once per
+    trial (per SNR with water-filling) and shared by every scheme.
+    """
     if isinstance(scheme, OptimalScheme):
-        return optimal_precoder(ch.matrix, cfg.streams, alloc).matrix
+        return f_opt.matrix
     if isinstance(scheme, ProposedScheme):
-        f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
         spec = BasisSpec(
             codebook=AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size),
             tx=cfg.channel.tx,
@@ -157,7 +169,6 @@ def _build_precoder(scheme, ch, cfg, alloc):
         report = build_report(f_opt, spec, scheme.k, scheme.coeff_codebook)
         return reconstruct_precoder(report, spec).matrix
     if isinstance(scheme, SparseScheme):
-        f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
         bench = SparsePrecoderConfig(
             num_rf_chains=scheme.q,
             codebook=AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size),
@@ -180,48 +191,68 @@ def _build_precoder(scheme, ch, cfg, alloc):
     raise InvalidInputError(f"unknown scheme type {type(scheme).__name__}")
 
 
-def _precoder_per_snr(scheme, ch, cfg):
-    """Map snr -> precoder; with unitary allocation the precoder is SNR-independent."""
+def _snr_linear(cfg):
+    return [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_grid]
+
+
+def _scheme_precoders(cfg, ch, alloc):
+    """Precoder matrix of every scheme under one power allocation."""
+    f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
+    return [_build_precoder(scheme, ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
+
+
+def _precoders_by_snr(cfg, ch):
+    """Per SNR point, the precoder matrix of every scheme.
+
+    With unitary allocation the precoders do not depend on the SNR, so every
+    point shares one list, built once.
+    """
     if cfg.allocation == "unitary":
-        cached = _build_precoder(scheme, ch, cfg, PowerAllocation("unitary"))
-        return lambda snr: cached
-    return lambda snr: _build_precoder(
-        scheme, ch, cfg, PowerAllocation("water_filling", total_power=snr)
-    )
+        return [_scheme_precoders(cfg, ch, PowerAllocation("unitary"))] * len(cfg.snr_db_grid)
+    return [_scheme_precoders(cfg, ch, PowerAllocation("water_filling", total_power=snr))
+            for snr in _snr_linear(cfg)]
 
 
 def _rate_trial(cfg, trial):
     rng = substream(cfg.seed, trial)
     ch = sample_channel(cfg.channel, rng)
-    out = np.empty((len(cfg.schemes), len(cfg.snr_db_grid)))
-    for i, scheme in enumerate(cfg.schemes):
-        precoder = _precoder_per_snr(scheme, ch, cfg)
-        for j, snr_db in enumerate(cfg.snr_db_grid):
-            snr = 10.0 ** (snr_db / 10.0)
-            out[i, j] = achievable_rate(ch.matrix, precoder(snr), snr)
+    snrs = _snr_linear(cfg)
+    by_snr = _precoders_by_snr(cfg, ch)
+    if cfg.allocation == "unitary":
+        # One SVD of H F per scheme gives the rate at every SNR point.
+        return np.stack([achievable_rate(ch.matrix, f, np.array(snrs)) for f in by_snr[0]])
+    out = np.empty((len(cfg.schemes), len(snrs)))
+    for j, (snr, precoders) in enumerate(zip(snrs, by_snr)):
+        for i, f in enumerate(precoders):
+            out[i, j] = achievable_rate(ch.matrix, f, snr)
     return out
 
 
 def _ber_trial(cfg, trial):
     rng = substream(cfg.seed, trial)
     ch = sample_channel(cfg.channel, rng)
-    precoders = [_precoder_per_snr(s, ch, cfg) for s in cfg.schemes]
+    by_snr = _precoders_by_snr(cfg, ch)
     errors = np.zeros((len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
     sent = np.zeros_like(errors)
-    for j, snr_db in enumerate(cfg.snr_db_grid):
-        snr = 10.0 ** (snr_db / 10.0)
-        for i, precoder in enumerate(precoders):
-            # One noise/symbol stream per (trial, snr), re-created per scheme:
-            # every scheme sees the same bits and noise, pairing the comparison.
-            noise_rng = substream(cfg.seed, trial, j)
-            e, b = ber_qpsk_mmse(ch.matrix, precoder(snr), snr, cfg.symbols_per_trial, noise_rng)
-            errors[i, j] = e
-            sent[i, j] = b
+    n = ch.matrix.shape[0]
+    for j, (snr, precoders) in enumerate(zip(_snr_linear(cfg), by_snr)):
+        # One bit/noise block per (trial, snr), shared by every scheme: each
+        # scheme sees the same bits and noise, pairing the comparison.
+        bits, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams, n,
+                                cfg.symbols_per_trial)
+        for i, f in enumerate(precoders):
+            errors[i, j], sent[i, j] = detect_qpsk_mmse(ch.matrix, f, snr, bits, noise)
     return errors, sent
+
+
+def _worker_count(workers, trials):
+    """Pool size: never more processes than trials or than the machine's CPUs."""
+    return max(1, min(workers, trials, os.cpu_count() or 1))
 
 
 def _map_trials(fn, cfg, workers):
     trials = range(cfg.trials)
+    workers = _worker_count(workers, cfg.trials)
     if workers <= 1:
         return [fn(cfg, t) for t in trials]
     with ProcessPoolExecutor(max_workers=workers) as pool:

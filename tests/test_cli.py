@@ -71,6 +71,22 @@ class TestMainExitCodes:
         table = parse_csv(out.read_text())
         assert set(table["scheme"]) == {"optimal", "proposed_k3_g1_cb32"}
 
+    def test_ideal_and_quantized_variants_in_one_sweep(self, tmp_path):
+        quantized = {"magnitude_levels": 16, "phase_levels": 16}
+        tree = dict(TINY, schemes=[
+            {"type": "proposed", "k": 3, "angle_codebook_size": 32},
+            {"type": "proposed", "k": 3, "angle_codebook_size": 32, "coeff_codebook": quantized},
+            {"type": "multilevel", "k": 4, "angle_codebook_size": 32},
+            {"type": "multilevel", "k": 4, "angle_codebook_size": 32, "coeff_codebook": quantized},
+        ])
+        out = tmp_path / "rate.csv"
+        code = cli.main(["rate", "--config", write_config(tmp_path, tree), "--out", str(out)])
+        assert code == 0
+        table = parse_csv(out.read_text())
+        assert table["scheme"] == ["proposed_k3_g1_cb32", "proposed_k3_g1_cb32_m16p16",
+                                   "multilevel_k4_cb32", "multilevel_k4_cb32_m16p16"]
+        assert table["feedback_amplitude_bits"] == ["0", "48", "0", "32"]
+
     def test_flag_overrides(self, tmp_path, capsys):
         code = cli.main(["overhead", "--config", write_config(tmp_path, TINY), "--seed", "99"])
         assert code == 0

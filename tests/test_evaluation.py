@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fapsim import numerics
 from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, array_response,
                             reconstruct_from_paths, sample_channel, substream)
 from fapsim.errors import InvalidInputError
-from fapsim.evaluation import achievable_rate, beam_pattern, ber_qpsk_mmse
+from fapsim.evaluation import (achievable_rate, beam_pattern, ber_qpsk_mmse, detect_qpsk_mmse,
+                               draw_qpsk)
 from fapsim.feedback import AngleCodebook, BasisSpec
 from fapsim.precoding import PowerAllocation, optimal_precoder
 
@@ -22,6 +26,12 @@ def random_channel(rng, n, m):
 def unit_precoder(rng, m, s):
     f = rng.standard_normal((m, s)) + 1j * rng.standard_normal((m, s))
     return f / np.linalg.norm(f)
+
+
+def log_det_rate(h, f, snr):
+    """Reference rate: Cholesky log-det of I + snr * H F F^H H^H."""
+    hf = h @ f
+    return numerics.log_det_hermitian(np.eye(h.shape[0]) + snr * (hf @ hf.conj().T))
 
 
 class TestAchievableRate:
@@ -67,6 +77,51 @@ class TestAchievableRate:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             achievable_rate(np.eye(2), unit_precoder(np.random.default_rng(1), 3, 1), 1.0)
+
+    @pytest.mark.parametrize("n, m, s, snrs", [
+        (1, 1, 1, [1.0]),
+        (4, 6, 2, [0.01, 1.0, 3.7, 100.0]),
+        (16, 128, 4, list(10.0 ** (np.arange(-20.0, 10.1, 2.5) / 10.0))),
+        (3, 8, 3, [[0.5, 2.0], [8.0, 32.0]]),
+    ])
+    def test_snr_array_matches_log_det(self, n, m, s, snrs):
+        rng = np.random.default_rng(66 + n)
+        h, f = random_channel(rng, n, m), unit_precoder(rng, m, s)
+        rates = achievable_rate(h, f, np.array(snrs))
+        assert rates.shape == np.shape(snrs)
+        for snr, rate in zip(np.ravel(snrs), rates.ravel()):
+            assert rate == pytest.approx(log_det_rate(h, f, snr), abs=1e-10)
+            scalar = achievable_rate(h, f, float(snr))
+            assert type(scalar) is float and rate == pytest.approx(scalar, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 8),
+           s=st.integers(1, 4),
+           snr_db=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=13))
+    def test_snr_array_matches_log_det_property(self, seed, n, m, s, snr_db):
+        rng = np.random.default_rng(seed)
+        h, f = random_channel(rng, n, m), unit_precoder(rng, m, min(s, m))
+        snrs = 10.0 ** (np.array(snr_db) / 10.0)
+        rates = achievable_rate(h, f, snrs)
+        expected = [log_det_rate(h, f, snr) for snr in snrs]
+        assert np.allclose(rates, expected, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("snr", [0.0, -1.0, np.inf, np.nan, [1.0, 0.0], [1.0, np.inf], []])
+    def test_snr_must_be_positive_finite(self, snr):
+        rng = np.random.default_rng(67)
+        with pytest.raises(InvalidInputError):
+            achievable_rate(random_channel(rng, 2, 3), unit_precoder(rng, 3, 1), snr)
+
+    @pytest.mark.parametrize("where", ["h", "f"])
+    def test_nan_entries_rejected(self, where):
+        rng = np.random.default_rng(68)
+        h, f = random_channel(rng, 3, 4), unit_precoder(rng, 4, 2)
+        if where == "h":
+            h[1, 2] = np.nan
+        else:
+            f[0, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            achievable_rate(h, f, [1.0, 2.0])
 
 
 class TestBerQpskMmse:
@@ -122,6 +177,21 @@ class TestBerQpskMmse:
     def test_bad_symbol_count(self):
         with pytest.raises(InvalidInputError):
             ber_qpsk_mmse(np.eye(2), np.eye(2) / np.sqrt(2), 1.0, 0, np.random.default_rng(0))
+
+    def test_draw_then_detect_is_ber_qpsk_mmse(self):
+        rng = np.random.default_rng(69)
+        h = random_channel(rng, 4, 8)
+        f = optimal_precoder(h, 2, PowerAllocation("unitary")).matrix
+        bits, noise = draw_qpsk(np.random.default_rng(5), 2, 4, 300)
+        assert bits.shape == (2, 2, 300) and noise.shape == (4, 300)
+        for snr in (0.1, 1.0, 10.0):
+            assert detect_qpsk_mmse(h, f, snr, bits, noise) == ber_qpsk_mmse(
+                h, f, snr, 300, np.random.default_rng(5))
+
+    def test_detect_rejects_mismatched_block(self):
+        bits, noise = draw_qpsk(np.random.default_rng(0), 1, 2, 10)
+        with pytest.raises(InvalidInputError):
+            detect_qpsk_mmse(np.eye(2), np.eye(2) / np.sqrt(2), 1.0, bits, noise)
 
 
 class TestBeamPattern:

@@ -103,6 +103,34 @@ class TestBasisMatrix:
             basis_matrix(spec_of(), [])
 
 
+class TestDictionaryCache:
+    @pytest.mark.parametrize("gamma", [1, 2, 4])
+    def test_bitwise_equal_to_basis_matrix(self, gamma):
+        spec = spec_of(m=32, size=16, gamma=gamma)
+        psi = dictionary(spec)
+        assert np.array_equal(psi, basis_matrix(spec, spec.codebook.centers))
+        idx = [11, 2, 7]
+        assert np.array_equal(psi[:, idx], basis_matrix(spec, spec.codebook.centers[idx]))
+
+    def test_read_only(self):
+        psi = dictionary(spec_of())
+        assert not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0, 0] = 0.0
+
+    def test_list_sector_hits_same_entry(self):
+        first = dictionary(spec_of(m=20, size=8, sector=(-0.5, 0.5)))
+        second = dictionary(spec_of(m=20, size=8, sector=[-0.5, 0.5]))
+        assert second is first
+
+    def test_gammas_get_separate_entries(self):
+        g1 = dictionary(spec_of(m=20, size=8, gamma=1))
+        g2 = dictionary(spec_of(m=20, size=8, gamma=2))
+        assert g1 is not g2
+        assert not np.array_equal(g1, g2)
+        assert dictionary(spec_of(m=20, size=8, gamma=1)) is g1
+
+
 class TestOmp:
     def test_atom_recovery(self):
         spec = spec_of(m=16, size=8)
@@ -375,6 +403,22 @@ class TestSerialization:
         spec = spec_of()
         with pytest.raises(InvalidInputError):
             deserialize_report(b"\x01", spec, ComplexCodebook.ideal(), 1)
+
+    def test_truncated_magnitude_scale(self):
+        with pytest.raises(InvalidInputError, match="truncated"):
+            deserialize_report(struct.pack("<HBB", 1, 1, 1) + b"\x00" * 4, spec_of(),
+                               ComplexCodebook.uniform_polar(4, 4), 1)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_bad_magnitude_scale_rejected(self, scale):
+        rng = np.random.default_rng(57)
+        spec = spec_of(m=32, size=64)
+        cc = ComplexCodebook.uniform_polar(16, 16)
+        blob = bytearray(serialize_report(build_report(random_precoder(rng, 32, 3), spec, 5, cc),
+                                          spec, cc))
+        struct.pack_into("<d", blob, 4, scale)
+        with pytest.raises(InvalidInputError, match="magnitude scale"):
+            deserialize_report(bytes(blob), spec, cc, 3)
 
     def test_selection_quantized_not_serializable(self):
         rng = np.random.default_rng(56)

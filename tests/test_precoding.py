@@ -131,6 +131,13 @@ class TestPrecoderType:
         with pytest.raises(InvalidInputError):
             Precoder(np.ones((4, 2), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_norm(self, bad):
+        f = np.full((4, 2), 1.0 / np.sqrt(8), dtype=complex)
+        f[2, 1] = bad
+        with pytest.raises(InvalidInputError):
+            Precoder(f)
+
     def test_bad_allocation_mode(self):
         with pytest.raises(InvalidInputError):
             PowerAllocation("equal")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 
 from helpers import parse_csv, scheme_curve
 
-from fapsim.channel import ArrayGeometry, ChannelConfig
+from fapsim import cli, runner
+from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.errors import InvalidInputError
+from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
+from fapsim.feedback import ComplexCodebook
+from fapsim.precoding import PowerAllocation, optimal_precoder
 from fapsim.runner import (ExperimentConfig, MultilevelScheme, OptimalScheme, ProposedScheme,
                            SparseScheme, run_beam_pattern, run_ber_sweep, run_overhead_table,
                            run_rate_sweep, scheme_overhead)
@@ -30,6 +35,60 @@ def small_experiment(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def reference_experiment(**overrides):
+    cfg = cli.build_experiment_config(cli.load_config(None))
+    return dataclasses.replace(cfg, **overrides)
+
+
+class TestTrialEngine:
+    def test_one_optimal_precoder_per_channel(self, monkeypatch):
+        cfg = reference_experiment(trials=1)
+        calls = []
+
+        def counting(h, num_streams, alloc):
+            calls.append(h.shape)
+            return optimal_precoder(h, num_streams, alloc)
+
+        monkeypatch.setattr(runner, "optimal_precoder", counting)
+        runner._rate_trial(cfg, 0)
+        assert len(calls) == 2          # F_opt of H, shared, and the multilevel H_hat's
+
+    @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
+    def test_shared_draw_matches_per_scheme_draws(self, allocation):
+        cfg = reference_experiment(trials=1, symbols_per_trial=300, allocation=allocation,
+                                   snr_db_grid=(-20.0, -5.0, 10.0))
+        errors, sent = runner._ber_trial(cfg, 0)
+        ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
+        by_snr = runner._precoders_by_snr(cfg, ch)
+        for j, snr_db in enumerate(cfg.snr_db_grid):
+            snr = 10.0 ** (snr_db / 10.0)
+            for i, f in enumerate(by_snr[j]):
+                expected = ber_qpsk_mmse(ch.matrix, f, snr, cfg.symbols_per_trial,
+                                         substream(cfg.seed, 0, j))
+                assert (errors[i, j], sent[i, j]) == expected
+
+    @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
+    def test_rate_trial_matches_per_snr_rates(self, allocation):
+        cfg = small_experiment(allocation=allocation)
+        rates = runner._rate_trial(cfg, 5)
+        ch = sample_channel(cfg.channel, substream(cfg.seed, 5))
+        by_snr = runner._precoders_by_snr(cfg, ch)
+        for j, snr_db in enumerate(cfg.snr_db_grid):
+            snr = 10.0 ** (snr_db / 10.0)
+            alloc = PowerAllocation(allocation, total_power=snr)
+            assert np.array_equal(by_snr[j][0], optimal_precoder(ch.matrix, cfg.streams, alloc).matrix)
+            for i, f in enumerate(by_snr[j]):
+                assert rates[i, j] == pytest.approx(achievable_rate(ch.matrix, f, snr), abs=1e-12)
+
+    @pytest.mark.parametrize("workers, trials, cpus, expected", [
+        (1, 200, 2, 1), (2, 200, 2, 2), (4, 200, 2, 2), (4, 3, 8, 3),
+        (8, 200, None, 1), (0, 5, 4, 1), (3, 1, 4, 1),
+    ])
+    def test_worker_count_clamp(self, monkeypatch, workers, trials, cpus, expected):
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        assert runner._worker_count(workers, trials) == expected
 
 
 class TestRateSweep:
@@ -173,3 +232,12 @@ class TestConfigValidation:
     def test_duplicate_labels(self):
         with pytest.raises(InvalidInputError, match="labels"):
             small_experiment(schemes=(OptimalScheme(), OptimalScheme()))
+
+    def test_quantized_coeff_codebook_in_label(self):
+        quantized = ComplexCodebook.uniform_polar(16, 16)
+        assert ProposedScheme(k=4).label == "proposed_k4_g1_cb256"
+        assert (ProposedScheme(k=4, coeff_codebook=quantized).label
+                == "proposed_k4_g1_cb256_m16p16")
+        assert MultilevelScheme(k=6).label == "multilevel_k6_cb256"
+        assert (MultilevelScheme(k=6, coeff_codebook=ComplexCodebook.uniform_polar(8, 4)).label
+                == "multilevel_k6_cb256_m8p4")
