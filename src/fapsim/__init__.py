@@ -8,32 +8,31 @@ decomposition, benchmark schemes, and Monte-Carlo link evaluation. The
 
 from .benchmarks import MultilevelCsiConfig, SparsePrecoderConfig, multilevel_csi_feedback, sparse_precoder
 from .channel import (ArrayGeometry, ChannelConfig, ChannelRealization, PathComponent,
-                      array_response, reconstruct_from_paths, sample_channel, substream)
+                      array_response, channel_from_paths, reconstruct_from_paths, sample_channel,
+                      substream)
 from .errors import DegenerateChannelError, DomainError, InvalidInputError
-from .evaluation import (BeamPattern, LinkMetrics, achievable_rate, beam_pattern,
-                         ber_qpsk_mmse)
+from .evaluation import BeamPattern, achievable_rate, beam_pattern, ber_qpsk_mmse
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport,
                        basis_matrix, build_report, deserialize_report, dictionary,
-                       omp_approximate, overhead_bits, quantize_angle,
+                       omp_approximate, overhead_bits, proposed_bits, quantize_angle,
                        reconstruct_precoder, serialize_report)
 from .hybrid import HybridDecomposition, decompose, phase_shifter_count, reconstruct
 from .precoding import Precoder, PowerAllocation, optimal_precoder, water_fill
-from .runner import (BeamPatternConfig, ExperimentConfig, MultilevelScheme, OptimalScheme,
+from .runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, MultilevelScheme, OptimalScheme,
                      ProposedScheme, SparseScheme, run_beam_pattern, run_ber_sweep,
                      run_overhead_table, run_rate_sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleCodebook", "ArrayGeometry", "BasisSpec", "BeamPattern", "BeamPatternConfig",
+    "SCHEMES", "AngleCodebook", "ArrayGeometry", "BasisSpec", "BeamPattern", "BeamPatternConfig",
     "ChannelConfig", "ChannelRealization", "ComplexCodebook", "DegenerateChannelError",
     "DomainError", "ExperimentConfig", "FeedbackReport", "HybridDecomposition",
-    "InvalidInputError", "LinkMetrics", "MultilevelCsiConfig", "MultilevelScheme",
-    "OptimalScheme", "PathComponent", "Precoder", "PowerAllocation", "ProposedScheme",
-    "SparsePrecoderConfig", "SparseScheme", "achievable_rate", "array_response",
-    "basis_matrix", "beam_pattern", "ber_qpsk_mmse", "build_report", "decompose",
-    "deserialize_report", "dictionary", "multilevel_csi_feedback", "omp_approximate",
-    "optimal_precoder", "overhead_bits", "phase_shifter_count", "quantize_angle",
+    "InvalidInputError", "MultilevelCsiConfig", "MultilevelScheme", "OptimalScheme",
+    "PathComponent", "Precoder", "PowerAllocation", "ProposedScheme", "SparsePrecoderConfig",
+    "SparseScheme", "achievable_rate", "array_response", "basis_matrix", "beam_pattern",
+    "ber_qpsk_mmse", "build_report", "channel_from_paths", "decompose", "deserialize_report", "dictionary", "multilevel_csi_feedback", "omp_approximate",
+    "optimal_precoder", "overhead_bits", "phase_shifter_count", "proposed_bits", "quantize_angle",
     "reconstruct", "reconstruct_from_paths", "reconstruct_precoder", "run_beam_pattern",
     "run_ber_sweep", "run_overhead_table", "run_rate_sweep", "sample_channel",
     "serialize_report", "sparse_precoder", "substream", "water_fill",

@@ -8,7 +8,7 @@ baseband factor.
 
 Benchmark 2 feeds back the K strongest paths (quantized AoD/AoA/gain) and
 rebuilds the channel estimate at the transmitter. Channel estimation itself
-is out of scope: an oracle reads the true path list, which matches the
+is out of scope: an oracle reads the true path arrays, which matches the
 ideal-estimation premise of the comparison.
 """
 
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayGeometry, PathComponent, reconstruct_from_paths
+from .channel import ArrayGeometry, channel_from_paths
 from .errors import InvalidInputError
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _polar_dequantize,
-                       _polar_quantize_indices, dictionary, omp_approximate, quantize_angle)
+                       _polar_quantize_indices, dictionary, omp_approximate, quantize_angles)
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,6 @@ class SparsePrecoderConfig:
     num_rf_chains: int
     codebook: AngleCodebook
     tx: ArrayGeometry
-
-    def __post_init__(self):
-        if self.num_rf_chains < 1:
-            raise InvalidInputError("num_rf_chains must be >= 1")
-        if self.num_rf_chains > self.codebook.size:
-            raise InvalidInputError("num_rf_chains cannot exceed the codebook size")
 
 
 @dataclass(frozen=True)
@@ -44,17 +38,13 @@ class MultilevelCsiConfig:
     tx: ArrayGeometry
     rx: ArrayGeometry
 
-    def __post_init__(self):
-        if self.num_paths < 1:
-            raise InvalidInputError("num_paths must be >= 1")
-
 
 def sparse_precoder(f_opt, cfg):
     """RF/baseband factorization with Q steering-vector RF beams.
 
     Returns (F_rf, F_bb): F_rf holds constant-modulus array-response columns
     at the selected codebook angles, and F_bb is the least-squares combining
-    matrix with ||F_rf @ F_bb||_F = 1.
+    matrix with ||F_rf @ F_bb||_F = 1. Q must lie in [S, codebook size].
     """
     if cfg.num_rf_chains < f_opt.num_streams:
         raise InvalidInputError("num_rf_chains must be >= the number of streams")
@@ -72,25 +62,16 @@ def multilevel_csi_feedback(ch, cfg):
     keeps the original channel's path-count scaling so a subset is an
     unbiased truncation of the full superposition.
     """
-    total = len(ch.paths)
+    total = ch.gains.size
     if not 1 <= cfg.num_paths <= total:
         raise InvalidInputError(f"num_paths must be in [1, {total}], got {cfg.num_paths}")
-    gains = np.array([p.gain for p in ch.paths])
-    order = np.argsort(-np.abs(gains), kind="stable")[:cfg.num_paths]
-    strongest = [ch.paths[i] for i in order]
+    order = np.argsort(-np.abs(ch.gains), kind="stable")[:cfg.num_paths]
 
-    quant_gains = np.array([p.gain for p in strongest])
+    gains = ch.gains[order]
     if cfg.coeff_codebook.mode != "ideal":
-        gmax = float(np.max(np.abs(quant_gains)))
-        mi, pi_ = _polar_quantize_indices(quant_gains, cfg.coeff_codebook, gmax)
-        quant_gains = _polar_dequantize(mi, pi_, cfg.coeff_codebook, gmax)
-
-    quant_paths = [
-        PathComponent(
-            gain=complex(quant_gains[i]),
-            aod=float(cfg.aod_codebook.centers[quantize_angle(cfg.aod_codebook, p.aod)]),
-            aoa=float(cfg.aoa_codebook.centers[quantize_angle(cfg.aoa_codebook, p.aoa)]),
-        )
-        for i, p in enumerate(strongest)
-    ]
-    return reconstruct_from_paths(quant_paths, cfg.tx, cfg.rx, total_paths=total)
+        gmax = float(np.max(np.abs(gains)))
+        mi, pi_ = _polar_quantize_indices(gains, cfg.coeff_codebook, gmax)
+        gains = _polar_dequantize(mi, pi_, cfg.coeff_codebook, gmax)
+    aod = cfg.aod_codebook.centers[quantize_angles(cfg.aod_codebook, ch.aod[order])]
+    aoa = cfg.aoa_codebook.centers[quantize_angles(cfg.aoa_codebook, ch.aoa[order])]
+    return channel_from_paths(gains, aod, aoa, cfg.tx, cfg.rx, total_paths=total)

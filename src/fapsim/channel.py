@@ -76,16 +76,16 @@ class PathComponent:
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     matrix: np.ndarray            # N x M
-    paths: tuple                  # PathComponent, cluster-major order
+    gains: np.ndarray             # per path, cluster-major order
+    aod: np.ndarray
+    aoa: np.ndarray
 
 
 def array_response(geom, angle):
     """Unit-norm ULA steering vector: element m is exp(j*m*2*pi*(d/lambda)*sin(angle))/sqrt(M)."""
     if not np.isfinite(angle):
         raise InvalidInputError("angle must be finite")
-    m = np.arange(geom.num_elements)
-    phase = 2.0 * np.pi * geom.spacing_over_wavelength * np.sin(angle)
-    return np.exp(1j * phase * m) / np.sqrt(geom.num_elements)
+    return _steering_matrix(geom, [angle])[:, 0]
 
 
 def _steering_matrix(geom, angles):
@@ -124,31 +124,34 @@ def sample_channel(cfg, rng):
     aoa = np.clip(mean_aoa[:, None] + rng.laplace(0.0, cfg.angular_spread, size=(L, J)), rx_lo, rx_hi)
     gains = (rng.standard_normal((L, J)) + 1j * rng.standard_normal((L, J))) / np.sqrt(2.0)
 
-    paths = tuple(
-        PathComponent(gain=complex(gains[l, j]), aod=float(aod[l, j]), aoa=float(aoa[l, j]))
-        for l in range(L)
-        for j in range(J)
-    )
-    matrix = reconstruct_from_paths(paths, cfg.tx, cfg.rx)
-    return ChannelRealization(matrix=matrix, paths=paths)
+    gains, aod, aoa = gains.reshape(-1), aod.reshape(-1), aoa.reshape(-1)
+    matrix = channel_from_paths(gains, aod, aoa, cfg.tx, cfg.rx)
+    return ChannelRealization(matrix=matrix, gains=gains, aod=aod, aoa=aoa)
+
+
+def channel_from_paths(gains, aod, aoa, tx, rx, total_paths=None):
+    """Assemble H_r diag(gains) H_t^H with the sqrt(M*N/total_paths) scaling.
+
+    `gains`, `aod` and `aoa` hold one entry per path. `total_paths` defaults
+    to the path count; pass the original count when rebuilding from a subset
+    so the subset keeps the full channel's scaling.
+    """
+    gains = np.asarray(gains, dtype=np.complex128)
+    if gains.ndim != 1 or gains.size == 0 or not gains.shape == np.shape(aod) == np.shape(aoa):
+        raise InvalidInputError("gains, aod and aoa must be non-empty 1-D arrays of one length")
+    if total_paths is None:
+        total_paths = gains.size
+    if total_paths < 1:
+        raise InvalidInputError("total_paths must be >= 1")
+    if not np.all(np.isfinite(gains)):
+        raise InvalidInputError("path gains must be finite")
+    h_t = _steering_matrix(tx, aod)    # M x K
+    h_r = _steering_matrix(rx, aoa)    # N x K
+    scale = np.sqrt(tx.num_elements * rx.num_elements / total_paths)
+    return scale * ((h_r * gains[None, :]) @ h_t.conj().T)
 
 
 def reconstruct_from_paths(paths, tx, rx, total_paths=None):
-    """Assemble H_r diag(gains) H_t^H with the sqrt(M*N/total_paths) scaling.
-
-    `total_paths` defaults to len(paths); pass the original path count when
-    rebuilding from a subset so the subset keeps the full channel's scaling.
-    """
-    if len(paths) == 0:
-        raise InvalidInputError("paths must be non-empty")
-    if total_paths is None:
-        total_paths = len(paths)
-    if total_paths < 1:
-        raise InvalidInputError("total_paths must be >= 1")
-    gains = np.array([p.gain for p in paths], dtype=np.complex128)
-    if not np.all(np.isfinite(gains)):
-        raise InvalidInputError("path gains must be finite")
-    h_t = _steering_matrix(tx, [p.aod for p in paths])    # M x K
-    h_r = _steering_matrix(rx, [p.aoa for p in paths])    # N x K
-    scale = np.sqrt(tx.num_elements * rx.num_elements / total_paths)
-    return scale * ((h_r * gains[None, :]) @ h_t.conj().T)
+    """`channel_from_paths` over a sequence of PathComponent."""
+    return channel_from_paths([p.gain for p in paths], [p.aod for p in paths],
+                              [p.aoa for p in paths], tx, rx, total_paths)

@@ -8,6 +8,7 @@ failure.
 
 import argparse
 import copy
+import dataclasses
 import sys
 
 import numpy as np
@@ -16,8 +17,7 @@ import yaml
 from .channel import ArrayGeometry, ChannelConfig
 from .errors import DomainError, InvalidInputError
 from .feedback import ComplexCodebook
-from .runner import (BeamPatternConfig, ExperimentConfig, MultilevelScheme, OptimalScheme,
-                     ProposedScheme, SparseScheme, run_beam_pattern, run_ber_sweep,
+from .runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, run_beam_pattern, run_ber_sweep,
                      run_overhead_table, run_rate_sweep)
 
 DEFAULT_CONFIG = {
@@ -79,99 +79,102 @@ def load_config(path=None):
     return raw
 
 
-def _get(tree, path, kind):
+def _get(tree, path, kind, where=""):
+    """The `kind` value at dotted `path`; errors name the field as `where` + `path`."""
     node = tree
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
-            raise InvalidInputError(f"{path}: missing required key")
+            raise InvalidInputError(f"{where}{path}: missing required key")
         node = node[part]
-    if kind is float and isinstance(node, int):
-        node = float(node)
-    if not isinstance(node, kind) or isinstance(node, bool):
-        raise InvalidInputError(f"{path}: expected {kind.__name__}, got {node!r}")
-    return node
+    return _typed(node, kind, where + path)
+
+
+def _typed(value, kind, name):
+    # Strict: an int passes as a float, a bool never passes as a number.
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InvalidInputError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return value
 
 
 def _sector(tree, path):
     value = _get(tree, path, list)
     if len(value) != 2:
         raise InvalidInputError(f"{path}: expected [lo_deg, hi_deg]")
-    return tuple(np.deg2rad(float(v)) for v in value)
+    return tuple(np.deg2rad(_typed(v, float, f"{path}[{i}]")) for i, v in enumerate(value))
+
+
+def _check_keys(node, known, where):
+    for key in node:
+        if key not in known:
+            raise InvalidInputError(f"{where}.{key}: unknown key")
 
 
 def _coeff_codebook(node, where):
+    where += ".coeff_codebook"
     if node is None or node == "ideal":
         return ComplexCodebook.ideal()
-    if isinstance(node, dict):
-        try:
-            return ComplexCodebook.uniform_polar(
-                magnitude_levels=int(node["magnitude_levels"]),
-                phase_levels=int(node["phase_levels"]),
-            )
-        except KeyError as exc:
-            raise InvalidInputError(f"{where}.coeff_codebook: missing {exc.args[0]}") from None
-    raise InvalidInputError(f"{where}.coeff_codebook: expected 'ideal' or a level mapping")
+    if not isinstance(node, dict):
+        raise InvalidInputError(f"{where}: expected 'ideal' or a level mapping")
+    _check_keys(node, ("magnitude_levels", "phase_levels"), where)
+    levels = {key: _get(node, key, int, where + ".") for key in ("magnitude_levels", "phase_levels")}
+    try:
+        return ComplexCodebook.uniform_polar(**levels)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{where}: {exc}") from None
 
 
 def _scheme(node, index):
+    """One scheme from its config node: `type` picks the class, every other key is one of its fields."""
     where = f"schemes[{index}]"
-    if not isinstance(node, dict) or "type" not in node:
+    if not isinstance(node, dict):
         raise InvalidInputError(f"{where}: expected a mapping with a 'type' key")
-    kind = node["type"]
-    try:
-        if kind == "optimal":
-            return OptimalScheme()
-        if kind == "proposed":
-            return ProposedScheme(
-                k=int(node["k"]),
-                gamma=int(node.get("gamma", 1)),
-                angle_codebook_size=int(node.get("angle_codebook_size", 256)),
-                coeff_codebook=_coeff_codebook(node.get("coeff_codebook"), where),
-            )
-        if kind == "sparse":
-            return SparseScheme(
-                q=int(node["q"]),
-                angle_codebook_size=int(node.get("angle_codebook_size", 256)),
-            )
-        if kind == "multilevel":
-            return MultilevelScheme(
-                k=int(node["k"]),
-                angle_codebook_size=int(node.get("angle_codebook_size", 256)),
-                coeff_codebook=_coeff_codebook(node.get("coeff_codebook"), where),
-            )
-    except KeyError as exc:
-        raise InvalidInputError(f"{where}.{exc.args[0]}: missing required key") from None
-    raise InvalidInputError(f"{where}.type: unknown scheme type {kind!r}")
+    kind = _get(node, "type", str, where + ".")
+    if kind not in SCHEMES:
+        raise InvalidInputError(f"{where}.type: unknown scheme type {kind!r}")
+    fields = dataclasses.fields(SCHEMES[kind])
+    _check_keys(node, {"type"} | {f.name for f in fields}, where)
+    values = {}
+    for f in fields:
+        if f.type is ComplexCodebook:
+            values[f.name] = _coeff_codebook(node.get(f.name), where)
+        elif f.name in node or f.default is dataclasses.MISSING:
+            values[f.name] = _get(node, f.name, f.type, where + ".")
+    return SCHEMES[kind](**values)
 
 
 def _snr_grid(tree):
     node = tree["snr_db"]
-    if isinstance(node, list):
-        if not node:
-            raise InvalidInputError("snr_db: must be non-empty")
-        return tuple(float(v) for v in node)
+    if isinstance(node, list):           # emptiness is ExperimentConfig's check
+        return tuple(_typed(v, float, f"snr_db[{i}]") for i, v in enumerate(node))
     if isinstance(node, dict):
         start = _get(tree, "snr_db.start", float)
         stop = _get(tree, "snr_db.stop", float)
         step = _get(tree, "snr_db.step", float)
-        if step <= 0 or stop < start:
-            raise InvalidInputError("snr_db: requires step > 0 and stop >= start")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+        if not all(np.isfinite([start, stop, step])) or step <= 0 or stop < start:
+            raise InvalidInputError("snr_db: requires finite values, step > 0 and stop >= start")
+        count = np.floor((stop - start) / step + 1e-9) + 1
+        if not np.isfinite(count):
+            raise InvalidInputError("snr_db: (stop - start) / step must be finite")
+        return tuple(start + i * step for i in range(int(count)))
     raise InvalidInputError("snr_db: expected a list or {start, stop, step}")
+
+
+def _gammas(values, name):
+    """Beam-pattern gamma list: integers >= 1."""
+    gammas = tuple(_typed(g, int, f"{name}[{i}]") for i, g in enumerate(values))
+    if not gammas or min(gammas) < 1:
+        raise InvalidInputError(f"{name}: expected a non-empty list of integers >= 1")
+    return gammas
 
 
 def build_experiment_config(raw):
     """Validate a raw config tree and build the typed experiment config."""
+    spacing = _get(raw, "channel.spacing_over_wavelength", float)
     channel = ChannelConfig(
-        tx=ArrayGeometry(
-            num_elements=_get(raw, "channel.tx_antennas", int),
-            spacing_over_wavelength=_get(raw, "channel.spacing_over_wavelength", float),
-        ),
-        rx=ArrayGeometry(
-            num_elements=_get(raw, "channel.rx_antennas", int),
-            spacing_over_wavelength=_get(raw, "channel.spacing_over_wavelength", float),
-        ),
+        tx=ArrayGeometry(_get(raw, "channel.tx_antennas", int), spacing),
+        rx=ArrayGeometry(_get(raw, "channel.rx_antennas", int), spacing),
         num_clusters=_get(raw, "channel.clusters", int),
         rays_per_cluster=_get(raw, "channel.rays_per_cluster", int),
         tx_sector=_sector(raw, "channel.tx_sector_deg"),
@@ -185,7 +188,7 @@ def build_experiment_config(raw):
         codebook_size=_get(raw, "beam_pattern.codebook_size", int),
         center_index=_get(raw, "beam_pattern.center_index", int),
         grid_size=_get(raw, "beam_pattern.grid_size", int),
-        gammas=tuple(int(g) for g in _get(raw, "beam_pattern.gammas", list)),
+        gammas=_gammas(_get(raw, "beam_pattern.gammas", list), "beam_pattern.gammas"),
     ) if bp else BeamPatternConfig()
     return ExperimentConfig(
         channel=channel,
@@ -243,7 +246,12 @@ def main(argv=None):
         elif args.command == "beam-pattern":
             gammas = None
             if args.gammas:
-                gammas = tuple(int(g) for g in args.gammas.split(","))
+                try:
+                    gammas = [int(g) for g in args.gammas.split(",")]
+                except ValueError:
+                    raise InvalidInputError(f"--gammas: expected comma-separated integers, "
+                                            f"got {args.gammas!r}") from None
+                gammas = _gammas(gammas, "--gammas")
             csv_text = run_beam_pattern(cfg, gamma_list=gammas)
         else:
             csv_text = run_overhead_table(cfg)

@@ -12,24 +12,6 @@ from .feedback import basis_matrix
 BEAM_PATTERN_GRID = 2048
 
 
-@dataclass(frozen=True)
-class LinkMetrics:
-    """One (scheme, SNR) cell of a Monte-Carlo sweep."""
-
-    snr_db: float
-    rate_bps_hz: float
-    ber: float
-    trials: int
-    bit_errors: int
-    bits_sent: int
-
-    def __post_init__(self):
-        if self.rate_bps_hz < 0 or not 0.0 <= self.ber <= 1.0:
-            raise InvalidInputError("rate must be >= 0 and ber within [0, 1]")
-        if self.bits_sent > 0 and self.ber != self.bit_errors / self.bits_sent:
-            raise InvalidInputError("ber must equal bit_errors / bits_sent")
-
-
 @dataclass(frozen=True, eq=False)
 class BeamPattern:
     angles: np.ndarray

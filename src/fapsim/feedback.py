@@ -8,21 +8,18 @@ the K angle indices plus the (optionally quantized) K x S combining matrix.
 """
 
 import functools
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .channel import ArrayGeometry, _steering_matrix
+from .channel import ArrayGeometry, _check_sector, _steering_matrix
 from .errors import DomainError, InvalidInputError
 
 # Residuals at or below this norm are treated as exact recoveries; the
 # greedy argmax is meaningless on a numerically zero residual.
 _ZERO_RESIDUAL = 1e-12
-
-COMBINING_MODES = ("general", "unitary", "selection")
 
 
 def _log2_exact(n, name):
@@ -39,9 +36,7 @@ class AngleCodebook:
     size: int
 
     def __post_init__(self):
-        lo, hi = float(self.sector[0]), float(self.sector[1])
-        if not (-np.pi <= lo < hi <= np.pi):
-            raise InvalidInputError(f"sector must satisfy -pi <= lo < hi <= pi, got ({lo}, {hi})")
+        _check_sector(self.sector, "sector")
         _log2_exact(self.size, "codebook size")
 
     @property
@@ -96,17 +91,11 @@ class ComplexCodebook:
         return cls(mode="uniform_polar", magnitude_levels=magnitude_levels, phase_levels=phase_levels)
 
     @property
-    def size(self):
-        if self.mode == "ideal":
-            raise InvalidInputError("ideal codebook has no finite size")
-        return self.magnitude_levels * self.phase_levels
-
-    @property
     def bits_per_value(self):
         # Ideal amplitude feedback is excluded from the bit accounting.
         if self.mode == "ideal":
             return 0
-        return _log2_exact(self.size, "complex codebook size")
+        return _log2_exact(self.magnitude_levels * self.phase_levels, "complex codebook size")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +109,21 @@ class FeedbackReport:
     magnitude_scale: float = None  # polar-quantizer range, sent unquantized
 
 
-def quantize_angle(cb, angle):
-    """Index of the nearest codebook center; out-of-sector angles are clamped first.
+def quantize_angles(cb, angles):
+    """Index of the nearest codebook center per angle; out-of-sector angles are clamped first.
 
     Equidistant ties resolve toward the lower index.
     """
-    if not np.isfinite(angle):
+    angles = np.asarray(angles, dtype=float)
+    if not np.all(np.isfinite(angles)):
         raise InvalidInputError("angle must be finite")
-    lo, hi = cb.sector
-    angle = min(max(float(angle), lo), hi)
-    return int(np.argmin(np.abs(angle - cb.centers)))
+    clamped = np.clip(angles, cb.sector[0], cb.sector[1])
+    return np.argmin(np.abs(clamped[..., None] - cb.centers), axis=-1)
+
+
+def quantize_angle(cb, angle):
+    """`quantize_angles` for one angle, as an int."""
+    return int(quantize_angles(cb, angle))
 
 
 def basis_matrix(spec, angles):
@@ -215,30 +209,6 @@ def omp_approximate(f_opt, spec, k):
     return tuple(selected), g / scale, history
 
 
-def _apply_combining_mode(g, atoms, mode):
-    if mode == "general":
-        return g
-    if mode == "unitary":
-        # Nearest matrix with orthonormal columns: the unitary polar factor.
-        u, _, v = numerics.svd(g)
-        g = u @ v.conj().T
-    elif mode == "selection":
-        # One beam per stream: keep the dominant entry, preserve column norm.
-        out = np.zeros_like(g)
-        for j in range(g.shape[1]):
-            i = int(np.argmax(np.abs(g[:, j])))
-            pivot = g[i, j]
-            if np.abs(pivot) > 0:
-                out[i, j] = pivot / np.abs(pivot) * np.linalg.norm(g[:, j])
-        g = out
-    else:
-        raise InvalidInputError(f"unknown combining mode {mode!r}")
-    scale = float(np.linalg.norm(atoms @ g))
-    if scale <= _ZERO_RESIDUAL:
-        raise DomainError("combining mode produced a zero precoder")
-    return g / scale
-
-
 def _polar_quantize_indices(values, cc, gmax):
     dm = gmax / cc.magnitude_levels
     dp = 2.0 * np.pi / cc.phase_levels
@@ -255,7 +225,7 @@ def _polar_dequantize(mi, pi_, cc, gmax):
     return mag * np.exp(1j * phase)
 
 
-def build_report(f_opt, spec, k, cc, combining_mode="general"):
+def build_report(f_opt, spec, k, cc):
     """Run the greedy approximation and pack the result as a feedback message.
 
     In ideal mode the combining matrix passes through untouched and its bit
@@ -263,42 +233,16 @@ def build_report(f_opt, spec, k, cc, combining_mode="general"):
     grid whose magnitude range is the matrix maximum; that range travels as
     one extra unquantized scalar outside the bit accounting.
     """
-    if combining_mode not in COMBINING_MODES:
-        raise InvalidInputError(f"unknown combining mode {combining_mode!r}")
     indices, g, _ = omp_approximate(f_opt, spec, k)
-    atoms = dictionary(spec)[:, list(indices)]
-    g = _apply_combining_mode(g, atoms, combining_mode)
-
-    k_actual = len(indices)
-    num_streams = g.shape[1]
-    bits_angles = k_actual * spec.codebook.index_bits
-
-    if cc.mode == "ideal":
-        combining = g
-        bits_amplitudes = 0
-        scale = None
-    else:
-        gmax = float(np.max(np.abs(g)))
-        if combining_mode == "selection":
-            # Zeros are structural (conveyed by position), only the K
-            # surviving entries pass through the quantizer.
-            combining = np.zeros_like(g)
-            mask = np.abs(g) > 0
-            mi, pi_ = _polar_quantize_indices(g[mask], cc, gmax)
-            combining[mask] = _polar_dequantize(mi, pi_, cc, gmax)
-        else:
-            mi, pi_ = _polar_quantize_indices(g, cc, gmax)
-            combining = _polar_dequantize(mi, pi_, cc, gmax)
-        if combining_mode == "selection":
-            bits_amplitudes = k_actual * math.ceil(math.log2(num_streams)) + k_actual * cc.bits_per_value
-        else:
-            bits_amplitudes = k_actual * num_streams * cc.bits_per_value
-        scale = gmax
-
+    scale = None
+    if cc.mode != "ideal":
+        scale = float(np.max(np.abs(g)))
+        g = _polar_dequantize(*_polar_quantize_indices(g, cc, scale), cc, scale)
+    bits_angles, bits_amplitudes = proposed_bits(len(indices), g.shape[1], spec.codebook, cc)
     return FeedbackReport(
         angle_indices=indices,
-        combining=combining,
-        k=k_actual,
+        combining=g,
+        k=len(indices),
         gamma=spec.gamma,
         bits_angles=bits_angles,
         bits_amplitudes=bits_amplitudes,
@@ -374,6 +318,12 @@ def overhead_bits(scheme, *, m=None, n=None, s=None, q=None, k=None,
     return k * abits, k * s * cbits
 
 
+def proposed_bits(k, num_streams, codebook, cc):
+    """(angle_bits, amplitude_bits) of a K-angle report; ideal amplitudes count as 0 bits."""
+    return overhead_bits("proposed", k=k, s=num_streams, angle_codebook_size=codebook.size,
+                         coeff_codebook_size=2 ** cc.bits_per_value)
+
+
 # ---------------------------------------------------------------------------
 # Wire format
 # ---------------------------------------------------------------------------
@@ -389,46 +339,25 @@ def overhead_bits(scheme, *, m=None, n=None, s=None, q=None, k=None,
 _FLAG_QUANTIZED = 0x01
 
 
-class _BitWriter:
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value, nbits):
-        if value < 0 or value >= (1 << nbits):
+def _pack_bits(fields):
+    """Concatenate (value, nbits) fields MSB-first, zero-padded to whole bytes."""
+    acc, total = 0, 0
+    for value, nbits in fields:
+        if not 0 <= value < (1 << nbits):
             raise InvalidInputError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._bytes.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self):
-        out = bytes(self._bytes)
-        if self._nbits:
-            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return out
+        acc, total = (acc << nbits) | value, total + nbits
+    pad = -total % 8
+    return (acc << pad).to_bytes((total + pad) // 8, "big")
 
 
-class _BitReader:
-    def __init__(self, data):
-        self._data = data
-        self._pos = 0
-
-    def read(self, nbits):
-        value = 0
-        for _ in range(nbits):
-            byte = self._data[self._pos // 8]
-            bit = (byte >> (7 - self._pos % 8)) & 1
-            value = (value << 1) | bit
-            self._pos += 1
-        return value
-
-    @property
-    def bytes_consumed(self):
-        return (self._pos + 7) // 8
+def _unpack_bits(data, widths):
+    """Inverse of `_pack_bits`: the leading fields of `data` with the given bit widths."""
+    acc, pos = int.from_bytes(data, "big"), 8 * len(data)
+    values = []
+    for nbits in widths:
+        pos -= nbits
+        values.append((acc >> pos) & ((1 << nbits) - 1))
+    return values
 
 
 def serialize_report(report, spec, cc):
@@ -438,30 +367,20 @@ def serialize_report(report, spec, cc):
         raise InvalidInputError("report k does not match its index list")
     quantized = cc.mode != "ideal"
     if quantized and np.any(np.abs(report.combining) == 0):
-        raise InvalidInputError(
-            "zero combining entries are not representable on the polar grid; "
-            "serialize selection-mode reports with an ideal codebook"
-        )
+        raise InvalidInputError("zero combining entries are not representable on the polar grid")
     flags = _FLAG_QUANTIZED if quantized else 0
     out = struct.pack("<HBB", k, report.gamma, flags)
     if quantized:
         out += struct.pack("<d", report.magnitude_scale)
 
-    writer = _BitWriter()
-    abits = spec.codebook.index_bits
-    for idx in report.angle_indices:
-        writer.write(int(idx), abits)
+    fields = [(int(idx), spec.codebook.index_bits) for idx in report.angle_indices]
     if quantized:
         mi, pi_ = _polar_quantize_indices(report.combining, cc, report.magnitude_scale)
-        pbits = _log2_exact(cc.phase_levels, "phase_levels")
-        for row in range(report.combining.shape[0]):
-            for col in range(report.combining.shape[1]):
-                writer.write((int(mi[row, col]) << pbits) | int(pi_[row, col]), cc.bits_per_value)
-    out += writer.getvalue()
-
+        words = (mi << _log2_exact(cc.phase_levels, "phase_levels")) | pi_
+        fields += [(int(word), cc.bits_per_value) for word in words.reshape(-1)]
+    out += _pack_bits(fields)
     if not quantized:
-        for value in report.combining.reshape(-1):
-            out += struct.pack("<dd", float(value.real), float(value.imag))
+        out += np.asarray(report.combining, dtype="<c16").tobytes()
     return out
 
 
@@ -483,42 +402,38 @@ def deserialize_report(data, spec, cc, num_streams):
             raise InvalidInputError(f"magnitude scale must be positive and finite, got {scale}")
         offset += 8
 
-    abits = spec.codebook.index_bits
-    payload_bits = k * abits + (k * num_streams * cc.bits_per_value if quantized else 0)
-    payload_len = (payload_bits + 7) // 8
+    if k < 1:
+        raise InvalidInputError("report must carry at least one angle")
+    bits_angles, bits_amplitudes = proposed_bits(k, num_streams, spec.codebook, cc)
+    payload_len = (bits_angles + bits_amplitudes + 7) // 8
     if len(data) < offset + payload_len:
         raise InvalidInputError("truncated report payload")
-    reader = _BitReader(data[offset:offset + payload_len])
-    indices = tuple(reader.read(abits) for _ in range(k))
+    abits, cbits = spec.codebook.index_bits, cc.bits_per_value
+    # Ideal amplitudes are 0-bit fields here; their raw entries follow the payload.
+    values = _unpack_bits(data[offset:offset + payload_len], [abits] * k + [cbits] * (k * num_streams))
+    indices = tuple(values[:k])
     if any(i >= spec.codebook.size for i in indices):
         raise InvalidInputError("angle index out of codebook range")
 
     if quantized:
+        words = np.array(values[k:]).reshape(k, num_streams)
         pbits = _log2_exact(cc.phase_levels, "phase_levels")
-        mi = np.empty((k, num_streams), dtype=int)
-        pi_ = np.empty((k, num_streams), dtype=int)
-        for row in range(k):
-            for col in range(num_streams):
-                word = reader.read(cc.bits_per_value)
-                mi[row, col] = word >> pbits
-                pi_[row, col] = word & (cc.phase_levels - 1)
-        combining = _polar_dequantize(mi, pi_, cc, scale)
-        bits_amplitudes = k * num_streams * cc.bits_per_value
+        combining = _polar_dequantize(words >> pbits, words & (cc.phase_levels - 1), cc, scale)
     else:
         offset += payload_len
-        need = k * num_streams * 16
-        if len(data) < offset + need:
+        if len(data) < offset + k * num_streams * 16:
             raise InvalidInputError("truncated raw combining entries")
-        flat = np.frombuffer(data, dtype="<f8", count=2 * k * num_streams, offset=offset)
-        combining = (flat[0::2] + 1j * flat[1::2]).reshape(k, num_streams)
-        bits_amplitudes = 0
+        combining = np.frombuffer(data, dtype="<c16", count=k * num_streams,
+                                  offset=offset).reshape(k, num_streams).copy()
+        if not np.all(np.isfinite(combining)):
+            raise InvalidInputError("combining entries must be finite")
 
     return FeedbackReport(
         angle_indices=indices,
         combining=combining,
         k=k,
         gamma=gamma,
-        bits_angles=k * abits,
+        bits_angles=bits_angles,
         bits_amplitudes=bits_amplitudes,
         magnitude_scale=scale,
     )

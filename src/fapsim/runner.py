@@ -8,17 +8,19 @@ the resolved configuration embedded in '#' comment lines.
 
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import MultilevelCsiConfig, SparsePrecoderConfig, multilevel_csi_feedback, sparse_precoder
+from .benchmarks import MultilevelCsiConfig, multilevel_csi_feedback
 from .channel import ChannelConfig, sample_channel, substream
 from .errors import InvalidInputError
-from .evaluation import LinkMetrics, achievable_rate, beam_pattern, detect_qpsk_mmse, draw_qpsk
-from .feedback import AngleCodebook, BasisSpec, ComplexCodebook, build_report, reconstruct_precoder
+from .evaluation import achievable_rate, beam_pattern, detect_qpsk_mmse, draw_qpsk
+from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _log2_exact, build_report,
+                       overhead_bits, proposed_bits, reconstruct_precoder)
 from .precoding import PowerAllocation, optimal_precoder
 
 
@@ -29,17 +31,31 @@ def _coeff_suffix(cc):
     return f"_m{cc.magnitude_levels}p{cc.phase_levels}"
 
 
+# A scheme class is its whole definition: `label`; `validate(cfg, where)`, which
+# names the failing field as `where.<field>`; `overhead(cfg)`, the nominal
+# (angle_bits, amplitude_bits); and `precoder(ch, cfg, alloc, f_opt)`, its unit-norm
+# M x S matrix on one draw given the shared optimal precoder `f_opt`.
+
 @dataclass(frozen=True)
 class OptimalScheme:
     """Upper bound: optimal precoder from exact CSI, no feedback constraint."""
 
-    @property
-    def label(self):
-        return "optimal"
+    label = "optimal"
+
+    def validate(self, cfg, where):
+        pass
+
+    def overhead(self, cfg):
+        return 0, 0
+
+    def precoder(self, ch, cfg, alloc, f_opt):
+        return f_opt.matrix
 
 
 @dataclass(frozen=True)
 class ProposedScheme:
+    """Greedy basis selection: K fed-back angles and a K x S combining matrix."""
+
     k: int
     gamma: int = 1
     angle_codebook_size: int = 256
@@ -50,9 +66,30 @@ class ProposedScheme:
         return (f"proposed_k{self.k}_g{self.gamma}_cb{self.angle_codebook_size}"
                 + _coeff_suffix(self.coeff_codebook))
 
+    def validate(self, cfg, where):
+        _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
+        if not 1 <= self.k <= self.angle_codebook_size:
+            raise InvalidInputError(f"{where}.k: must be in [1, angle_codebook_size]")
+        if self.gamma < 1:
+            raise InvalidInputError(f"{where}.gamma: must be >= 1")
+
+    def _spec(self, cfg):
+        return BasisSpec(codebook=AngleCodebook(cfg.channel.tx_sector, self.angle_codebook_size),
+                         tx=cfg.channel.tx, gamma=self.gamma)
+
+    def overhead(self, cfg):
+        return proposed_bits(self.k, cfg.streams, self._spec(cfg).codebook, self.coeff_codebook)
+
+    def precoder(self, ch, cfg, alloc, f_opt):
+        spec = self._spec(cfg)
+        report = build_report(f_opt, spec, self.k, self.coeff_codebook)
+        return reconstruct_precoder(report, spec).matrix
+
 
 @dataclass(frozen=True)
 class SparseScheme:
+    """Q RF-chain benchmark: the proposed engine at K = Q, gamma = 1, ideal amplitudes."""
+
     q: int
     angle_codebook_size: int = 256
 
@@ -60,9 +97,27 @@ class SparseScheme:
     def label(self):
         return f"sparse_q{self.q}_cb{self.angle_codebook_size}"
 
+    def validate(self, cfg, where):
+        _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
+        if self.q < cfg.streams:
+            raise InvalidInputError(f"{where}.q: must be >= streams")
+        if self.q > self.angle_codebook_size:
+            raise InvalidInputError(f"{where}.q: must be <= angle_codebook_size")
+
+    def _proposed(self):
+        return ProposedScheme(k=self.q, gamma=1, angle_codebook_size=self.angle_codebook_size)
+
+    def overhead(self, cfg):
+        return self._proposed().overhead(cfg)
+
+    def precoder(self, ch, cfg, alloc, f_opt):
+        return self._proposed().precoder(ch, cfg, alloc, f_opt)
+
 
 @dataclass(frozen=True)
 class MultilevelScheme:
+    """Quantized-CSI benchmark: the K strongest paths fed back, F_opt of the rebuilt channel."""
+
     k: int
     angle_codebook_size: int = 256
     coeff_codebook: ComplexCodebook = field(default_factory=ComplexCodebook.ideal)
@@ -70,6 +125,33 @@ class MultilevelScheme:
     @property
     def label(self):
         return f"multilevel_k{self.k}_cb{self.angle_codebook_size}" + _coeff_suffix(self.coeff_codebook)
+
+    def validate(self, cfg, where):
+        _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
+        if not 1 <= self.k <= cfg.channel.num_paths:
+            raise InvalidInputError(f"{where}.k: must be in [1, clusters*rays_per_cluster]")
+
+    def overhead(self, cfg):
+        return overhead_bits("multilevel_csi", k=self.k, angle_codebook_size=self.angle_codebook_size,
+                             coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
+
+    def precoder(self, ch, cfg, alloc, f_opt):
+        bench = MultilevelCsiConfig(
+            num_paths=self.k,
+            aod_codebook=AngleCodebook(cfg.channel.tx_sector, self.angle_codebook_size),
+            aoa_codebook=AngleCodebook(cfg.channel.rx_sector, self.angle_codebook_size),
+            coeff_codebook=self.coeff_codebook, tx=cfg.channel.tx, rx=cfg.channel.rx)
+        h_hat = multilevel_csi_feedback(ch, bench)
+        return optimal_precoder(h_hat, cfg.streams, alloc).matrix
+
+
+# Scheme classes keyed on the config file's `type`.
+SCHEMES = {
+    "optimal": OptimalScheme,
+    "proposed": ProposedScheme,
+    "sparse": SparseScheme,
+    "multilevel": MultilevelScheme,
+}
 
 
 @dataclass(frozen=True)
@@ -99,106 +181,42 @@ class ExperimentConfig:
             raise InvalidInputError("streams: must be in [1, min(tx, rx antennas)]")
         if len(self.snr_db_grid) == 0:
             raise InvalidInputError("snr_db_grid: must be non-empty")
+        for i, snr_db in enumerate(self.snr_db_grid):
+            if not (math.isfinite(snr_db) and 0.0 < _db_to_linear(snr_db) < math.inf):
+                raise InvalidInputError(
+                    f"snr_db[{i}]: must be finite with a positive, finite linear value, got {snr_db}")
         if self.trials < 1:
             raise InvalidInputError("trials: must be >= 1")
         if self.symbols_per_trial < 1:
             raise InvalidInputError("symbols_per_trial: must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed: must be >= 0")
         if self.allocation not in ("unitary", "water_filling"):
             raise InvalidInputError("allocation: must be 'unitary' or 'water_filling'")
         if len(self.schemes) == 0:
             raise InvalidInputError("schemes: must be non-empty")
+        for i, scheme in enumerate(self.schemes):
+            scheme.validate(self, f"schemes[{i}]")
         labels = [s.label for s in self.schemes]
         if len(set(labels)) != len(labels):
             raise InvalidInputError("schemes: labels must be unique")
-        for i, scheme in enumerate(self.schemes):
-            self._check_scheme(i, scheme)
-
-    def _check_scheme(self, i, scheme):
-        where = f"schemes[{i}]"
-        if isinstance(scheme, OptimalScheme):
-            return
-        if isinstance(scheme, ProposedScheme):
-            if not 1 <= scheme.k <= scheme.angle_codebook_size:
-                raise InvalidInputError(f"{where}.k: must be in [1, angle_codebook_size]")
-        elif isinstance(scheme, SparseScheme):
-            if scheme.q < self.streams:
-                raise InvalidInputError(f"{where}.q: must be >= streams")
-            if scheme.q > scheme.angle_codebook_size:
-                raise InvalidInputError(f"{where}.q: must be <= angle_codebook_size")
-        elif isinstance(scheme, MultilevelScheme):
-            if not 1 <= scheme.k <= self.channel.num_paths:
-                raise InvalidInputError(f"{where}.k: must be in [1, clusters*rays_per_cluster]")
-        else:
-            raise InvalidInputError(f"{where}: unknown scheme type {type(scheme).__name__}")
 
 
-def scheme_overhead(scheme, cfg):
-    """Nominal (angle_bits, amplitude_bits) of one configured scheme.
-
-    Ideal amplitude feedback is counted as zero bits.
-    """
-    s = cfg.streams
-    if isinstance(scheme, OptimalScheme):
-        return 0, 0
-    if isinstance(scheme, ProposedScheme):
-        abits = scheme.k * AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size).index_bits
-        return abits, scheme.k * s * scheme.coeff_codebook.bits_per_value
-    if isinstance(scheme, SparseScheme):
-        abits = scheme.q * AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size).index_bits
-        return abits, 0
-    if isinstance(scheme, MultilevelScheme):
-        abits = 2 * scheme.k * AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size).index_bits
-        return abits, scheme.k * scheme.coeff_codebook.bits_per_value
-    raise InvalidInputError(f"unknown scheme type {type(scheme).__name__}")
-
-
-def _build_precoder(scheme, ch, cfg, alloc, f_opt):
-    """Unit-norm M x S precoding matrix for one scheme on one channel draw.
-
-    `f_opt` is the optimal precoder of `ch` under `alloc`, computed once per
-    trial (per SNR with water-filling) and shared by every scheme.
-    """
-    if isinstance(scheme, OptimalScheme):
-        return f_opt.matrix
-    if isinstance(scheme, ProposedScheme):
-        spec = BasisSpec(
-            codebook=AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size),
-            tx=cfg.channel.tx,
-            gamma=scheme.gamma,
-        )
-        report = build_report(f_opt, spec, scheme.k, scheme.coeff_codebook)
-        return reconstruct_precoder(report, spec).matrix
-    if isinstance(scheme, SparseScheme):
-        bench = SparsePrecoderConfig(
-            num_rf_chains=scheme.q,
-            codebook=AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size),
-            tx=cfg.channel.tx,
-        )
-        f_rf, f_bb = sparse_precoder(f_opt, bench)
-        f = f_rf @ f_bb
-        return f / np.linalg.norm(f)
-    if isinstance(scheme, MultilevelScheme):
-        bench = MultilevelCsiConfig(
-            num_paths=scheme.k,
-            aod_codebook=AngleCodebook(cfg.channel.tx_sector, scheme.angle_codebook_size),
-            aoa_codebook=AngleCodebook(cfg.channel.rx_sector, scheme.angle_codebook_size),
-            coeff_codebook=scheme.coeff_codebook,
-            tx=cfg.channel.tx,
-            rx=cfg.channel.rx,
-        )
-        h_hat = multilevel_csi_feedback(ch, bench)
-        return optimal_precoder(h_hat, cfg.streams, alloc).matrix
-    raise InvalidInputError(f"unknown scheme type {type(scheme).__name__}")
+def _db_to_linear(snr_db):
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _snr_linear(cfg):
-    return [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_grid]
+    return [_db_to_linear(snr_db) for snr_db in cfg.snr_db_grid]
 
 
 def _scheme_precoders(cfg, ch, alloc):
     """Precoder matrix of every scheme under one power allocation."""
     f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
-    return [_build_precoder(scheme, ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
+    return [scheme.precoder(ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
 
 
 def _precoders_by_snr(cfg, ch):
@@ -293,7 +311,7 @@ def run_rate_sweep(cfg, workers=1):
                "feedback_angle_bits", "feedback_amplitude_bits"]
     rows = []
     for i, scheme in enumerate(cfg.schemes):
-        abits, cbits = scheme_overhead(scheme, cfg)
+        abits, cbits = scheme.overhead(cfg)
         for j, snr_db in enumerate(cfg.snr_db_grid):
             values = per_trial[:, i, j]
             mean = float(np.mean(values))
@@ -314,19 +332,11 @@ def run_ber_sweep(cfg, workers=1):
                "feedback_angle_bits", "feedback_amplitude_bits"]
     rows = []
     for i, scheme in enumerate(cfg.schemes):
-        abits, cbits = scheme_overhead(scheme, cfg)
+        abits, cbits = scheme.overhead(cfg)
         for j, snr_db in enumerate(cfg.snr_db_grid):
-            metrics = LinkMetrics(
-                snr_db=float(snr_db),
-                rate_bps_hz=0.0,
-                ber=float(errors[i, j] / sent[i, j]),
-                trials=cfg.trials,
-                bit_errors=int(errors[i, j]),
-                bits_sent=int(sent[i, j]),
-            )
-            stderr = float(np.sqrt(metrics.ber * (1.0 - metrics.ber) / metrics.bits_sent))
-            rows.append([scheme.label, snr_db, metrics.ber, stderr,
-                         metrics.bit_errors, metrics.bits_sent, abits, cbits])
+            ber = int(errors[i, j]) / int(sent[i, j])
+            stderr = float(np.sqrt(ber * (1.0 - ber) / int(sent[i, j])))
+            rows.append([scheme.label, snr_db, ber, stderr, errors[i, j], sent[i, j], abits, cbits])
     return _csv(cfg, "ber sweep", columns, rows)
 
 
@@ -351,6 +361,6 @@ def run_overhead_table(cfg):
     columns = ["scheme", "angle_bits", "amplitude_bits", "total_bits"]
     rows = []
     for scheme in cfg.schemes:
-        abits, cbits = scheme_overhead(scheme, cfg)
+        abits, cbits = scheme.overhead(cfg)
         rows.append([scheme.label, abits, cbits, abits + cbits])
     return _csv(cfg, "overhead table", columns, rows)

@@ -3,8 +3,8 @@ import pytest
 
 from fapsim.benchmarks import (MultilevelCsiConfig, SparsePrecoderConfig,
                                multilevel_csi_feedback, sparse_precoder)
-from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent,
-                            reconstruct_from_paths, sample_channel, substream)
+from fapsim.channel import (ArrayGeometry, ChannelConfig, ChannelRealization, channel_from_paths,
+                            sample_channel, substream)
 from fapsim.errors import InvalidInputError
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, build_report,
                              dictionary, overhead_bits, reconstruct_precoder)
@@ -96,16 +96,11 @@ class TestMultilevelCsi:
         aod_cb = AngleCodebook(cfg.tx_sector, 64)
         aoa_cb = AngleCodebook(cfg.rx_sector, 64)
         rng = np.random.default_rng(19)
-        paths = tuple(
-            PathComponent(
-                gain=complex(rng.standard_normal() + 1j * rng.standard_normal()),
-                aod=float(aod_cb.centers[rng.integers(64)]),
-                aoa=float(aoa_cb.centers[rng.integers(64)]),
-            )
-            for _ in range(6)
-        )
-        h = reconstruct_from_paths(paths, cfg.tx, cfg.rx)
-        ch = type("Stub", (), {"matrix": h, "paths": paths})()
+        gains = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        aod = aod_cb.centers[rng.integers(64, size=6)]
+        aoa = aoa_cb.centers[rng.integers(64, size=6)]
+        h = channel_from_paths(gains, aod, aoa, cfg.tx, cfg.rx)
+        ch = ChannelRealization(matrix=h, gains=gains, aod=aod, aoa=aoa)
         mcfg = MultilevelCsiConfig(num_paths=6, aod_codebook=aod_cb, aoa_codebook=aoa_cb,
                                    coeff_codebook=ComplexCodebook.ideal(), tx=cfg.tx, rx=cfg.rx)
         h_hat = multilevel_csi_feedback(ch, mcfg)
@@ -119,7 +114,7 @@ class TestMultilevelCsi:
     def test_error_non_increasing_in_k(self):
         cfg, ch = sample_setup(3)      # 12 paths, seed with monotone truncation
         errors = []
-        for k in range(1, len(ch.paths) + 1):
+        for k in range(1, ch.gains.size + 1):
             h_hat = multilevel_csi_feedback(ch, multilevel_config(cfg, k, size=4096))
             errors.append(np.linalg.norm(ch.matrix - h_hat))
         assert all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1))
@@ -135,7 +130,7 @@ class TestMultilevelCsi:
     def test_k_too_large(self):
         cfg, ch = sample_setup(31)
         with pytest.raises(InvalidInputError):
-            multilevel_csi_feedback(ch, multilevel_config(cfg, len(ch.paths) + 1))
+            multilevel_csi_feedback(ch, multilevel_config(cfg, ch.gains.size + 1))
 
     def test_overhead_row_matches_formula(self):
         assert overhead_bits("multilevel_csi", k=16, angle_codebook_size=256,

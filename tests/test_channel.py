@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, array_response,
-                            reconstruct_from_paths, sample_channel, substream)
+                            channel_from_paths, reconstruct_from_paths, sample_channel, substream)
 from fapsim.errors import InvalidInputError
 
 
@@ -52,7 +52,8 @@ class TestSampleChannel:
         a = sample_channel(cfg, substream(123, 4))
         b = sample_channel(cfg, substream(123, 4))
         assert np.array_equal(a.matrix, b.matrix)
-        assert a.paths == b.paths
+        for field in ("gains", "aod", "aoa"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_distinct_trials_differ(self):
         cfg = small_config()
@@ -63,10 +64,9 @@ class TestSampleChannel:
     def test_path_count_and_sector_clamping(self):
         cfg = small_config(tx_sector=(-0.1, 0.1), angular_spread=1.0)
         ch = sample_channel(cfg, substream(3, 0))
-        assert len(ch.paths) == cfg.num_paths
-        for p in ch.paths:
-            assert -0.1 <= p.aod <= 0.1
-            assert -np.pi <= p.aoa <= np.pi
+        assert ch.gains.shape == ch.aod.shape == ch.aoa.shape == (cfg.num_paths,)
+        assert np.all((-0.1 <= ch.aod) & (ch.aod <= 0.1))
+        assert np.all((-np.pi <= ch.aoa) & (ch.aoa <= np.pi))
 
     def test_mean_frobenius_energy(self):
         # Unit-variance gains and unit-norm steering vectors give E||H||_F^2 = M*N.
@@ -91,8 +91,10 @@ class TestReconstructFromPaths:
     def test_round_trip(self):
         cfg = small_config()
         ch = sample_channel(cfg, substream(17, 0))
-        again = reconstruct_from_paths(ch.paths, cfg.tx, cfg.rx)
-        assert np.linalg.norm(again - ch.matrix) <= 1e-12 * np.linalg.norm(ch.matrix)
+        assert np.array_equal(channel_from_paths(ch.gains, ch.aod, ch.aoa, cfg.tx, cfg.rx), ch.matrix)
+        paths = [PathComponent(complex(g), float(d), float(a))
+                 for g, d, a in zip(ch.gains, ch.aod, ch.aoa)]
+        assert np.array_equal(reconstruct_from_paths(paths, cfg.tx, cfg.rx), ch.matrix)
 
     def test_unit_gain_norm_identity(self):
         # One unit-gain path reconstructed with the full channel's path count
@@ -105,12 +107,12 @@ class TestReconstructFromPaths:
     def test_strongest_subset_error_monotone(self):
         cfg = small_config()
         ch = sample_channel(cfg, substream(3, 0))
-        gains = np.array([p.gain for p in ch.paths])
-        order = np.argsort(-np.abs(gains), kind="stable")
+        order = np.argsort(-np.abs(ch.gains), kind="stable")
         errors = []
-        for k in range(1, len(ch.paths) + 1):
-            subset = [ch.paths[i] for i in order[:k]]
-            approx = reconstruct_from_paths(subset, cfg.tx, cfg.rx, total_paths=len(ch.paths))
+        for k in range(1, ch.gains.size + 1):
+            subset = order[:k]
+            approx = channel_from_paths(ch.gains[subset], ch.aod[subset], ch.aoa[subset],
+                                        cfg.tx, cfg.rx, total_paths=ch.gains.size)
             errors.append(np.linalg.norm(ch.matrix - approx))
         assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
         assert errors[-1] <= 1e-12

@@ -132,3 +132,48 @@ class TestMainExitCodes:
                          "--gammas", "1,2"]) == 0
         table = parse_csv(out_bp.read_text())
         assert len(table["angle_rad"]) == 128
+
+
+def _with_scheme(index, **fields):
+    schemes = [dict(s) for s in TINY["schemes"]]
+    schemes[index].update(fields)
+    return dict(TINY, schemes=schemes)
+
+
+HOSTILE = [
+    # (command, config tree, extra flags, field the error must name)
+    ("overhead", _with_scheme(1, k=8.7), [], "schemes[1].k"),
+    ("overhead", _with_scheme(1, k=True), [], "schemes[1].k"),
+    ("overhead", _with_scheme(1, k="8"), [], "schemes[1].k"),
+    ("overhead", _with_scheme(1, coeff_codebook={"magnitude_levels": 16.5, "phase_levels": 16}),
+     [], "schemes[1].coeff_codebook.magnitude_levels"),
+    ("overhead", _with_scheme(1, coeff_codebook={"magnitude_levels": 3, "phase_levels": 16}),
+     [], "schemes[1].coeff_codebook"),
+    ("beam-pattern", dict(TINY, beam_pattern={"gammas": [1.5]}), [], "beam_pattern.gammas"),
+    ("overhead", _with_scheme(0, gama=2), [], "schemes[0].gama"),
+    ("overhead", _with_scheme(1, gama=2), [], "schemes[1].gama"),
+    ("overhead", _with_scheme(1, gamma=0), [], "schemes[1].gamma"),
+    ("overhead", _with_scheme(1, angle_codebook_size=100), [], "schemes[1].angle_codebook_size"),
+    ("rate", dict(TINY, snr_db=["a", 1]), [], "snr_db"),
+    ("ber", dict(TINY, snr_db=[float("nan"), 0.0]), [], "snr_db"),
+    ("rate", dict(TINY, snr_db=[1e300]), [], "snr_db"),
+    ("rate", dict(TINY, snr_db=[float("inf")]), [], "snr_db"),
+    ("overhead", dict(TINY, snr_db={"start": 0.0, "stop": 1e308, "step": 1e-300}), [], "snr_db"),
+    ("overhead", dict(TINY, snr_db={"start": 0.0, "stop": float("nan"), "step": 1.0}), [], "snr_db"),
+    ("overhead", dict(TINY, seed=-1), [], "seed"),
+    ("overhead", TINY, ["--seed", "-1"], "seed"),
+    ("beam-pattern", TINY, ["--gammas", "1,x"], "--gammas"),
+    ("beam-pattern", TINY, ["--gammas", "1,0"], "--gammas"),
+]
+
+
+@pytest.mark.parametrize("command, tree, flags, field", HOSTILE,
+                         ids=[f"{c}-{f}-{i}" for i, (c, _, _, f) in enumerate(HOSTILE)])
+def test_hostile_input_is_a_config_error(tmp_path, capsys, command, tree, flags, field):
+    code = cli.main([command, "--config", write_config(tmp_path, tree)] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("config error: ")
+    assert field in captured.err

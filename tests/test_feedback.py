@@ -254,37 +254,6 @@ class TestBuildReport:
         assert report.bits_angles == 3
 
 
-class TestCombiningModes:
-    def test_unitary_mode_orthonormal(self):
-        rng = np.random.default_rng(48)
-        spec = spec_of(m=32, size=16)
-        f_opt = random_precoder(rng, 32, 3)
-        report = build_report(f_opt, spec, 6, ComplexCodebook.ideal(), combining_mode="unitary")
-        g = report.combining
-        gram = g.conj().T @ g
-        gram /= gram[0, 0].real
-        assert np.allclose(gram, np.eye(3), atol=1e-9)
-        f_hat = reconstruct_precoder(report, spec)
-        assert np.linalg.norm(f_hat.matrix) == pytest.approx(1.0, abs=1e-9)
-
-    def test_selection_mode_structure_and_bits(self):
-        rng = np.random.default_rng(49)
-        spec = spec_of(m=32, size=16)
-        f_opt = random_precoder(rng, 32, 4)
-        cc = ComplexCodebook.uniform_polar(16, 16)
-        report = build_report(f_opt, spec, 6, cc, combining_mode="selection")
-        nonzero_per_col = np.count_nonzero(np.abs(report.combining) > 0, axis=0)
-        assert np.all(nonzero_per_col <= 1)
-        k = report.k
-        assert report.bits_amplitudes == k * 2 + k * 8     # K*log2(S) + K*log2|Cc|
-
-    def test_unknown_mode(self):
-        spec = spec_of()
-        with pytest.raises(InvalidInputError):
-            build_report(atom_precoder(spec, 0), spec, 1, ComplexCodebook.ideal(),
-                         combining_mode="sparse")
-
-
 class TestReconstructPrecoder:
     def test_round_trip_unit_norm(self):
         rng = np.random.default_rng(50)
@@ -420,11 +389,11 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match="magnitude scale"):
             deserialize_report(bytes(blob), spec, cc, 3)
 
-    def test_selection_quantized_not_serializable(self):
-        rng = np.random.default_rng(56)
-        spec = spec_of(m=32, size=16)
-        cc = ComplexCodebook.uniform_polar(16, 16)
-        report = build_report(random_precoder(rng, 32, 3), spec, 5, cc,
-                              combining_mode="selection")
-        with pytest.raises(InvalidInputError):
+    def test_zero_combining_entry_not_serializable(self):
+        # A zero entry has no phase, so the polar grid cannot carry it.
+        spec = spec_of(m=4, size=4)
+        cc = ComplexCodebook.uniform_polar(2, 2)
+        report = FeedbackReport(angle_indices=(2,), combining=np.array([[0.5 + 0.5j, 0.0]]), k=1,
+                                gamma=1, bits_angles=2, bits_amplitudes=4, magnitude_scale=1.0)
+        with pytest.raises(InvalidInputError, match="zero combining entries"):
             serialize_report(report, spec, cc)

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import parse_csv, scheme_curve
 
@@ -10,11 +13,13 @@ from fapsim import cli, runner
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.errors import InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
-from fapsim.feedback import ComplexCodebook
+from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, build_report,
+                             deserialize_report, overhead_bits, serialize_report)
 from fapsim.precoding import PowerAllocation, optimal_precoder
-from fapsim.runner import (ExperimentConfig, MultilevelScheme, OptimalScheme, ProposedScheme,
+from fapsim.precoding import Precoder
+from fapsim.runner import (SCHEMES, ExperimentConfig, MultilevelScheme, OptimalScheme, ProposedScheme,
                            SparseScheme, run_beam_pattern, run_ber_sweep, run_overhead_table,
-                           run_rate_sweep, scheme_overhead)
+                           run_rate_sweep)
 
 
 def small_experiment(**overrides):
@@ -204,10 +209,11 @@ class TestOverheadTable:
         assert totals["multilevel_k6_cb64"] == 72
 
     def test_matches_scheme_overhead(self):
+        # The table prints each scheme's own overhead(), nothing recomputed.
         cfg = small_experiment()
         table = parse_csv(run_overhead_table(cfg))
         for i, scheme in enumerate(cfg.schemes):
-            abits, cbits = scheme_overhead(scheme, cfg)
+            abits, cbits = scheme.overhead(cfg)
             assert int(table["angle_bits"][i]) == abits
             assert int(table["amplitude_bits"][i]) == cbits
 
@@ -241,3 +247,105 @@ class TestConfigValidation:
         assert MultilevelScheme(k=6).label == "multilevel_k6_cb256"
         assert (MultilevelScheme(k=6, coeff_codebook=ComplexCodebook.uniform_polar(8, 4)).label
                 == "multilevel_k6_cb256_m8p4")
+
+    @pytest.mark.parametrize("scheme, field", [
+        (ProposedScheme(k=4, gamma=0, angle_codebook_size=64), "gamma"),
+        (ProposedScheme(k=4, angle_codebook_size=100), "angle_codebook_size"),
+        (ProposedScheme(k=65, angle_codebook_size=64), "k"),
+        (SparseScheme(q=4, angle_codebook_size=48), "angle_codebook_size"),
+        (MultilevelScheme(k=4, angle_codebook_size=0), "angle_codebook_size"),
+    ])
+    def test_scheme_validate_names_field(self, scheme, field):
+        with pytest.raises(InvalidInputError, match=rf"schemes\[1\]\.{field}\b"):
+            small_experiment(schemes=(OptimalScheme(), scheme))
+
+    @pytest.mark.parametrize("grid", [(float("nan"),), (0.0, float("inf")), (-float("inf"),),
+                                      (1e300,), (-1e300,)])
+    def test_snr_db_must_be_finite_in_both_units(self, grid):
+        with pytest.raises(InvalidInputError, match=r"snr_db\["):
+            small_experiment(snr_db_grid=grid)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidInputError, match="seed: must be >= 0"):
+            small_experiment(seed=-1)
+
+
+_COEFF_CODEBOOKS = st.one_of(
+    st.just(ComplexCodebook.ideal()),
+    st.builds(ComplexCodebook.uniform_polar, st.sampled_from([1, 2, 4, 8, 16]),
+              st.sampled_from([1, 2, 4, 8, 16])),
+)
+
+
+class TestOneBitFormula:
+    """Every scheme's overhead() is overhead_bits(); reports and the wire format agree with it."""
+
+    M = 32              # above every K drawn below, so OMP never stops early
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(SCHEMES)), k=st.integers(1, 16), s=st.integers(1, 4),
+           size_bits=st.integers(4, 8), gamma=st.integers(1, 3), cc=_COEFF_CODEBOOKS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_overhead_matches_formula_reports_and_wire(self, kind, k, s, size_bits, gamma, cc, seed):
+        size, ccb = 2 ** size_bits, 2 ** cc.bits_per_value
+        q = max(k, s)                   # the sparse benchmark needs Q >= S
+        # kind -> (scheme, overhead_bits with the same arguments, build_report's (K, gamma, Cc))
+        scheme, expected, report_args = {
+            "optimal": (OptimalScheme(), (0, 0), None),
+            "proposed": (
+                ProposedScheme(k=k, gamma=gamma, angle_codebook_size=size, coeff_codebook=cc),
+                overhead_bits("proposed", k=k, s=s, angle_codebook_size=size, coeff_codebook_size=ccb),
+                (k, gamma, cc)),
+            "sparse": (
+                SparseScheme(q=q, angle_codebook_size=size),
+                overhead_bits("sparse_precoder", q=q, s=s, angle_codebook_size=size,
+                              coeff_codebook_size=1),
+                (q, 1, ComplexCodebook.ideal())),
+            "multilevel": (
+                MultilevelScheme(k=k, angle_codebook_size=size, coeff_codebook=cc),
+                overhead_bits("multilevel_csi", k=k, angle_codebook_size=size, coeff_codebook_size=ccb),
+                None),
+        }[kind]
+        cfg = small_experiment(channel=ChannelConfig(tx=ArrayGeometry(self.M), rx=ArrayGeometry(8),
+                                                     num_clusters=4, rays_per_cluster=4),
+                               streams=s, schemes=(scheme,))
+        assert scheme.overhead(cfg) == expected
+        if report_args is None:
+            return
+
+        n, g, rcc = report_args
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((self.M, s)) + 1j * rng.standard_normal((self.M, s))
+        spec = BasisSpec(codebook=AngleCodebook(cfg.channel.tx_sector, size), tx=cfg.channel.tx,
+                         gamma=g)
+        report = build_report(Precoder(f / np.linalg.norm(f)), spec, n, rcc)
+        assert report.k == n
+        assert (report.bits_angles, report.bits_amplitudes) == expected
+        blob = serialize_report(report, spec, rcc)
+        decoded = deserialize_report(blob, spec, rcc, s)
+        assert (decoded.bits_angles, decoded.bits_amplitudes) == expected
+        if rcc.mode == "ideal":         # header, bit-packed indices, raw f64 pairs
+            assert len(blob) == 4 + math.ceil(sum(expected) / 8) + 16 * n * s
+        else:                           # header, magnitude range, bit-packed indices and entries
+            assert len(blob) == 4 + 8 + math.ceil(sum(expected) / 8)
+
+
+class TestSparseDelegation:
+    def test_precoder_bitwise_equals_sparse_benchmark(self):
+        # SparseScheme runs the proposed engine at K = Q, gamma = 1; that is
+        # exactly the benchmark's normalized F_rf F_bb.
+        from fapsim.benchmarks import SparsePrecoderConfig, sparse_precoder
+
+        cfg = small_experiment()
+        scheme = cfg.schemes[2]
+        bench = SparsePrecoderConfig(num_rf_chains=scheme.q, tx=cfg.channel.tx,
+                                     codebook=AngleCodebook(cfg.channel.tx_sector,
+                                                            scheme.angle_codebook_size))
+        alloc = PowerAllocation("unitary")
+        for trial in range(20):
+            ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
+            f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
+            f_rf, f_bb = sparse_precoder(f_opt, bench)
+            expected = f_rf @ f_bb
+            assert np.array_equal(scheme.precoder(ch, cfg, alloc, f_opt),
+                                  expected / np.linalg.norm(expected))
