@@ -6,9 +6,10 @@ the greedy feedback design at K = Q, so the same engine is reused and the
 result is split into the RF factor (steering-vector columns) and the
 baseband factor.
 
-Benchmark 2 feeds back the K strongest paths (quantized AoD/AoA/gain) and
-rebuilds the channel estimate at the transmitter. Channel estimation itself
-is out of scope: an oracle reads the true path arrays, which matches the
+Benchmark 2 feeds back the K strongest paths (AoD/AoA on codebooks over the
+channel's sectors, gains on the `ComplexCodebook` grid) and rebuilds the
+channel estimate at the transmitter. Channel estimation itself is out of
+scope: an oracle reads the true path arrays, which matches the
 ideal-estimation premise of the comparison.
 """
 
@@ -18,8 +19,7 @@ import numpy as np
 
 from .channel import ArrayGeometry, channel_from_paths
 from .errors import InvalidInputError
-from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _polar_dequantize,
-                       _polar_quantize_indices, dictionary, omp_approximate, quantize_angles)
+from .feedback import AngleCodebook, BasisSpec, dictionary, omp_approximate, quantize_angles
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,6 @@ class SparsePrecoderConfig:
     num_rf_chains: int
     codebook: AngleCodebook
     tx: ArrayGeometry
-
-
-@dataclass(frozen=True)
-class MultilevelCsiConfig:
-    num_paths: int
-    aod_codebook: AngleCodebook
-    aoa_codebook: AngleCodebook
-    coeff_codebook: ComplexCodebook
-    tx: ArrayGeometry
-    rx: ArrayGeometry
 
 
 def sparse_precoder(f_opt, cfg):
@@ -54,24 +44,22 @@ def sparse_precoder(f_opt, cfg):
     return f_rf, g
 
 
-def multilevel_csi_feedback(ch, cfg):
+def multilevel_csi_feedback(ch, channel, k, angle_codebook_size, coeff_codebook):
     """Channel estimate rebuilt from the K strongest quantized paths.
 
-    AoDs and AoAs snap to their codebook centers; gains pass through the
-    complex-coefficient codebook (identity when ideal). The reconstruction
-    keeps the original channel's path-count scaling so a subset is an
-    unbiased truncation of the full superposition.
+    AoDs and AoAs snap to `angle_codebook_size`-entry codebooks over the
+    sectors of the `ChannelConfig` `channel`; gains go through
+    `coeff_codebook.quantize`. The reconstruction keeps the original channel's
+    path-count scaling so a subset is an unbiased truncation of the full
+    superposition.
     """
     total = ch.gains.size
-    if not 1 <= cfg.num_paths <= total:
-        raise InvalidInputError(f"num_paths must be in [1, {total}], got {cfg.num_paths}")
-    order = np.argsort(-np.abs(ch.gains), kind="stable")[:cfg.num_paths]
-
-    gains = ch.gains[order]
-    if cfg.coeff_codebook.mode != "ideal":
-        gmax = float(np.max(np.abs(gains)))
-        mi, pi_ = _polar_quantize_indices(gains, cfg.coeff_codebook, gmax)
-        gains = _polar_dequantize(mi, pi_, cfg.coeff_codebook, gmax)
-    aod = cfg.aod_codebook.centers[quantize_angles(cfg.aod_codebook, ch.aod[order])]
-    aoa = cfg.aoa_codebook.centers[quantize_angles(cfg.aoa_codebook, ch.aoa[order])]
-    return channel_from_paths(gains, aod, aoa, cfg.tx, cfg.rx, total_paths=total)
+    if not 1 <= k <= total:
+        raise InvalidInputError(f"k must be in [1, {total}], got {k}")
+    order = np.argsort(-np.abs(ch.gains), kind="stable")[:k]
+    gains, _ = coeff_codebook.quantize(ch.gains[order])
+    aod_cb = AngleCodebook(channel.tx_sector, angle_codebook_size)
+    aoa_cb = AngleCodebook(channel.rx_sector, angle_codebook_size)
+    aod = aod_cb.centers[quantize_angles(aod_cb, ch.aod[order])]
+    aoa = aoa_cb.centers[quantize_angles(aoa_cb, ch.aoa[order])]
+    return channel_from_paths(gains, aod, aoa, channel.tx, channel.rx, total_paths=total)

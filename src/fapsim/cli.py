@@ -1,8 +1,8 @@
 """Command-line experiment harness.
 
-Subcommands: rate, ber, beam-pattern, overhead. Settings come from a YAML
-config file merged over built-in defaults; --seed/--trials/--out/--workers
-override config keys. Exit codes: 0 success, 1 config error, 2 numeric
+Subcommands: rate, ber, beam-pattern, overhead. A YAML config file is merged
+over built-in defaults, then --seed/--trials/--gammas over that; a key the
+defaults lack is an error. Exit codes: 0 success, 1 config error, 2 numeric
 failure.
 """
 
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import yaml
 
-from .channel import ArrayGeometry, ChannelConfig
+from .channel import ArrayGeometry, ChannelConfig, _check_sector
 from .errors import DomainError, InvalidInputError
 from .feedback import ComplexCodebook
 from .runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, run_beam_pattern, run_ber_sweep,
@@ -55,11 +55,14 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base, override):
+def _merge(base, override, where):
+    """`override` merged into a copy of `base`; a key that `base` lacks is an error."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in out:
+            raise InvalidInputError(f"{where}{key}: unknown key")
+        if isinstance(value, dict) and isinstance(out[key], dict):
+            out[key] = _merge(out[key], value, f"{where}{key}.")
         else:
             out[key] = value
     return out
@@ -75,7 +78,7 @@ def load_config(path=None):
             user = {}
         if not isinstance(user, dict):
             raise InvalidInputError("config: top level must be a mapping")
-        raw = _merge(raw, user)
+        raw = _merge(raw, user, "")
     return raw
 
 
@@ -98,11 +101,20 @@ def _typed(value, kind, name):
     return value
 
 
+def _positive(tree, path, kind):
+    """`_get` for a value that must be positive and finite."""
+    value = _get(tree, path, kind)
+    if not 0 < value < np.inf:
+        raise InvalidInputError(f"{path}: must be positive and finite, got {value!r}")
+    return value
+
+
 def _sector(tree, path):
     value = _get(tree, path, list)
     if len(value) != 2:
         raise InvalidInputError(f"{path}: expected [lo_deg, hi_deg]")
-    return tuple(np.deg2rad(_typed(v, float, f"{path}[{i}]")) for i, v in enumerate(value))
+    return _check_sector([np.deg2rad(_typed(v, float, f"{path}[{i}]")) for i, v in enumerate(value)],
+                         path)
 
 
 def _check_keys(node, known, where):
@@ -171,25 +183,24 @@ def _gammas(values, name):
 
 def build_experiment_config(raw):
     """Validate a raw config tree and build the typed experiment config."""
-    spacing = _get(raw, "channel.spacing_over_wavelength", float)
+    spacing = _positive(raw, "channel.spacing_over_wavelength", float)
     channel = ChannelConfig(
-        tx=ArrayGeometry(_get(raw, "channel.tx_antennas", int), spacing),
-        rx=ArrayGeometry(_get(raw, "channel.rx_antennas", int), spacing),
-        num_clusters=_get(raw, "channel.clusters", int),
-        rays_per_cluster=_get(raw, "channel.rays_per_cluster", int),
+        tx=ArrayGeometry(_positive(raw, "channel.tx_antennas", int), spacing),
+        rx=ArrayGeometry(_positive(raw, "channel.rx_antennas", int), spacing),
+        num_clusters=_positive(raw, "channel.clusters", int),
+        rays_per_cluster=_positive(raw, "channel.rays_per_cluster", int),
         tx_sector=_sector(raw, "channel.tx_sector_deg"),
         rx_sector=_sector(raw, "channel.rx_sector_deg"),
-        angular_spread=float(np.deg2rad(_get(raw, "channel.angular_spread_deg", float))),
+        angular_spread=float(np.deg2rad(_positive(raw, "channel.angular_spread_deg", float))),
     )
     schemes = tuple(_scheme(node, i) for i, node in enumerate(_get(raw, "schemes", list)))
-    bp = raw.get("beam_pattern", {})
     beam = BeamPatternConfig(
         sector=_sector(raw, "beam_pattern.sector_deg"),
         codebook_size=_get(raw, "beam_pattern.codebook_size", int),
         center_index=_get(raw, "beam_pattern.center_index", int),
         grid_size=_get(raw, "beam_pattern.grid_size", int),
         gammas=_gammas(_get(raw, "beam_pattern.gammas", list), "beam_pattern.gammas"),
-    ) if bp else BeamPatternConfig()
+    )
     return ExperimentConfig(
         channel=channel,
         streams=_get(raw, "streams", int),
@@ -232,27 +243,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        raw = load_config(args.config)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.trials is not None:
-            raw["trials"] = args.trials
-        cfg = build_experiment_config(raw)
+        flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials))
+                 if value is not None}
+        if getattr(args, "gammas", None):
+            try:
+                gammas = [int(g) for g in args.gammas.split(",")]
+            except ValueError:
+                raise InvalidInputError(f"--gammas: expected comma-separated integers, "
+                                        f"got {args.gammas!r}") from None
+            flags["beam_pattern"] = {"gammas": list(_gammas(gammas, "--gammas"))}
+        cfg = build_experiment_config(_merge(load_config(args.config), flags, ""))
 
         if args.command == "rate":
             csv_text = run_rate_sweep(cfg, workers=args.workers)
         elif args.command == "ber":
             csv_text = run_ber_sweep(cfg, workers=args.workers)
         elif args.command == "beam-pattern":
-            gammas = None
-            if args.gammas:
-                try:
-                    gammas = [int(g) for g in args.gammas.split(",")]
-                except ValueError:
-                    raise InvalidInputError(f"--gammas: expected comma-separated integers, "
-                                            f"got {args.gammas!r}") from None
-                gammas = _gammas(gammas, "--gammas")
-            csv_text = run_beam_pattern(cfg, gamma_list=gammas)
+            csv_text = run_beam_pattern(cfg)
         else:
             csv_text = run_overhead_table(cfg)
     except (InvalidInputError, OSError, yaml.YAMLError) as exc:

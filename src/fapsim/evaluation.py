@@ -10,6 +10,7 @@ from .errors import InvalidInputError
 from .feedback import basis_matrix
 
 BEAM_PATTERN_GRID = 2048
+BEAM_PATTERN_MIN_GRID = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +102,8 @@ def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):
     g(phi) = |h_t^H(phi) psi_k|^2 scaled so that its trapezoidal integral
     over the angle grid equals one.
     """
-    if grid_size < 64:
-        raise InvalidInputError("grid_size must be >= 64")
+    if grid_size < BEAM_PATTERN_MIN_GRID:
+        raise InvalidInputError(f"grid_size must be >= {BEAM_PATTERN_MIN_GRID}")
     cb = spec.codebook
     if not 0 <= center_index < cb.size:
         raise InvalidInputError(f"center_index must be in [0, {cb.size}), got {center_index}")

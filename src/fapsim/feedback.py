@@ -69,7 +69,7 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class ComplexCodebook:
-    """Quantizer for combining-matrix entries: ideal passthrough or uniform polar grid."""
+    """Quantizer for fed-back complex values: ideal passthrough or uniform polar grid."""
 
     mode: str                      # "ideal" | "uniform_polar"
     magnitude_levels: int = 0
@@ -97,6 +97,26 @@ class ComplexCodebook:
             return 0
         return _log2_exact(self.magnitude_levels * self.phase_levels, "complex codebook size")
 
+    def quantize(self, values):
+        """(grid values, grid magnitude range = largest |value|); ideal gives (values, None)."""
+        if self.mode == "ideal":
+            return values, None
+        scale = float(np.max(np.abs(values)))
+        return self.decode(self.encode(values, scale), scale), scale
+
+    def encode(self, values, scale):
+        """Polar-grid word per value: magnitude index in the high bits, phase index low."""
+        dm, dp = scale / self.magnitude_levels, 2.0 * np.pi / self.phase_levels
+        mi = np.clip(np.floor(np.abs(values) / dm).astype(int), 0, self.magnitude_levels - 1)
+        pi_ = np.clip(np.floor((np.angle(values) + np.pi) / dp).astype(int), 0, self.phase_levels - 1)
+        return mi * self.phase_levels + pi_
+
+    def decode(self, words, scale):
+        """Grid value (cell center) of each `encode` word."""
+        dm, dp = scale / self.magnitude_levels, 2.0 * np.pi / self.phase_levels
+        mi, pi_ = np.divmod(words, self.phase_levels)
+        return (mi + 0.5) * dm * np.exp(1j * (-np.pi + (pi_ + 0.5) * dp))
+
 
 @dataclass(frozen=True, eq=False)
 class FeedbackReport:
@@ -119,11 +139,6 @@ def quantize_angles(cb, angles):
         raise InvalidInputError("angle must be finite")
     clamped = np.clip(angles, cb.sector[0], cb.sector[1])
     return np.argmin(np.abs(clamped[..., None] - cb.centers), axis=-1)
-
-
-def quantize_angle(cb, angle):
-    """`quantize_angles` for one angle, as an int."""
-    return int(quantize_angles(cb, angle))
 
 
 def basis_matrix(spec, angles):
@@ -209,35 +224,15 @@ def omp_approximate(f_opt, spec, k):
     return tuple(selected), g / scale, history
 
 
-def _polar_quantize_indices(values, cc, gmax):
-    dm = gmax / cc.magnitude_levels
-    dp = 2.0 * np.pi / cc.phase_levels
-    mi = np.clip(np.floor(np.abs(values) / dm).astype(int), 0, cc.magnitude_levels - 1)
-    pi_ = np.clip(np.floor((np.angle(values) + np.pi) / dp).astype(int), 0, cc.phase_levels - 1)
-    return mi, pi_
-
-
-def _polar_dequantize(mi, pi_, cc, gmax):
-    dm = gmax / cc.magnitude_levels
-    dp = 2.0 * np.pi / cc.phase_levels
-    mag = (mi + 0.5) * dm
-    phase = -np.pi + (pi_ + 0.5) * dp
-    return mag * np.exp(1j * phase)
-
-
 def build_report(f_opt, spec, k, cc):
     """Run the greedy approximation and pack the result as a feedback message.
 
-    In ideal mode the combining matrix passes through untouched and its bit
-    count is zero. In uniform_polar mode each entry is quantized on a polar
-    grid whose magnitude range is the matrix maximum; that range travels as
-    one extra unquantized scalar outside the bit accounting.
+    The combining matrix goes through `cc.quantize`: untouched and counted as
+    zero bits when ideal, on a polar grid otherwise, whose magnitude range
+    travels as one extra unquantized scalar outside the bit accounting.
     """
     indices, g, _ = omp_approximate(f_opt, spec, k)
-    scale = None
-    if cc.mode != "ideal":
-        scale = float(np.max(np.abs(g)))
-        g = _polar_dequantize(*_polar_quantize_indices(g, cc, scale), cc, scale)
+    g, scale = cc.quantize(g)
     bits_angles, bits_amplitudes = proposed_bits(len(indices), g.shape[1], spec.codebook, cc)
     return FeedbackReport(
         angle_indices=indices,
@@ -333,7 +328,7 @@ def proposed_bits(k, num_streams, codebook, cc):
 # bit-packed payload (MSB-first within each byte, zero-padded to a byte):
 #   K angle indices, log2|Cphi| bits each
 #   quantized mode: K*S combining entries, log2|Cc| bits each
-#                   (magnitude index in the high bits, phase index low)
+#                   (the `ComplexCodebook.encode` words)
 # ideal mode: K*S combining entries appended as raw (f64 real, f64 imag) LE pairs
 
 _FLAG_QUANTIZED = 0x01
@@ -375,8 +370,7 @@ def serialize_report(report, spec, cc):
 
     fields = [(int(idx), spec.codebook.index_bits) for idx in report.angle_indices]
     if quantized:
-        mi, pi_ = _polar_quantize_indices(report.combining, cc, report.magnitude_scale)
-        words = (mi << _log2_exact(cc.phase_levels, "phase_levels")) | pi_
+        words = cc.encode(report.combining, report.magnitude_scale)
         fields += [(int(word), cc.bits_per_value) for word in words.reshape(-1)]
     out += _pack_bits(fields)
     if not quantized:
@@ -416,9 +410,7 @@ def deserialize_report(data, spec, cc, num_streams):
         raise InvalidInputError("angle index out of codebook range")
 
     if quantized:
-        words = np.array(values[k:]).reshape(k, num_streams)
-        pbits = _log2_exact(cc.phase_levels, "phase_levels")
-        combining = _polar_dequantize(words >> pbits, words & (cc.phase_levels - 1), cc, scale)
+        combining = cc.decode(np.array(values[k:]).reshape(k, num_streams), scale)
     else:
         offset += payload_len
         if len(data) < offset + k * num_streams * 16:

@@ -19,20 +19,13 @@ PRECODER_NORM_TOL = 1e-9
 @dataclass(frozen=True)
 class PowerAllocation:
     mode: str                      # "unitary" | "water_filling"
-    total_power: float = 1.0
-    noise_variance: float = 1.0
+    total_power: float = 1.0       # linear SNR for water-filling (unit noise variance)
 
     def __post_init__(self):
         if self.mode not in ("unitary", "water_filling"):
             raise InvalidInputError(f"unknown allocation mode {self.mode!r}")
         if not (self.total_power > 0 and np.isfinite(self.total_power)):
             raise InvalidInputError("total_power must be positive and finite")
-        if not (self.noise_variance > 0 and np.isfinite(self.noise_variance)):
-            raise InvalidInputError("noise_variance must be positive and finite")
-
-    @property
-    def snr_linear(self):
-        return self.total_power / self.noise_variance
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,5 +101,5 @@ def optimal_precoder(h, num_streams, alloc):
             raise InvalidInputError(
                 "water_filling requires num_streams nonzero singular values"
             )
-        alpha = np.sqrt(water_fill(s[:num_streams], alloc.snr_linear))
+        alpha = np.sqrt(water_fill(s[:num_streams], alloc.total_power))
     return Precoder(cols * alpha[None, :])

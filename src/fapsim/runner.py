@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import MultilevelCsiConfig, multilevel_csi_feedback
+from .benchmarks import multilevel_csi_feedback
 from .channel import ChannelConfig, sample_channel, substream
 from .errors import InvalidInputError
-from .evaluation import achievable_rate, beam_pattern, detect_qpsk_mmse, draw_qpsk
+from .evaluation import (BEAM_PATTERN_MIN_GRID, achievable_rate, beam_pattern, detect_qpsk_mmse,
+                         draw_qpsk)
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _log2_exact, build_report,
                        overhead_bits, proposed_bits, reconstruct_precoder)
 from .precoding import PowerAllocation, optimal_precoder
@@ -136,12 +137,8 @@ class MultilevelScheme:
                              coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
 
     def precoder(self, ch, cfg, alloc, f_opt):
-        bench = MultilevelCsiConfig(
-            num_paths=self.k,
-            aod_codebook=AngleCodebook(cfg.channel.tx_sector, self.angle_codebook_size),
-            aoa_codebook=AngleCodebook(cfg.channel.rx_sector, self.angle_codebook_size),
-            coeff_codebook=self.coeff_codebook, tx=cfg.channel.tx, rx=cfg.channel.rx)
-        h_hat = multilevel_csi_feedback(ch, bench)
+        h_hat = multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
+                                        self.coeff_codebook)
         return optimal_precoder(h_hat, cfg.streams, alloc).matrix
 
 
@@ -161,6 +158,13 @@ class BeamPatternConfig:
     center_index: int = 8
     grid_size: int = 2048
     gammas: tuple = (1, 2, 4)
+
+    def __post_init__(self):
+        _log2_exact(self.codebook_size, "beam_pattern.codebook_size")
+        if not 0 <= self.center_index < self.codebook_size:
+            raise InvalidInputError("beam_pattern.center_index: must be in [0, codebook_size)")
+        if self.grid_size < BEAM_PATTERN_MIN_GRID:
+            raise InvalidInputError(f"beam_pattern.grid_size: must be >= {BEAM_PATTERN_MIN_GRID}")
 
 
 @dataclass(frozen=True)
@@ -213,53 +217,44 @@ def _snr_linear(cfg):
     return [_db_to_linear(snr_db) for snr_db in cfg.snr_db_grid]
 
 
-def _scheme_precoders(cfg, ch, alloc):
-    """Precoder matrix of every scheme under one power allocation."""
-    f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
-    return [scheme.precoder(ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
+def _precoder_groups(cfg, ch):
+    """(SNR indices, precoder of every scheme) groups that together cover the SNR grid.
 
-
-def _precoders_by_snr(cfg, ch):
-    """Per SNR point, the precoder matrix of every scheme.
-
-    With unitary allocation the precoders do not depend on the SNR, so every
-    point shares one list, built once.
+    Unitary precoders do not depend on the SNR, so one group holds every point;
+    water-filling gives one group per point. A group's schemes share one F_opt.
     """
-    if cfg.allocation == "unitary":
-        return [_scheme_precoders(cfg, ch, PowerAllocation("unitary"))] * len(cfg.snr_db_grid)
-    return [_scheme_precoders(cfg, ch, PowerAllocation("water_filling", total_power=snr))
-            for snr in _snr_linear(cfg)]
+    snrs = _snr_linear(cfg)
+    unitary = cfg.allocation == "unitary"
+    for cols in [list(range(len(snrs)))] if unitary else [[j] for j in range(len(snrs))]:
+        alloc = PowerAllocation(cfg.allocation, total_power=snrs[cols[0]])
+        f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
+        yield cols, [scheme.precoder(ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
 
 
 def _rate_trial(cfg, trial):
-    rng = substream(cfg.seed, trial)
-    ch = sample_channel(cfg.channel, rng)
-    snrs = _snr_linear(cfg)
-    by_snr = _precoders_by_snr(cfg, ch)
-    if cfg.allocation == "unitary":
-        # One SVD of H F per scheme gives the rate at every SNR point.
-        return np.stack([achievable_rate(ch.matrix, f, np.array(snrs)) for f in by_snr[0]])
+    ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
+    snrs = np.array(_snr_linear(cfg))
     out = np.empty((len(cfg.schemes), len(snrs)))
-    for j, (snr, precoders) in enumerate(zip(snrs, by_snr)):
+    for cols, precoders in _precoder_groups(cfg, ch):
         for i, f in enumerate(precoders):
-            out[i, j] = achievable_rate(ch.matrix, f, snr)
+            # One SVD of H F per scheme gives the rate at every SNR of the group.
+            out[i, cols] = achievable_rate(ch.matrix, f, snrs[cols])
     return out
 
 
 def _ber_trial(cfg, trial):
-    rng = substream(cfg.seed, trial)
-    ch = sample_channel(cfg.channel, rng)
-    by_snr = _precoders_by_snr(cfg, ch)
-    errors = np.zeros((len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
+    ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
+    snrs = _snr_linear(cfg)
+    errors = np.zeros((len(cfg.schemes), len(snrs)), dtype=np.int64)
     sent = np.zeros_like(errors)
-    n = ch.matrix.shape[0]
-    for j, (snr, precoders) in enumerate(zip(_snr_linear(cfg), by_snr)):
-        # One bit/noise block per (trial, snr), shared by every scheme: each
-        # scheme sees the same bits and noise, pairing the comparison.
-        bits, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams, n,
-                                cfg.symbols_per_trial)
-        for i, f in enumerate(precoders):
-            errors[i, j], sent[i, j] = detect_qpsk_mmse(ch.matrix, f, snr, bits, noise)
+    for cols, precoders in _precoder_groups(cfg, ch):
+        for j in cols:
+            # One bit/noise block per (trial, snr), shared by every scheme: each
+            # scheme sees the same bits and noise, pairing the comparison.
+            bits, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams, ch.matrix.shape[0],
+                                    cfg.symbols_per_trial)
+            for i, f in enumerate(precoders):
+                errors[i, j], sent[i, j] = detect_qpsk_mmse(ch.matrix, f, snrs[j], bits, noise)
     return errors, sent
 
 
@@ -340,16 +335,15 @@ def run_ber_sweep(cfg, workers=1):
     return _csv(cfg, "ber sweep", columns, rows)
 
 
-def run_beam_pattern(cfg, gamma_list=None):
+def run_beam_pattern(cfg):
     """Normalized beam-pattern profile of one codebook element, one column per gamma."""
     bp = cfg.beam_pattern
-    gammas = tuple(gamma_list) if gamma_list is not None else bp.gammas
     codebook = AngleCodebook(bp.sector, bp.codebook_size)
     patterns = []
-    for gamma in gammas:
+    for gamma in bp.gammas:
         spec = BasisSpec(codebook=codebook, tx=cfg.channel.tx, gamma=gamma)
         patterns.append(beam_pattern(spec, bp.center_index, bp.grid_size))
-    columns = ["angle_rad"] + [f"g_gamma{g}" for g in gammas]
+    columns = ["angle_rad"] + [f"g_gamma{g}" for g in bp.gammas]
     rows = []
     for idx in range(bp.grid_size):
         rows.append([patterns[0].angles[idx]] + [p.gain[idx] for p in patterns])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fapsim.benchmarks import (MultilevelCsiConfig, SparsePrecoderConfig,
-                               multilevel_csi_feedback, sparse_precoder)
+from fapsim.benchmarks import SparsePrecoderConfig, multilevel_csi_feedback, sparse_precoder
 from fapsim.channel import (ArrayGeometry, ChannelConfig, ChannelRealization, channel_from_paths,
                             sample_channel, substream)
 from fapsim.errors import InvalidInputError
@@ -77,15 +76,7 @@ class TestSparsePrecoder:
             sparse_precoder(f_opt, bench)
 
 
-def multilevel_config(cfg, k, coeff=None, size=256):
-    return MultilevelCsiConfig(
-        num_paths=k,
-        aod_codebook=AngleCodebook(cfg.tx_sector, size),
-        aoa_codebook=AngleCodebook(cfg.rx_sector, size),
-        coeff_codebook=coeff or ComplexCodebook.ideal(),
-        tx=cfg.tx,
-        rx=cfg.rx,
-    )
+IDEAL = ComplexCodebook.ideal()
 
 
 class TestMultilevelCsi:
@@ -101,36 +92,33 @@ class TestMultilevelCsi:
         aoa = aoa_cb.centers[rng.integers(64, size=6)]
         h = channel_from_paths(gains, aod, aoa, cfg.tx, cfg.rx)
         ch = ChannelRealization(matrix=h, gains=gains, aod=aod, aoa=aoa)
-        mcfg = MultilevelCsiConfig(num_paths=6, aod_codebook=aod_cb, aoa_codebook=aoa_cb,
-                                   coeff_codebook=ComplexCodebook.ideal(), tx=cfg.tx, rx=cfg.rx)
-        h_hat = multilevel_csi_feedback(ch, mcfg)
+        h_hat = multilevel_csi_feedback(ch, cfg, 6, 64, IDEAL)
         assert np.linalg.norm(h_hat - h) <= 1e-9 * np.linalg.norm(h)
 
     def test_single_path_rank_one(self):
         cfg, ch = sample_setup(23)
-        h_hat = multilevel_csi_feedback(ch, multilevel_config(cfg, 1))
+        h_hat = multilevel_csi_feedback(ch, cfg, 1, 256, IDEAL)
         assert np.linalg.matrix_rank(h_hat, tol=1e-9) == 1
 
     def test_error_non_increasing_in_k(self):
         cfg, ch = sample_setup(3)      # 12 paths, seed with monotone truncation
         errors = []
         for k in range(1, ch.gains.size + 1):
-            h_hat = multilevel_csi_feedback(ch, multilevel_config(cfg, k, size=4096))
+            h_hat = multilevel_csi_feedback(ch, cfg, k, 4096, IDEAL)
             errors.append(np.linalg.norm(ch.matrix - h_hat))
         assert all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1))
 
     def test_quantized_gains_still_close(self):
         cfg, ch = sample_setup(29)
-        coarse = multilevel_csi_feedback(
-            ch, multilevel_config(cfg, 12, ComplexCodebook.uniform_polar(16, 16)))
-        ideal = multilevel_csi_feedback(ch, multilevel_config(cfg, 12))
+        coarse = multilevel_csi_feedback(ch, cfg, 12, 256, ComplexCodebook.uniform_polar(16, 16))
+        ideal = multilevel_csi_feedback(ch, cfg, 12, 256, IDEAL)
         rel = np.linalg.norm(coarse - ideal) / np.linalg.norm(ideal)
         assert 0 < rel < 0.25
 
     def test_k_too_large(self):
         cfg, ch = sample_setup(31)
         with pytest.raises(InvalidInputError):
-            multilevel_csi_feedback(ch, multilevel_config(cfg, ch.gains.size + 1))
+            multilevel_csi_feedback(ch, cfg, ch.gains.size + 1, 256, IDEAL)
 
     def test_overhead_row_matches_formula(self):
         assert overhead_bits("multilevel_csi", k=16, angle_codebook_size=256,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import yaml
@@ -133,6 +135,13 @@ class TestMainExitCodes:
         table = parse_csv(out_bp.read_text())
         assert len(table["angle_rad"]) == 128
 
+    def test_gammas_flag_is_part_of_the_embedded_config(self, capsys):
+        assert cli.main(["beam-pattern", "--gammas", "1,3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        config = json.loads(next(ln for ln in lines if ln.startswith("# config: "))[10:])
+        assert config["beam_pattern"]["gammas"] == [1, 3]
+        assert parse_csv("\n".join(lines)).keys() == {"angle_rad", "g_gamma1", "g_gamma3"}
+
 
 def _with_scheme(index, **fields):
     schemes = [dict(s) for s in TINY["schemes"]]
@@ -164,6 +173,26 @@ HOSTILE = [
     ("overhead", TINY, ["--seed", "-1"], "seed"),
     ("beam-pattern", TINY, ["--gammas", "1,x"], "--gammas"),
     ("beam-pattern", TINY, ["--gammas", "1,0"], "--gammas"),
+    # Keys the defaults lack, in every section.
+    ("rate", dict(TINY, trails=3), [], "trails"),
+    ("overhead", dict(TINY, channel=dict(TINY["channel"], cluster=3)), [], "channel.cluster"),
+    ("beam-pattern", dict(TINY, beam_pattern={"gamas": [1]}), [], "beam_pattern.gamas"),
+    ("overhead", dict(TINY, snr_db={"start": 0.0, "stop": 1.0, "stpe": 1.0}), [], "snr_db.stpe"),
+    ("beam-pattern", dict(TINY, beam_pattern=None), [], "beam_pattern"),
+    ("beam-pattern", dict(TINY, beam_pattern=None), ["--gammas", "1,3"], "beam_pattern"),
+    ("overhead", dict(TINY, channel=None), [], "channel"),
+    # Library constructor checks, named by their config key for every command.
+    ("overhead", dict(TINY, channel=dict(TINY["channel"], clusters=0)), [], "channel.clusters"),
+    ("overhead", dict(TINY, channel=dict(TINY["channel"], rx_antennas=0)), [],
+     "channel.rx_antennas"),
+    ("overhead", dict(TINY, channel=dict(TINY["channel"], spacing_over_wavelength=float("nan"))),
+     [], "channel.spacing_over_wavelength"),
+    ("overhead", dict(TINY, channel=dict(TINY["channel"], tx_sector_deg=[10.0, -10.0])), [],
+     "channel.tx_sector_deg"),
+    ("overhead", dict(TINY, beam_pattern={"codebook_size": 12}), [], "beam_pattern.codebook_size"),
+    ("overhead", dict(TINY, beam_pattern={"center_index": 99}), [], "beam_pattern.center_index"),
+    ("overhead", dict(TINY, beam_pattern={"grid_size": 8}), [], "beam_pattern.grid_size"),
+    ("beam-pattern", dict(TINY, beam_pattern={"grid_size": 8}), [], "beam_pattern.grid_size"),
 ]
 
 

@@ -2,12 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fapsim.channel import ArrayGeometry, array_response
-from fapsim.errors import InvalidInputError
+from fapsim.errors import DomainError, InvalidInputError
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport,
-                             _polar_dequantize, basis_matrix, build_report, deserialize_report,
-                             dictionary, omp_approximate, overhead_bits, quantize_angle,
+                             basis_matrix, build_report, deserialize_report, dictionary,
+                             omp_approximate, overhead_bits, proposed_bits, quantize_angles,
                              reconstruct_precoder, serialize_report)
 from fapsim.numerics import least_squares
 from fapsim.precoding import Precoder
@@ -29,6 +31,16 @@ def random_precoder(rng, m, s):
     return Precoder(f / np.linalg.norm(f))
 
 
+def random_complex(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+LEVELS = st.sampled_from([1, 2, 4, 8, 16, 32])
+POLAR = st.builds(ComplexCodebook.uniform_polar, LEVELS, LEVELS)
+COEFF_CODEBOOKS = st.one_of(st.just(ComplexCodebook.ideal()), POLAR)
+
+
 class TestAngleCodebook:
     def test_centers_layout(self):
         cb = AngleCodebook(QUARTER, 4)
@@ -43,27 +55,53 @@ class TestAngleCodebook:
 class TestQuantizeAngle:
     def test_exact_center(self):
         cb = AngleCodebook(QUARTER, 4)
-        assert quantize_angle(cb, np.deg2rad(-33.75)) == 0
+        assert quantize_angles(cb, np.deg2rad(-33.75)) == 0
 
     def test_tie_breaks_low(self):
         cb = AngleCodebook(QUARTER, 4)
-        assert quantize_angle(cb, 0.0) == 1
+        assert quantize_angles(cb, 0.0) == 1
+        assert quantize_angles(cb, [0.0, -np.pi / 8]).tolist() == [1, 0]
 
     def test_exhaustive_oracle(self):
         cb = AngleCodebook(QUARTER, 16)
         rng = np.random.default_rng(40)
-        for angle in rng.uniform(*QUARTER, 1000):
-            chosen = quantize_angle(cb, angle)
+        angles = rng.uniform(*QUARTER, 1000)
+        chosen = quantize_angles(cb, angles)
+        assert chosen.shape == angles.shape
+        for angle, pick in zip(angles, chosen):
             best, best_dist = 0, np.inf
             for i, center in enumerate(cb.centers):
                 if abs(angle - center) < best_dist:
                     best, best_dist = i, abs(angle - center)
-            assert chosen == best
+            assert pick == best
 
     def test_clamps_outside_sector(self):
         cb = AngleCodebook(QUARTER, 8)
-        assert quantize_angle(cb, 2.0) == 7
-        assert quantize_angle(cb, -2.0) == 0
+        assert quantize_angles(cb, [2.0, -2.0, np.pi / 4]).tolist() == [7, 0, 7]
+
+
+class TestComplexCodebook:
+    def test_ideal_passes_values_through(self):
+        values = random_complex(np.random.default_rng(44), (3, 2))
+        quantized, scale = ComplexCodebook.ideal().quantize(values)
+        assert quantized is values and scale is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(cc=POLAR, seed=SEEDS, shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+           exponent=st.integers(-6, 6))
+    def test_grid_values_are_fixed_points(self, cc, seed, shape, exponent):
+        # The serializer re-encodes values that are already on the grid, so
+        # quantizing at a fixed range must be idempotent for the wire format
+        # to be exact.
+        values = random_complex(np.random.default_rng(seed), shape, 10.0 ** exponent)
+        quantized, scale = cc.quantize(values)
+        assert scale == np.max(np.abs(values))
+        words = cc.encode(values, scale)
+        assert words.shape == shape
+        assert 0 <= words.min() and words.max() < 2 ** cc.bits_per_value
+        assert np.array_equal(cc.decode(words, scale), quantized)
+        assert np.array_equal(cc.encode(quantized, scale), words)
+        assert np.array_equal(cc.decode(cc.encode(quantized, scale), scale), quantized)
 
 
 class TestBasisMatrix:
@@ -159,6 +197,15 @@ class TestOmp:
             g = least_squares(atoms, f_opt.matrix)
             resid = np.linalg.norm(f_opt.matrix - atoms @ g)
             assert history[i] == pytest.approx(resid, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, m=st.integers(2, 24), s=st.integers(1, 3), size_bits=st.integers(1, 6),
+           gamma=st.integers(1, 3), k=st.integers(1, 16))
+    def test_residual_history_never_increases(self, seed, m, s, size_bits, gamma, k):
+        spec = spec_of(m=m, size=2 ** size_bits, gamma=gamma)
+        f_opt = random_precoder(np.random.default_rng(seed), m, min(s, m))
+        _, _, history = omp_approximate(f_opt, spec, min(k, spec.codebook.size))
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
 
     def test_no_duplicate_selection(self):
         rng = np.random.default_rng(42)
@@ -320,7 +367,7 @@ class TestSerialization:
     def test_handcrafted_bytes(self):
         spec = spec_of(m=4, size=4)
         cc = ComplexCodebook.uniform_polar(2, 2)
-        combining = _polar_dequantize(np.array([[1]]), np.array([[0]]), cc, 1.0)
+        combining = cc.decode(np.array([[0b10]]), 1.0)      # magnitude index 1, phase index 0
         report = FeedbackReport(angle_indices=(2,), combining=combining, k=1, gamma=1,
                                 bits_angles=2, bits_amplitudes=2, magnitude_scale=1.0)
         blob = serialize_report(report, spec, cc)
@@ -397,3 +444,46 @@ class TestSerialization:
                                 gamma=1, bits_angles=2, bits_amplitudes=4, magnitude_scale=1.0)
         with pytest.raises(InvalidInputError, match="zero combining entries"):
             serialize_report(report, spec, cc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cc=COEFF_CODEBOOKS, seed=SEEDS, k=st.integers(1, 8), s=st.integers(1, 4),
+           size_bits=st.integers(1, 8), gamma=st.integers(1, 4))
+    def test_round_trip_property(self, cc, seed, k, s, size_bits, gamma):
+        rng = np.random.default_rng(seed)
+        spec = spec_of(m=8, size=2 ** size_bits, gamma=gamma)
+        indices = tuple(int(i) for i in rng.integers(0, spec.codebook.size, size=k))
+        combining, scale = cc.quantize(random_complex(rng, (k, s)))
+        bits = proposed_bits(k, s, spec.codebook, cc)
+        report = FeedbackReport(angle_indices=indices, combining=combining, k=k, gamma=gamma,
+                                bits_angles=bits[0], bits_amplitudes=bits[1], magnitude_scale=scale)
+        blob = serialize_report(report, spec, cc)
+        decoded = deserialize_report(blob, spec, cc, s)
+        assert (decoded.angle_indices, decoded.k, decoded.gamma) == (indices, k, gamma)
+        assert (decoded.bits_angles, decoded.bits_amplitudes) == bits
+        assert decoded.magnitude_scale == scale
+        if scale is None:
+            assert decoded.combining.tobytes() == np.asarray(combining, dtype="<c16").tobytes()
+        else:
+            assert np.array_equal(cc.encode(decoded.combining, scale), cc.encode(combining, scale))
+            assert np.array_equal(decoded.combining, combining)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cc=COEFF_CODEBOOKS, seed=SEEDS, s=st.integers(1, 3), data=st.data())
+    def test_hostile_bytes_raise_only_library_errors(self, cc, seed, s, data):
+        # Random bytes, and valid reports truncated or with one byte replaced.
+        spec = spec_of(m=8, size=16)
+        rng = np.random.default_rng(seed)
+        report = build_report(random_precoder(rng, 8, s), spec, 4, cc)
+        blob = bytearray(serialize_report(report, spec, cc))
+        mangle = data.draw(st.sampled_from(["random", "truncate", "replace"]))
+        if mangle == "random":
+            blob = bytearray(data.draw(st.binary(max_size=120)))
+        elif mangle == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):    # huge raw entries overflow
+                reconstruct_precoder(deserialize_report(bytes(blob), spec, cc, s), spec)
+        except (InvalidInputError, DomainError):
+            pass

@@ -17,9 +17,9 @@ from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, build_re
                              deserialize_report, overhead_bits, serialize_report)
 from fapsim.precoding import PowerAllocation, optimal_precoder
 from fapsim.precoding import Precoder
-from fapsim.runner import (SCHEMES, ExperimentConfig, MultilevelScheme, OptimalScheme, ProposedScheme,
-                           SparseScheme, run_beam_pattern, run_ber_sweep, run_overhead_table,
-                           run_rate_sweep)
+from fapsim.runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, MultilevelScheme,
+                           OptimalScheme, ProposedScheme, SparseScheme, run_beam_pattern,
+                           run_ber_sweep, run_overhead_table, run_rate_sweep)
 
 
 def small_experiment(**overrides):
@@ -66,26 +66,31 @@ class TestTrialEngine:
                                    snr_db_grid=(-20.0, -5.0, 10.0))
         errors, sent = runner._ber_trial(cfg, 0)
         ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
-        by_snr = runner._precoders_by_snr(cfg, ch)
-        for j, snr_db in enumerate(cfg.snr_db_grid):
-            snr = 10.0 ** (snr_db / 10.0)
-            for i, f in enumerate(by_snr[j]):
-                expected = ber_qpsk_mmse(ch.matrix, f, snr, cfg.symbols_per_trial,
-                                         substream(cfg.seed, 0, j))
-                assert (errors[i, j], sent[i, j]) == expected
+        for cols, precoders in runner._precoder_groups(cfg, ch):
+            for j in cols:
+                snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
+                for i, f in enumerate(precoders):
+                    expected = ber_qpsk_mmse(ch.matrix, f, snr, cfg.symbols_per_trial,
+                                             substream(cfg.seed, 0, j))
+                    assert (errors[i, j], sent[i, j]) == expected
 
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_rate_trial_matches_per_snr_rates(self, allocation):
         cfg = small_experiment(allocation=allocation)
         rates = runner._rate_trial(cfg, 5)
         ch = sample_channel(cfg.channel, substream(cfg.seed, 5))
-        by_snr = runner._precoders_by_snr(cfg, ch)
-        for j, snr_db in enumerate(cfg.snr_db_grid):
-            snr = 10.0 ** (snr_db / 10.0)
-            alloc = PowerAllocation(allocation, total_power=snr)
-            assert np.array_equal(by_snr[j][0], optimal_precoder(ch.matrix, cfg.streams, alloc).matrix)
-            for i, f in enumerate(by_snr[j]):
-                assert rates[i, j] == pytest.approx(achievable_rate(ch.matrix, f, snr), abs=1e-12)
+        groups = list(runner._precoder_groups(cfg, ch))
+        # Unitary: one group for the whole grid; water-filling: one group per SNR point.
+        assert len(groups) == (1 if allocation == "unitary" else len(cfg.snr_db_grid))
+        assert sorted(j for cols, _ in groups for j in cols) == list(range(len(cfg.snr_db_grid)))
+        for cols, precoders in groups:
+            for j in cols:
+                snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
+                alloc = PowerAllocation(allocation, total_power=snr)
+                assert np.array_equal(precoders[0],
+                                      optimal_precoder(ch.matrix, cfg.streams, alloc).matrix)
+                for i, f in enumerate(precoders):
+                    assert rates[i, j] == pytest.approx(achievable_rate(ch.matrix, f, snr), abs=1e-12)
 
     @pytest.mark.parametrize("workers, trials, cpus, expected", [
         (1, 200, 2, 1), (2, 200, 2, 2), (4, 200, 2, 2), (4, 3, 8, 3),
@@ -192,8 +197,8 @@ class TestBeamPatternSweep:
         assert peak1 > peak4
 
     def test_gamma_override(self):
-        cfg = small_experiment()
-        table = parse_csv(run_beam_pattern(cfg, gamma_list=(2,)))
+        cfg = small_experiment(beam_pattern=BeamPatternConfig(gammas=(2,)))
+        table = parse_csv(run_beam_pattern(cfg))
         assert set(table.keys()) == {"angle_rad", "g_gamma2"}
 
 
