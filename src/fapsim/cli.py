@@ -54,6 +54,9 @@ DEFAULT_CONFIG = {
     },
 }
 
+# Most points a {start, stop, step} SNR range may expand to, checked before the grid is built.
+MAX_SNR_POINTS = 10_000
+
 
 def _merge(base, override, where):
     """`override` merged into a copy of `base`; a key that `base` lacks is an error."""
@@ -70,16 +73,16 @@ def _merge(base, override, where):
 
 def load_config(path=None):
     """Built-in defaults, optionally merged with a YAML file."""
-    raw = copy.deepcopy(DEFAULT_CONFIG)
+    user = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = yaml.safe_load(fh)
-        if user is None:
-            user = {}
-        if not isinstance(user, dict):
-            raise InvalidInputError("config: top level must be a mapping")
-        raw = _merge(raw, user, "")
-    return raw
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = yaml.safe_load(fh)
+        except (OSError, UnicodeError) as exc:
+            raise InvalidInputError(f"--config: {exc}") from None
+    if not isinstance(user, (dict, type(None))):
+        raise InvalidInputError("config: top level must be a mapping")
+    return _merge(DEFAULT_CONFIG, user or {}, "")
 
 
 def _get(tree, path, kind, where=""):
@@ -117,20 +120,15 @@ def _sector(tree, path):
                          path)
 
 
-def _check_keys(node, known, where):
-    for key in node:
-        if key not in known:
-            raise InvalidInputError(f"{where}.{key}: unknown key")
-
-
 def _coeff_codebook(node, where):
     where += ".coeff_codebook"
     if node is None or node == "ideal":
         return ComplexCodebook.ideal()
     if not isinstance(node, dict):
         raise InvalidInputError(f"{where}: expected 'ideal' or a level mapping")
-    _check_keys(node, ("magnitude_levels", "phase_levels"), where)
-    levels = {key: _get(node, key, int, where + ".") for key in ("magnitude_levels", "phase_levels")}
+    keys = ("magnitude_levels", "phase_levels")
+    _merge(dict.fromkeys(keys), node, where + ".")             # unknown keys
+    levels = {key: _get(node, key, int, where + ".") for key in keys}
     try:
         return ComplexCodebook.uniform_polar(**levels)
     except InvalidInputError as exc:
@@ -146,7 +144,7 @@ def _scheme(node, index):
     if kind not in SCHEMES:
         raise InvalidInputError(f"{where}.type: unknown scheme type {kind!r}")
     fields = dataclasses.fields(SCHEMES[kind])
-    _check_keys(node, {"type"} | {f.name for f in fields}, where)
+    _merge(dict.fromkeys(["type"] + [f.name for f in fields]), node, where + ".")  # unknown keys
     values = {}
     for f in fields:
         if f.type is ComplexCodebook:
@@ -167,8 +165,8 @@ def _snr_grid(tree):
         if not all(np.isfinite([start, stop, step])) or step <= 0 or stop < start:
             raise InvalidInputError("snr_db: requires finite values, step > 0 and stop >= start")
         count = np.floor((stop - start) / step + 1e-9) + 1
-        if not np.isfinite(count):
-            raise InvalidInputError("snr_db: (stop - start) / step must be finite")
+        if not count <= MAX_SNR_POINTS:                        # also an infinite count
+            raise InvalidInputError(f"snr_db: {count} points, more than {MAX_SNR_POINTS}")
         return tuple(start + i * step for i in range(int(count)))
     raise InvalidInputError("snr_db: expected a list or {start, stop, step}")
 
@@ -262,18 +260,20 @@ def main(argv=None):
             csv_text = run_beam_pattern(cfg)
         else:
             csv_text = run_overhead_table(cfg)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(csv_text)
+            except OSError as exc:
+                raise InvalidInputError(f"--out: {exc}") from None
+        else:
+            sys.stdout.write(csv_text)
     except (InvalidInputError, OSError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
+    except (DomainError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
     return 0
 
 

@@ -17,7 +17,6 @@ BEAM_PATTERN_MIN_GRID = 64
 class BeamPattern:
     angles: np.ndarray
     gain: np.ndarray               # normalized so the trapezoidal integral is 1
-    gamma: int
 
 
 def achievable_rate(h, f, snr_linear):
@@ -113,4 +112,4 @@ def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):
     responses = _steering_matrix(spec.tx, grid)           # M x grid
     gain = np.abs(responses.conj().T @ column) ** 2
     gain /= np.trapezoid(gain, grid)
-    return BeamPattern(angles=grid, gain=gain, gamma=spec.gamma)
+    return BeamPattern(angles=grid, gain=gain)

@@ -16,6 +16,7 @@ import numpy as np
 from . import numerics
 from .channel import ArrayGeometry, _check_sector, _steering_matrix
 from .errors import DomainError, InvalidInputError
+from .precoding import Precoder
 
 # Residuals at or below this norm are treated as exact recoveries; the
 # greedy argmax is meaningless on a numerically zero residual.
@@ -36,7 +37,8 @@ class AngleCodebook:
     size: int
 
     def __post_init__(self):
-        _check_sector(self.sector, "sector")
+        # A float tuple, so equal codebooks are equal and hashable (the dictionary cache key).
+        object.__setattr__(self, "sector", _check_sector(self.sector, "sector"))
         _log2_exact(self.size, "codebook size")
 
     @property
@@ -122,11 +124,14 @@ class ComplexCodebook:
 class FeedbackReport:
     angle_indices: tuple           # K indices into the shared angle codebook
     combining: np.ndarray          # K x S, already quantized if applicable
-    k: int
     gamma: int
     bits_angles: int
     bits_amplitudes: int
     magnitude_scale: float = None  # polar-quantizer range, sent unquantized
+
+    @property
+    def k(self):
+        return len(self.angle_indices)
 
 
 def quantize_angles(cb, angles):
@@ -167,15 +172,11 @@ def dictionary(spec):
     returned array is read-only; column selections `dictionary(spec)[:, idx]`
     are bitwise equal to `basis_matrix(spec, centers[idx])`.
     """
-    cb, tx = spec.codebook, spec.tx
-    return _cached_dictionary(float(cb.sector[0]), float(cb.sector[1]), cb.size,
-                              tx.num_elements, float(tx.spacing_over_wavelength), spec.gamma)
+    return _cached_dictionary(spec)
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_dictionary(lo, hi, size, num_elements, spacing, gamma):
-    # Keyed on plain values so that specs built from equal lists or tuples share an entry.
-    spec = BasisSpec(AngleCodebook((lo, hi), size), ArrayGeometry(num_elements, spacing), gamma)
+def _cached_dictionary(spec):
     psi = basis_matrix(spec, spec.codebook.centers)
     psi.setflags(write=False)
     return psi
@@ -200,7 +201,6 @@ def omp_approximate(f_opt, spec, k):
     f_res = f
     selected = []
     history = []
-    g = None
     for _ in range(k):
         corr = psi_h @ f_res
         metric = np.sum(np.abs(corr) ** 2, axis=1)     # diagonal of corr @ corr^H
@@ -217,7 +217,6 @@ def omp_approximate(f_opt, spec, k):
             break
         f_res = resid / rnorm
 
-    atoms = psi[:, selected]
     scale = float(np.linalg.norm(atoms @ g))
     if scale <= _ZERO_RESIDUAL:
         raise DomainError("selected basis carries no energy of the target precoder")
@@ -237,7 +236,6 @@ def build_report(f_opt, spec, k, cc):
     return FeedbackReport(
         angle_indices=indices,
         combining=g,
-        k=len(indices),
         gamma=spec.gamma,
         bits_angles=bits_angles,
         bits_amplitudes=bits_amplitudes,
@@ -247,21 +245,19 @@ def build_report(f_opt, spec, k, cc):
 
 def reconstruct_precoder(report, spec):
     """Transmitter-side rebuild: F_hat = Psi(angles) @ G, renormalized to unit norm."""
-    from .precoding import Precoder
-
-    cb = spec.codebook
     if report.gamma != spec.gamma:
         raise InvalidInputError(
             f"report gamma {report.gamma} does not match spec gamma {spec.gamma}"
         )
     idx = np.asarray(report.angle_indices, dtype=int)
-    if idx.size == 0 or np.any(idx < 0) or np.any(idx >= cb.size):
+    if idx.size == 0 or np.any(idx < 0) or np.any(idx >= spec.codebook.size):
         raise InvalidInputError("angle index out of codebook range")
     psi = dictionary(spec)[:, idx]
-    f = psi @ report.combining
-    norm = np.linalg.norm(f)
-    if norm <= _ZERO_RESIDUAL:
-        raise DomainError("report reconstructs to a zero precoder")
+    with np.errstate(over="ignore", invalid="ignore"):     # huge entries overflow to inf
+        f = psi @ report.combining
+        norm = np.linalg.norm(f)
+    if not _ZERO_RESIDUAL < norm < np.inf:
+        raise DomainError(f"report reconstructs to a precoder of norm {norm}")
     return Precoder(f / norm)
 
 
@@ -299,13 +295,10 @@ def overhead_bits(scheme, *, m=None, n=None, s=None, q=None, k=None,
         if have[name] < 1:
             raise InvalidInputError(f"parameter {name!r} must be >= 1")
 
-    if scheme in ("direct_H", "direct_F"):
-        cbits = _log2_exact(coeff_codebook_size, "coeff_codebook_size")
-        other = n if scheme == "direct_H" else s
-        return 0, m * other * cbits
-
-    abits = _log2_exact(angle_codebook_size, "angle_codebook_size")
     cbits = _log2_exact(coeff_codebook_size, "coeff_codebook_size")
+    if scheme in ("direct_H", "direct_F"):
+        return 0, m * (n if scheme == "direct_H" else s) * cbits
+    abits = _log2_exact(angle_codebook_size, "angle_codebook_size")
     if scheme == "sparse_precoder":
         return q * abits, q * s * cbits
     if scheme == "multilevel_csi":
@@ -357,14 +350,11 @@ def _unpack_bits(data, widths):
 
 def serialize_report(report, spec, cc):
     """Encode a report for the feedback link; see the layout notes above."""
-    k = report.k
-    if k != len(report.angle_indices):
-        raise InvalidInputError("report k does not match its index list")
     quantized = cc.mode != "ideal"
     if quantized and np.any(np.abs(report.combining) == 0):
         raise InvalidInputError("zero combining entries are not representable on the polar grid")
     flags = _FLAG_QUANTIZED if quantized else 0
-    out = struct.pack("<HBB", k, report.gamma, flags)
+    out = struct.pack("<HBB", report.k, report.gamma, flags)
     if quantized:
         out += struct.pack("<d", report.magnitude_scale)
 
@@ -423,7 +413,6 @@ def deserialize_report(data, spec, cc, num_streams):
     return FeedbackReport(
         angle_indices=indices,
         combining=combining,
-        k=k,
         gamma=gamma,
         bits_angles=bits_angles,
         bits_amplitudes=bits_amplitudes,

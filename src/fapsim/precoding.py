@@ -58,17 +58,21 @@ def water_fill(sigma, snr):
     if not np.any(sigma > 0):
         raise DegenerateChannelError("all singular values are zero")
 
-    inv = np.full(sigma.shape, np.inf)
-    pos = sigma > 0
-    inv[pos] = 1.0 / (snr * sigma[pos] ** 2)
+    # Each channel's noise floor times snr; infinite at zero gain.
+    inv = np.divide(1.0, sigma ** 2, out=np.full(sigma.shape, np.inf), where=sigma > 0)
 
     order = np.argsort(inv)                      # strongest channels first
+    # Gaps above the strongest channel's floor, in units of the power budget: an active
+    # gap is at most 1, so none cancels at low SNR, and an infinite one (zero gain or
+    # overflow) is never active.
+    with np.errstate(over="ignore"):
+        gap = (inv - inv[order[0]]) / snr
     power = np.zeros_like(sigma)
-    for count in range(int(np.sum(pos)), 0, -1):
+    for count in range(int(np.sum(np.isfinite(gap))), 0, -1):
         active = order[:count]
-        level = (1.0 + np.sum(inv[active])) / count
-        if level >= inv[active[-1]]:             # weakest active stays above water
-            power[active] = level - inv[active]
+        level = (1.0 + np.sum(gap[active])) / count
+        if level >= gap[active[-1]]:             # weakest active stays above water
+            power[active] = level - gap[active]
             break
     return power
 
@@ -87,12 +91,10 @@ def optimal_precoder(h, num_streams, alloc):
     if s[0] <= 0:
         raise DegenerateChannelError("channel matrix is zero")
 
-    cols = v[:, :num_streams].copy()
-    for j in range(num_streams):
-        i = int(np.argmax(np.abs(cols[:, j])))
-        pivot = cols[i, j]
-        if np.abs(pivot) > 0:
-            cols[:, j] *= np.conj(pivot) / np.abs(pivot)
+    # A unit-norm column's largest entry has modulus >= 1/sqrt(M), so the pivot is never zero.
+    cols = v[:, :num_streams]
+    pivot = cols[np.argmax(np.abs(cols), axis=0), np.arange(num_streams)]
+    cols = cols * (np.conj(pivot) / np.abs(pivot))
 
     if alloc.mode == "unitary":
         alpha = np.full(num_streams, 1.0 / np.sqrt(num_streams))

@@ -214,11 +214,11 @@ def _db_to_linear(snr_db):
 
 
 def _snr_linear(cfg):
-    return [_db_to_linear(snr_db) for snr_db in cfg.snr_db_grid]
+    return np.array([_db_to_linear(snr_db) for snr_db in cfg.snr_db_grid])
 
 
 def _precoder_groups(cfg, ch):
-    """(SNR indices, precoder of every scheme) groups that together cover the SNR grid.
+    """(SNR indices, their linear SNRs, precoder of every scheme) groups covering the SNR grid.
 
     Unitary precoders do not depend on the SNR, so one group holds every point;
     water-filling gives one group per point. A group's schemes share one F_opt.
@@ -228,33 +228,31 @@ def _precoder_groups(cfg, ch):
     for cols in [list(range(len(snrs)))] if unitary else [[j] for j in range(len(snrs))]:
         alloc = PowerAllocation(cfg.allocation, total_power=snrs[cols[0]])
         f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
-        yield cols, [scheme.precoder(ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
+        yield cols, snrs[cols], [scheme.precoder(ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
 
 
 def _rate_trial(cfg, trial):
     ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
-    snrs = np.array(_snr_linear(cfg))
-    out = np.empty((len(cfg.schemes), len(snrs)))
-    for cols, precoders in _precoder_groups(cfg, ch):
+    out = np.empty((len(cfg.schemes), len(cfg.snr_db_grid)))
+    for cols, snrs, precoders in _precoder_groups(cfg, ch):
         for i, f in enumerate(precoders):
             # One SVD of H F per scheme gives the rate at every SNR of the group.
-            out[i, cols] = achievable_rate(ch.matrix, f, snrs[cols])
+            out[i, cols] = achievable_rate(ch.matrix, f, snrs)
     return out
 
 
 def _ber_trial(cfg, trial):
     ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
-    snrs = _snr_linear(cfg)
-    errors = np.zeros((len(cfg.schemes), len(snrs)), dtype=np.int64)
+    errors = np.zeros((len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
     sent = np.zeros_like(errors)
-    for cols, precoders in _precoder_groups(cfg, ch):
-        for j in cols:
+    for cols, snrs, precoders in _precoder_groups(cfg, ch):
+        for j, snr in zip(cols, snrs):
             # One bit/noise block per (trial, snr), shared by every scheme: each
             # scheme sees the same bits and noise, pairing the comparison.
             bits, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams, ch.matrix.shape[0],
                                     cfg.symbols_per_trial)
             for i, f in enumerate(precoders):
-                errors[i, j], sent[i, j] = detect_qpsk_mmse(ch.matrix, f, snrs[j], bits, noise)
+                errors[i, j], sent[i, j] = detect_qpsk_mmse(ch.matrix, f, snr, bits, noise)
     return errors, sent
 
 
@@ -344,9 +342,7 @@ def run_beam_pattern(cfg):
         spec = BasisSpec(codebook=codebook, tx=cfg.channel.tx, gamma=gamma)
         patterns.append(beam_pattern(spec, bp.center_index, bp.grid_size))
     columns = ["angle_rad"] + [f"g_gamma{g}" for g in bp.gammas]
-    rows = []
-    for idx in range(bp.grid_size):
-        rows.append([patterns[0].angles[idx]] + [p.gain[idx] for p in patterns])
+    rows = [[patterns[0].angles[idx]] + [p.gain[idx] for p in patterns] for idx in range(bp.grid_size)]
     return _csv(cfg, "beam pattern", columns, rows)
 
 

@@ -1,4 +1,7 @@
+import copy
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,9 @@ import yaml
 from helpers import parse_csv
 
 from fapsim import cli, runner
+
+
+REFERENCE_YAML = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
 
 
 def write_config(tmp_path, tree, name="cfg.yaml"):
@@ -56,6 +62,10 @@ class TestConfigLoading:
         path = write_config(tmp_path, dict(TINY, snr_db=[-5.0, 0.0, 5.0]))
         cfg = cli.build_experiment_config(cli.load_config(path))
         assert cfg.snr_db_grid == (-5.0, 0.0, 5.0)
+
+    def test_reference_yaml_matches_the_defaults(self):
+        from_file = cli.build_experiment_config(cli.load_config(str(REFERENCE_YAML)))
+        assert from_file == cli.build_experiment_config(cli.load_config(None))
 
     def test_quantized_coeff_codebook(self, tmp_path):
         tree = dict(TINY)
@@ -121,6 +131,40 @@ class TestMainExitCodes:
         code = cli.main(["rate", "--config", write_config(tmp_path, TINY)])
         assert code == 2
         assert "numeric error" in capsys.readouterr().err
+
+    def test_linalg_error_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
+        def boom(cfg, workers=1):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "run_rate_sweep", boom)
+        assert cli.main(["rate", "--config", write_config(tmp_path, TINY)]) == 2
+        assert capsys.readouterr().err == "numeric error: SVD did not converge\n"
+
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert cli.main(["overhead", "--config", write_config(tmp_path, TINY), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --out: ") and "Traceback" not in captured.err
+        assert captured.out == "" and not out.parent.exists()
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert cli.main(["overhead", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: --config: ")
+
+    def test_water_filling_at_very_low_snr(self, tmp_path):
+        # The water-filling powers keep their unit budget where 1 + 1/snr rounds.
+        out = tmp_path / "rate.csv"
+        tree = dict(TINY, allocation="water_filling", snr_db=[-200.0])
+        assert cli.main(["rate", "--config", write_config(tmp_path, tree), "--out", str(out)]) == 0
+        assert all(0.0 <= float(r) < 1e-12 for r in parse_csv(out.read_text())["mean_rate"])
+
+    def test_snr_range_at_the_point_bound(self):
+        tree = dict(TINY, snr_db={"start": -40.0, "stop": -40.0 + (cli.MAX_SNR_POINTS - 1) / 128,
+                                  "step": 1 / 128})
+        cfg = cli.build_experiment_config(cli._merge(cli.DEFAULT_CONFIG, tree, ""))
+        assert len(cfg.snr_db_grid) == cli.MAX_SNR_POINTS
 
     def test_ber_and_beam_pattern_commands(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(TINY, beam_pattern={
@@ -193,6 +237,9 @@ HOSTILE = [
     ("overhead", dict(TINY, beam_pattern={"center_index": 99}), [], "beam_pattern.center_index"),
     ("overhead", dict(TINY, beam_pattern={"grid_size": 8}), [], "beam_pattern.grid_size"),
     ("beam-pattern", dict(TINY, beam_pattern={"grid_size": 8}), [], "beam_pattern.grid_size"),
+    # One point more than a {start, stop, step} range may expand to (exact binary steps).
+    ("overhead", dict(TINY, snr_db={"start": -40.0, "stop": -40.0 + cli.MAX_SNR_POINTS / 128,
+                                    "step": 1 / 128}), [], "snr_db"),
 ]
 
 
@@ -206,3 +253,42 @@ def test_hostile_input_is_a_config_error(tmp_path, capsys, command, tree, flags,
     assert "Traceback" not in captured.err
     assert captured.err.startswith("config error: ")
     assert field in captured.err
+
+
+def _leaves(node, path=()):
+    """Paths of every scalar in a config tree (list entries included)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)       # libyaml when built with it
+FUZZ_VALUES = [None, 0, -1, 0.5, 1e308, math.nan, math.inf, "x", [], {}, True, 2 ** 70]
+
+
+def test_fuzzed_reference_config_never_escapes_main(tmp_path, capsys):
+    # Every leaf of the reference YAML, replaced by each hostile value in turn.
+    reference = yaml.safe_load(REFERENCE_YAML.read_text(encoding="utf-8"))
+    path = tmp_path / "fuzz.yaml"
+    failures = []
+    for leaf in _leaves(reference):
+        for value in FUZZ_VALUES:
+            tree = copy.deepcopy(reference)
+            node = tree
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = value
+            path.write_text(yaml.dump(tree, Dumper=FAST_DUMPER), encoding="utf-8")
+            try:
+                code = cli.main(["overhead", "--config", str(path)])
+            except BaseException as exc:                  # anything escaping main fails
+                failures.append((leaf, value, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 1) or "Traceback" in err or (code == 1) != err.startswith("config error: "):
+                failures.append((leaf, value, code, err))
+    assert not failures

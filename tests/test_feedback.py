@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,14 @@ class TestDictionaryCache:
         second = dictionary(spec_of(m=20, size=8, sector=[-0.5, 0.5]))
         assert second is first
 
+    def test_equal_specs_are_one_cache_key(self):
+        # The cache is keyed on the spec itself: list, tuple and numpy sectors give equal specs.
+        specs = [spec_of(m=20, size=8, sector=sector)
+                 for sector in ((-0.5, 0.5), [-0.5, 0.5], np.array([-0.5, 0.5]))]
+        assert specs[0].codebook.sector == (-0.5, 0.5)
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(spec) for spec in specs}) == 1
+
     def test_gammas_get_separate_entries(self):
         g1 = dictionary(spec_of(m=20, size=8, gamma=1))
         g2 = dictionary(spec_of(m=20, size=8, gamma=2))
@@ -319,16 +328,32 @@ class TestReconstructPrecoder:
     def test_index_out_of_range(self):
         spec = spec_of(size=8)
         bad = FeedbackReport(angle_indices=(8,), combining=np.ones((1, 1), dtype=complex),
-                             k=1, gamma=1, bits_angles=3, bits_amplitudes=0)
+                             gamma=1, bits_angles=3, bits_amplitudes=0)
         with pytest.raises(InvalidInputError):
             reconstruct_precoder(bad, spec)
 
     def test_gamma_mismatch(self):
         spec = spec_of(size=8, gamma=2)
         bad = FeedbackReport(angle_indices=(1,), combining=np.ones((1, 1), dtype=complex),
-                             k=1, gamma=1, bits_angles=3, bits_amplitudes=0)
+                             gamma=1, bits_angles=3, bits_amplitudes=0)
         with pytest.raises(InvalidInputError):
             reconstruct_precoder(bad, spec)
+
+    def test_k_is_the_index_count(self):
+        report = FeedbackReport(angle_indices=(1, 5, 2), combining=np.ones((3, 1), dtype=complex),
+                                gamma=1, bits_angles=9, bits_amplitudes=0)
+        assert report.k == 3
+
+    def test_huge_raw_entries_are_a_report_error(self):
+        # A decodable 1 x 1 ideal report of 1e308 overflows the rebuild at M = 8.
+        spec, cc = spec_of(m=8, size=16), ComplexCodebook.ideal()
+        huge = FeedbackReport(angle_indices=(3,), combining=np.array([[1e308 + 0j]]), gamma=1,
+                              bits_angles=4, bits_amplitudes=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded = deserialize_report(serialize_report(huge, spec, cc), spec, cc, 1)
+            with pytest.raises(DomainError, match="report reconstructs"):
+                reconstruct_precoder(decoded, spec)
 
 
 class TestOverheadBits:
@@ -368,7 +393,7 @@ class TestSerialization:
         spec = spec_of(m=4, size=4)
         cc = ComplexCodebook.uniform_polar(2, 2)
         combining = cc.decode(np.array([[0b10]]), 1.0)      # magnitude index 1, phase index 0
-        report = FeedbackReport(angle_indices=(2,), combining=combining, k=1, gamma=1,
+        report = FeedbackReport(angle_indices=(2,), combining=combining, gamma=1,
                                 bits_angles=2, bits_amplitudes=2, magnitude_scale=1.0)
         blob = serialize_report(report, spec, cc)
         # header + range scalar + one payload byte: idx '10', entry '10', zero padding
@@ -440,7 +465,7 @@ class TestSerialization:
         # A zero entry has no phase, so the polar grid cannot carry it.
         spec = spec_of(m=4, size=4)
         cc = ComplexCodebook.uniform_polar(2, 2)
-        report = FeedbackReport(angle_indices=(2,), combining=np.array([[0.5 + 0.5j, 0.0]]), k=1,
+        report = FeedbackReport(angle_indices=(2,), combining=np.array([[0.5 + 0.5j, 0.0]]),
                                 gamma=1, bits_angles=2, bits_amplitudes=4, magnitude_scale=1.0)
         with pytest.raises(InvalidInputError, match="zero combining entries"):
             serialize_report(report, spec, cc)
@@ -454,7 +479,7 @@ class TestSerialization:
         indices = tuple(int(i) for i in rng.integers(0, spec.codebook.size, size=k))
         combining, scale = cc.quantize(random_complex(rng, (k, s)))
         bits = proposed_bits(k, s, spec.codebook, cc)
-        report = FeedbackReport(angle_indices=indices, combining=combining, k=k, gamma=gamma,
+        report = FeedbackReport(angle_indices=indices, combining=combining, gamma=gamma,
                                 bits_angles=bits[0], bits_amplitudes=bits[1], magnitude_scale=scale)
         blob = serialize_report(report, spec, cc)
         decoded = deserialize_report(blob, spec, cc, s)
@@ -467,6 +492,7 @@ class TestSerialization:
             assert np.array_equal(cc.encode(decoded.combining, scale), cc.encode(combining, scale))
             assert np.array_equal(decoded.combining, combining)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(cc=COEFF_CODEBOOKS, seed=SEEDS, s=st.integers(1, 3), data=st.data())
     def test_hostile_bytes_raise_only_library_errors(self, cc, seed, s, data):
@@ -483,7 +509,6 @@ class TestSerialization:
         else:
             blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
         try:
-            with np.errstate(over="ignore", invalid="ignore"):    # huge raw entries overflow
-                reconstruct_precoder(deserialize_report(bytes(blob), spec, cc, s), spec)
+            reconstruct_precoder(deserialize_report(bytes(blob), spec, cc, s), spec)
         except (InvalidInputError, DomainError):
             pass

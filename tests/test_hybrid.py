@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fapsim.errors import InvalidInputError
 from fapsim.hybrid import decompose, phase_shifter_count, reconstruct
@@ -65,6 +67,31 @@ class TestDecompose:
             bdiag = np.diag(d.baseband).real
             assert np.all(np.abs(f) <= 2.0 * bdiag[None, :] + 1e-15)
             assert np.linalg.norm(f - reconstruct(d)) <= 1e-10 * max(np.linalg.norm(f), 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 128), seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["random", "zero", "equal_modulus", "zero_entries"]),
+                          min_size=1, max_size=8))
+    def test_exact_over_shapes_and_zero_patterns(self, rows, seed, kinds):
+        rng = np.random.default_rng(seed)
+        f = np.empty((rows, len(kinds)), dtype=complex)
+        for j, kind in enumerate(kinds):
+            scale = 10.0 ** rng.uniform(-30, 30)
+            f[:, j] = scale * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+            if kind == "zero":
+                f[:, j] = 0.0
+            elif kind == "equal_modulus":
+                f[:, j] = scale * np.exp(1j * rng.uniform(-np.pi, np.pi, rows))
+            elif kind == "zero_entries":
+                f[rng.uniform(size=rows) < 0.5, j] = 0.0
+        d = decompose(f)
+        assert np.max(np.abs(np.abs(d.rf_bar) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.abs(d.rf_tilde) - 1.0)) <= 1e-12
+        b = np.diag(d.baseband)
+        assert np.array_equal(d.baseband, np.diag(b)) and np.all(b.real >= 0) and np.all(b.imag == 0)
+        # Exact up to rounding, column by column (columns may differ by 60 orders of magnitude).
+        err = np.abs(f - reconstruct(d))
+        assert np.all(err <= 1e-14 * np.max(np.abs(f), axis=0)[None, :])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fapsim.errors import DegenerateChannelError, InvalidInputError
 from fapsim.evaluation import achievable_rate
@@ -54,6 +56,28 @@ class TestWaterFill:
     def test_degenerate(self):
         with pytest.raises(DegenerateChannelError):
             water_fill([0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("sigma, snr, expected", [
+        ([20.0, 10.0, 5.0, 1.0], 1e-20, [1.0, 0.0, 0.0, 0.0]),       # 1 + inv rounds to inv
+        ([1.0, 0.5], 1.0 / (2.0 ** 53 + 2.0), [1.0, 0.0]),           # 1 + inv rounds up by 2
+        ([3.0, 3.0, 1.0], 1e-300, [0.5, 0.5, 0.0]),
+    ])
+    def test_budget_kept_at_very_low_snr(self, sigma, snr, expected):
+        assert water_fill(sigma, snr).tolist() == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=1, max_size=8)
+           .filter(any),
+           snr=st.floats(1e-300, 1e300))
+    def test_budget_kept_at_any_snr(self, sigma, snr):
+        p = water_fill(sigma, snr)
+        assert np.all(p >= 0)
+        assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
+        # Zero-gain channels get nothing, and a stronger channel never gets less power.
+        by_strength = p[np.argsort(-np.asarray(sigma), kind="stable")]
+        assert np.all(np.diff(by_strength) <= 0)
+        assert np.all(p[np.asarray(sigma) == 0] == 0)
 
 
 class TestOptimalPrecoder:

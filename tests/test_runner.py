@@ -66,7 +66,7 @@ class TestTrialEngine:
                                    snr_db_grid=(-20.0, -5.0, 10.0))
         errors, sent = runner._ber_trial(cfg, 0)
         ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
-        for cols, precoders in runner._precoder_groups(cfg, ch):
+        for cols, _, precoders in runner._precoder_groups(cfg, ch):
             for j in cols:
                 snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
                 for i, f in enumerate(precoders):
@@ -82,8 +82,9 @@ class TestTrialEngine:
         groups = list(runner._precoder_groups(cfg, ch))
         # Unitary: one group for the whole grid; water-filling: one group per SNR point.
         assert len(groups) == (1 if allocation == "unitary" else len(cfg.snr_db_grid))
-        assert sorted(j for cols, _ in groups for j in cols) == list(range(len(cfg.snr_db_grid)))
-        for cols, precoders in groups:
+        assert sorted(j for cols, _, _ in groups for j in cols) == list(range(len(cfg.snr_db_grid)))
+        for cols, snrs, precoders in groups:
+            assert list(snrs) == [10.0 ** (cfg.snr_db_grid[j] / 10.0) for j in cols]
             for j in cols:
                 snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
                 alloc = PowerAllocation(allocation, total_power=snr)
