@@ -9,6 +9,7 @@ failure.
 import argparse
 import copy
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -16,6 +17,7 @@ import yaml
 
 from .channel import ArrayGeometry, ChannelConfig, _check_sector
 from .errors import DomainError, InvalidInputError
+from .evaluation import BEAM_PATTERN_MIN_GRID
 from .feedback import ComplexCodebook
 from .runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, run_beam_pattern, run_ber_sweep,
                      run_overhead_table, run_rate_sweep)
@@ -54,8 +56,23 @@ DEFAULT_CONFIG = {
     },
 }
 
-# Most points a {start, stop, step} SNR range may expand to, checked before the grid is built.
-MAX_SNR_POINTS = 10_000
+# The accepted [lowest, highest] of every numeric config value, keyed by leaf name: a list's
+# entries as `name[]`, a list itself by its length (an SNR grid, list or range, holds at most
+# MAX_SNR_POINTS). One leaf at its highest, the rest at the reference values, stays cheap to run.
+MAX_SNR_POINTS, DEGREES, SNR_DB = 10_000, (-180.0, 180.0), (-300.0, 300.0)
+RANGES = {
+    "tx_antennas": (1, 1024), "rx_antennas": (1, 512), "spacing_over_wavelength": (0.01, 100.0),
+    "clusters": (1, 256), "rays_per_cluster": (1, 256), "angular_spread_deg": (0.001, 180.0),
+    "tx_sector_deg": (2, 2), "rx_sector_deg": (2, 2), "sector_deg": (2, 2),
+    "tx_sector_deg[]": DEGREES, "rx_sector_deg[]": DEGREES, "sector_deg[]": DEGREES,
+    "streams": (1, 64), "trials": (1, 100_000), "symbols_per_trial": (1, 100_000),
+    "seed": (0, 2 ** 64 - 1), "snr_db": (1, MAX_SNR_POINTS), "snr_db[]": SNR_DB,
+    "start": SNR_DB, "stop": SNR_DB, "step": (0.001, 600.0),
+    "k": (1, 128), "q": (1, 128), "gamma": (1, 64), "angle_codebook_size": (1, 4096),
+    "magnitude_levels": (1, 2 ** 16), "phase_levels": (1, 2 ** 16),
+    "codebook_size": (1, 4096), "center_index": (0, 4095),
+    "grid_size": (BEAM_PATTERN_MIN_GRID, 2 ** 16), "gammas": (1, 16), "gammas[]": (1, 64),
+}
 
 
 def _merge(base, override, where):
@@ -96,28 +113,26 @@ def _get(tree, path, kind, where=""):
 
 
 def _typed(value, kind, name):
-    # Strict: an int passes as a float, a bool never passes as a number.
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    """`value` if it is a `kind` within its RANGES entry, found by the last part of `name` (a
+    list: its length). Strict: an int passes as a float, a bool never passes as a number."""
+    numeric = kind is float and isinstance(value, int)
+    if not (isinstance(value, kind) or numeric) or isinstance(value, bool):
         raise InvalidInputError(f"{name}: expected {kind.__name__}, got {value!r}")
-    return value
+    bounded = len(value) if kind is list else value
+    lo, hi = RANGES.get(re.sub(r"\[\d+\]", "[]", name).split(".")[-1].lstrip("-"), (None, None))
+    if lo is not None and not lo <= bounded <= hi:
+        what = "length " if kind is list else ""
+        raise InvalidInputError(f"{name}: {what}{bounded!r} is outside [{lo}, {hi}]")
+    return float(value) if numeric else value
 
 
-def _positive(tree, path, kind):
-    """`_get` for a value that must be positive and finite."""
-    value = _get(tree, path, kind)
-    if not 0 < value < np.inf:
-        raise InvalidInputError(f"{path}: must be positive and finite, got {value!r}")
-    return value
+def _entries(values, kind, name):
+    """A list within its length range, each entry a `kind` within its own range."""
+    return tuple(_typed(v, kind, f"{name}[{i}]") for i, v in enumerate(_typed(values, list, name)))
 
 
 def _sector(tree, path):
-    value = _get(tree, path, list)
-    if len(value) != 2:
-        raise InvalidInputError(f"{path}: expected [lo_deg, hi_deg]")
-    return _check_sector([np.deg2rad(_typed(v, float, f"{path}[{i}]")) for i, v in enumerate(value)],
-                         path)
+    return _check_sector(np.deg2rad(_entries(_get(tree, path, list), float, path)), path)
 
 
 def _coeff_codebook(node, where):
@@ -126,8 +141,7 @@ def _coeff_codebook(node, where):
         return ComplexCodebook.ideal()
     if not isinstance(node, dict):
         raise InvalidInputError(f"{where}: expected 'ideal' or a level mapping")
-    keys = ("magnitude_levels", "phase_levels")
-    _merge(dict.fromkeys(keys), node, where + ".")             # unknown keys
+    keys = _merge(dict.fromkeys(("magnitude_levels", "phase_levels")), node, where + ".")  # unknown keys
     levels = {key: _get(node, key, int, where + ".") for key in keys}
     try:
         return ComplexCodebook.uniform_polar(**levels)
@@ -156,40 +170,26 @@ def _scheme(node, index):
 
 def _snr_grid(tree):
     node = tree["snr_db"]
-    if isinstance(node, list):           # emptiness is ExperimentConfig's check
-        return tuple(_typed(v, float, f"snr_db[{i}]") for i, v in enumerate(node))
+    if isinstance(node, list):
+        return _entries(node, float, "snr_db")
     if isinstance(node, dict):
-        start = _get(tree, "snr_db.start", float)
-        stop = _get(tree, "snr_db.stop", float)
-        step = _get(tree, "snr_db.step", float)
-        if not all(np.isfinite([start, stop, step])) or step <= 0 or stop < start:
-            raise InvalidInputError("snr_db: requires finite values, step > 0 and stop >= start")
-        count = np.floor((stop - start) / step + 1e-9) + 1
-        if not count <= MAX_SNR_POINTS:                        # also an infinite count
-            raise InvalidInputError(f"snr_db: {count} points, more than {MAX_SNR_POINTS}")
-        return tuple(start + i * step for i in range(int(count)))
+        start, stop, step = (_get(tree, f"snr_db.{key}", float) for key in ("start", "stop", "step"))
+        count = int(np.floor((stop - start) / step + 1e-9)) + 1        # below 1 when stop < start
+        return tuple(_typed([start + i * step for i in range(count)], list, "snr_db"))
     raise InvalidInputError("snr_db: expected a list or {start, stop, step}")
-
-
-def _gammas(values, name):
-    """Beam-pattern gamma list: integers >= 1."""
-    gammas = tuple(_typed(g, int, f"{name}[{i}]") for i, g in enumerate(values))
-    if not gammas or min(gammas) < 1:
-        raise InvalidInputError(f"{name}: expected a non-empty list of integers >= 1")
-    return gammas
 
 
 def build_experiment_config(raw):
     """Validate a raw config tree and build the typed experiment config."""
-    spacing = _positive(raw, "channel.spacing_over_wavelength", float)
+    spacing = _get(raw, "channel.spacing_over_wavelength", float)
     channel = ChannelConfig(
-        tx=ArrayGeometry(_positive(raw, "channel.tx_antennas", int), spacing),
-        rx=ArrayGeometry(_positive(raw, "channel.rx_antennas", int), spacing),
-        num_clusters=_positive(raw, "channel.clusters", int),
-        rays_per_cluster=_positive(raw, "channel.rays_per_cluster", int),
+        tx=ArrayGeometry(_get(raw, "channel.tx_antennas", int), spacing),
+        rx=ArrayGeometry(_get(raw, "channel.rx_antennas", int), spacing),
+        num_clusters=_get(raw, "channel.clusters", int),
+        rays_per_cluster=_get(raw, "channel.rays_per_cluster", int),
         tx_sector=_sector(raw, "channel.tx_sector_deg"),
         rx_sector=_sector(raw, "channel.rx_sector_deg"),
-        angular_spread=float(np.deg2rad(_positive(raw, "channel.angular_spread_deg", float))),
+        angular_spread=float(np.deg2rad(_get(raw, "channel.angular_spread_deg", float))),
     )
     schemes = tuple(_scheme(node, i) for i, node in enumerate(_get(raw, "schemes", list)))
     beam = BeamPatternConfig(
@@ -197,7 +197,7 @@ def build_experiment_config(raw):
         codebook_size=_get(raw, "beam_pattern.codebook_size", int),
         center_index=_get(raw, "beam_pattern.center_index", int),
         grid_size=_get(raw, "beam_pattern.grid_size", int),
-        gammas=_gammas(_get(raw, "beam_pattern.gammas", list), "beam_pattern.gammas"),
+        gammas=_entries(_get(raw, "beam_pattern.gammas", list), int, "beam_pattern.gammas"),
     )
     return ExperimentConfig(
         channel=channel,
@@ -249,7 +249,7 @@ def main(argv=None):
             except ValueError:
                 raise InvalidInputError(f"--gammas: expected comma-separated integers, "
                                         f"got {args.gammas!r}") from None
-            flags["beam_pattern"] = {"gammas": list(_gammas(gammas, "--gammas"))}
+            flags["beam_pattern"] = {"gammas": list(_entries(gammas, int, "--gammas"))}
         cfg = build_experiment_config(_merge(load_config(args.config), flags, ""))
 
         if args.command == "rate":

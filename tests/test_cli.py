@@ -1,6 +1,8 @@
 import copy
+import functools
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,27 @@ HOSTILE = [
     # One point more than a {start, stop, step} range may expand to (exact binary steps).
     ("overhead", dict(TINY, snr_db={"start": -40.0, "stop": -40.0 + cli.MAX_SNR_POINTS / 128,
                                     "step": 1 / 128}), [], "snr_db"),
+    # Values past an upper bound that, unbounded, reach numpy as an allocation, an `arange` or
+    # a loop of that size, or as a non-finite steering phase.
+    ("rate", dict(TINY, channel=dict(TINY["channel"], tx_antennas=2 ** 70)), [],
+     "channel.tx_antennas"),
+    ("rate", TINY, ["--trials", str(2 ** 70), "--workers", "2"], "trials"),
+    ("overhead", dict(TINY, channel=dict(TINY["channel"], spacing_over_wavelength=1e308)), [],
+     "channel.spacing_over_wavelength"),
+    ("rate", dict(TINY, channel=dict(TINY["channel"], rays_per_cluster=2 ** 70)), [],
+     "channel.rays_per_cluster"),
+    ("rate", dict(TINY, channel=dict(TINY["channel"], clusters=2 ** 40)), [], "channel.clusters"),
+    ("ber", dict(TINY, symbols_per_trial=2 ** 70), [], "symbols_per_trial"),
+    ("rate", _with_scheme(1, angle_codebook_size=2 ** 40), [], "schemes[1].angle_codebook_size"),
+    ("rate", _with_scheme(1, gamma=2 ** 20), [], "schemes[1].gamma"),
+    ("rate", _with_scheme(1, coeff_codebook={"magnitude_levels": 2 ** 70, "phase_levels": 16}),
+     [], "schemes[1].coeff_codebook.magnitude_levels"),
+    ("beam-pattern", dict(TINY, beam_pattern={"grid_size": 2 ** 70}), [], "beam_pattern.grid_size"),
+    ("beam-pattern", dict(TINY, beam_pattern={"codebook_size": 2 ** 40}), [],
+     "beam_pattern.codebook_size"),
+    # An SNR list has the range form's length bound, and its errors name `snr_db`.
+    ("rate", dict(TINY, snr_db=[0.0] * (cli.MAX_SNR_POINTS + 1)), [], "snr_db: "),
+    ("overhead", dict(TINY, snr_db=[]), [], "snr_db: "),
 ]
 
 
@@ -268,10 +291,12 @@ def _leaves(node, path=()):
 
 FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)       # libyaml when built with it
 FUZZ_VALUES = [None, 0, -1, 0.5, 1e308, math.nan, math.inf, "x", [], {}, True, 2 ** 70]
+FUZZ_COMMANDS = [["overhead"], ["rate", "--trials", "1"], ["ber", "--trials", "1"], ["beam-pattern"]]
 
 
 def test_fuzzed_reference_config_never_escapes_main(tmp_path, capsys):
-    # Every leaf of the reference YAML, replaced by each hostile value in turn.
+    # Every leaf of the reference YAML, replaced by each hostile value in turn, through every
+    # command: the trial-running ones reach the channel draw, OMP, the detector and the grid.
     reference = yaml.safe_load(REFERENCE_YAML.read_text(encoding="utf-8"))
     path = tmp_path / "fuzz.yaml"
     failures = []
@@ -283,12 +308,72 @@ def test_fuzzed_reference_config_never_escapes_main(tmp_path, capsys):
                 node = node[key]
             node[leaf[-1]] = value
             path.write_text(yaml.dump(tree, Dumper=FAST_DUMPER), encoding="utf-8")
-            try:
-                code = cli.main(["overhead", "--config", str(path)])
-            except BaseException as exc:                  # anything escaping main fails
-                failures.append((leaf, value, repr(exc)))
-                continue
-            err = capsys.readouterr().err
-            if code not in (0, 1) or "Traceback" in err or (code == 1) != err.startswith("config error: "):
-                failures.append((leaf, value, code, err))
+            for command in FUZZ_COMMANDS:
+                try:
+                    code = cli.main(command + ["--config", str(path)])
+                except BaseException as exc:              # anything escaping main fails
+                    failures.append((command[0], leaf, value, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if (code not in (0, 1) or "Traceback" in err
+                        or (code == 1) != err.startswith("config error: ")):
+                    failures.append((command[0], leaf, value, code, err))
     assert not failures
+
+
+def _range_key(path):
+    """The RANGES key of a config path: its last name, `name[]` for a list entry."""
+    return f"{path[-2]}[]" if isinstance(path[-1], int) else path[-1]
+
+
+# The reference config with every cross-field relation slack at the lowest bounds (one stream,
+# K = Q = 1, center index 0) and a quantized codebook, so each RANGES key has a leaf to set.
+BOUNDS_BASE = copy.deepcopy(cli.DEFAULT_CONFIG)
+BOUNDS_BASE.update(streams=1, schemes=[
+    {"type": "proposed", "k": 1, "gamma": 1, "angle_codebook_size": 256,
+     "coeff_codebook": {"magnitude_levels": 16, "phase_levels": 16}},
+    {"type": "sparse", "q": 1, "angle_codebook_size": 256},
+    {"type": "multilevel", "k": 1, "angle_codebook_size": 256},
+])
+BOUNDS_BASE["beam_pattern"]["center_index"] = 0
+
+
+def _with_leaf(key, bound, step):
+    """BOUNDS_BASE with the first leaf or list of RANGES `key` at `bound`, moved `step` ulps or
+    units outward (a list gets that many entries); an `snr_db` list when the key needs one.
+    Returns (tree, the field as errors name it)."""
+    for tree in (copy.deepcopy(BOUNDS_BASE), dict(copy.deepcopy(BOUNDS_BASE), snr_db=[0.0])):
+        lists = [leaf[:-1] for leaf in _leaves(tree) if isinstance(leaf[-1], int)]
+        paths = [path for path in _leaves(tree) + lists if _range_key(path) == key]
+        if paths:
+            break
+    else:
+        raise AssertionError(f"no config leaf for RANGES key {key!r}")
+    *parents, last = paths[0]
+    parent = functools.reduce(operator.getitem, parents, tree)
+    node = parent[last]
+    if isinstance(node, list):
+        parent[last] = (node * (bound + step))[:bound + step]
+    elif isinstance(bound, float):
+        parent[last] = math.nextafter(bound, math.copysign(math.inf, step)) if step else bound
+    else:
+        parent[last] = bound + step
+    return tree, "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in paths[0]).lstrip(".")
+
+
+@pytest.mark.parametrize("key, side", [(key, side) for key in cli.RANGES for side in (0, 1)],
+                         ids=[f"{key}-{side}" for key in cli.RANGES for side in ("lo", "hi")])
+def test_every_range_bound_is_inclusive(tmp_path, capsys, key, side):
+    outward = -1 if side == 0 else 1
+    path = tmp_path / "cfg.yaml"
+    tree, field = _with_leaf(key, cli.RANGES[key][side], 0)
+    path.write_text(yaml.dump(tree, Dumper=FAST_DUMPER), encoding="utf-8")
+    code = cli.main(["overhead", "--config", str(path)])
+    err = capsys.readouterr().err
+    # At the bound the range accepts the value; only a cross-field relation may still refuse it.
+    assert code == 0 or not (err.startswith(f"config error: {field}: ") and "is outside" in err), err
+    tree, field = _with_leaf(key, cli.RANGES[key][side], outward)
+    path.write_text(yaml.dump(tree, Dumper=FAST_DUMPER), encoding="utf-8")
+    assert cli.main(["overhead", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and "is outside" in err, err
