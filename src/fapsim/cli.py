@@ -212,6 +212,13 @@ def build_experiment_config(raw):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed flag (`--trials x`) is a config error naming the flag, not argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="YAML config file merged over the defaults")
     parser.add_argument("--seed", type=int, help="override the config seed")
@@ -223,7 +230,7 @@ def _add_common(parser):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fapsim",
         description="Feedback-aware hybrid precoding Monte-Carlo experiments",
     )
@@ -238,9 +245,8 @@ def main(argv=None):
         _add_common(p)
         if name == "beam-pattern":
             p.add_argument("--gammas", help="comma-separated gamma list, e.g. 1,2,4")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials))
                  if value is not None}
         if getattr(args, "gammas", None):

@@ -11,6 +11,8 @@ from .feedback import basis_matrix
 
 BEAM_PATTERN_GRID = 2048
 BEAM_PATTERN_MIN_GRID = 64
+# Grid points per block of array responses: beam_pattern holds M x this many at once.
+BEAM_PATTERN_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +101,8 @@ def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):
     """Normalized radiated power of one basis element across the codebook sector.
 
     g(phi) = |h_t^H(phi) psi_k|^2 scaled so that its trapezoidal integral
-    over the angle grid equals one.
+    over the angle grid equals one. The responses are built BEAM_PATTERN_BLOCK
+    grid points at a time, so memory is bounded by M x block, not M x grid.
     """
     if grid_size < BEAM_PATTERN_MIN_GRID:
         raise InvalidInputError(f"grid_size must be >= {BEAM_PATTERN_MIN_GRID}")
@@ -109,7 +112,7 @@ def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):
     column = basis_matrix(spec, np.array([cb.centers[center_index]]))[:, 0]
     lo, hi = cb.sector
     grid = np.linspace(lo, hi, grid_size)
-    responses = _steering_matrix(spec.tx, grid)           # M x grid
-    gain = np.abs(responses.conj().T @ column) ** 2
+    blocks = (grid[i:i + BEAM_PATTERN_BLOCK] for i in range(0, grid_size, BEAM_PATTERN_BLOCK))
+    gain = np.concatenate([np.abs(_steering_matrix(spec.tx, b).conj().T @ column) ** 2 for b in blocks])
     gain /= np.trapezoid(gain, grid)
     return BeamPattern(angles=grid, gain=gain)

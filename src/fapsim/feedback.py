@@ -5,6 +5,8 @@ Psi's columns are (multi-beam) transmit array responses at angles drawn from
 a shared discrete codebook. Orthogonal matching pursuit picks the K best
 angles, a least-squares solve gives G, and the feedback message carries only
 the K angle indices plus the (optionally quantized) K x S combining matrix.
+OMP is greedy, so one run up to the largest K (`omp_path`) yields the result
+of every smaller K as a prefix; `omp_approximate` reads it off at one K.
 """
 
 import functools
@@ -182,55 +184,63 @@ def _cached_dictionary(spec):
     return psi
 
 
-def omp_approximate(f_opt, spec, k):
-    """Greedy angle selection and least-squares combining for F_hat = Psi(phi) G.
+def omp_path(f_opt, spec, ks):
+    """One greedy run for F_hat = Psi(phi) G, read off at every K in `ks`.
 
     Per iteration: correlate every dictionary column with the residual, take
     the strongest (ties to the lowest index), re-solve G over all selected
-    columns, and renormalize the residual. Returns the selected indices, the
-    combining matrix scaled so ||Psi(phi) G|| = 1, and the residual norms
-    ||F_opt - Psi(phi) G|| recorded per iteration. Stops early if the
-    residual hits zero before k picks.
+    columns, and renormalize the residual. The picks do not depend on K, so
+    one run up to max(ks) serves every K. Returns {K: (indices, G, history)}:
+    the selected indices, the combining matrix scaled so ||Psi(phi) G|| = 1,
+    and the residual norms ||F_opt - Psi(phi) G|| per iteration. A zero
+    residual or a column picked twice stops the run; larger Ks get its state.
     """
     cb = spec.codebook
-    if not 1 <= k <= cb.size:
-        raise InvalidInputError(f"k must be in [1, {cb.size}], got {k}")
+    for k in ks:
+        if not 1 <= k <= cb.size:
+            raise InvalidInputError(f"k must be in [1, {cb.size}], got {k}")
     psi = dictionary(spec)
     psi_h = psi.conj().T
     f = f_opt.matrix
     f_res = f
-    selected = []
-    history = []
-    for _ in range(k):
-        corr = psi_h @ f_res
-        metric = np.sum(np.abs(corr) ** 2, axis=1)     # diagonal of corr @ corr^H
-        pick = int(np.argmax(metric))
-        if pick in selected:
-            break                                      # numerically degenerate residual
-        selected.append(pick)
-        atoms = psi[:, selected]
-        g = numerics.least_squares(atoms, f)
-        resid = f - atoms @ g
-        rnorm = float(np.linalg.norm(resid))
-        history.append(rnorm)
-        if rnorm <= _ZERO_RESIDUAL:
-            break
-        f_res = resid / rnorm
+    selected, history, path = [], [], {}
+    stopped = False
+    for k in sorted(set(ks)):
+        while len(selected) < k and not stopped:
+            corr = psi_h @ f_res
+            metric = np.sum(np.abs(corr) ** 2, axis=1)     # diagonal of corr @ corr^H
+            pick = int(np.argmax(metric))
+            if pick in selected:
+                stopped = True                             # numerically degenerate residual
+                break
+            selected.append(pick)
+            atoms = psi[:, selected]
+            g = numerics.least_squares(atoms, f)
+            resid = f - atoms @ g
+            rnorm = float(np.linalg.norm(resid))
+            history.append(rnorm)
+            stopped = rnorm <= _ZERO_RESIDUAL
+            if not stopped:
+                f_res = resid / rnorm
+        scale = float(np.linalg.norm(atoms @ g))
+        if scale <= _ZERO_RESIDUAL:
+            raise DomainError("selected basis carries no energy of the target precoder")
+        path[k] = (tuple(selected), g / scale, list(history))
+    return path
 
-    scale = float(np.linalg.norm(atoms @ g))
-    if scale <= _ZERO_RESIDUAL:
-        raise DomainError("selected basis carries no energy of the target precoder")
-    return tuple(selected), g / scale, history
+
+def omp_approximate(f_opt, spec, k):
+    """The K-angle greedy approximation: `omp_path` read off at `k` alone."""
+    return omp_path(f_opt, spec, (k,))[k]
 
 
-def build_report(f_opt, spec, k, cc):
-    """Run the greedy approximation and pack the result as a feedback message.
+def pack_report(indices, g, spec, cc):
+    """Pack selected angles and their combining matrix as a feedback message.
 
     The combining matrix goes through `cc.quantize`: untouched and counted as
     zero bits when ideal, on a polar grid otherwise, whose magnitude range
     travels as one extra unquantized scalar outside the bit accounting.
     """
-    indices, g, _ = omp_approximate(f_opt, spec, k)
     g, scale = cc.quantize(g)
     bits_angles, bits_amplitudes = proposed_bits(len(indices), g.shape[1], spec.codebook, cc)
     return FeedbackReport(
@@ -241,6 +251,12 @@ def build_report(f_opt, spec, k, cc):
         bits_amplitudes=bits_amplitudes,
         magnitude_scale=scale,
     )
+
+
+def build_report(f_opt, spec, k, cc):
+    """Run the K-angle greedy approximation and pack the result (`pack_report`)."""
+    indices, g, _ = omp_approximate(f_opt, spec, k)
+    return pack_report(indices, g, spec, cc)
 
 
 def reconstruct_precoder(report, spec):

@@ -6,7 +6,9 @@ trial-indexed buffer and are reduced serially. All sweeps emit CSV text with
 the resolved configuration embedded in '#' comment lines.
 """
 
+import ctypes
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -20,8 +22,8 @@ from .channel import ChannelConfig, sample_channel, substream
 from .errors import InvalidInputError
 from .evaluation import (BEAM_PATTERN_MIN_GRID, achievable_rate, beam_pattern, detect_qpsk_mmse,
                          draw_qpsk)
-from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _log2_exact, build_report,
-                       overhead_bits, proposed_bits, reconstruct_precoder)
+from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _log2_exact, omp_approximate,
+                       omp_path, overhead_bits, pack_report, proposed_bits, reconstruct_precoder)
 from .precoding import PowerAllocation, optimal_precoder
 
 
@@ -34,8 +36,10 @@ def _coeff_suffix(cc):
 
 # A scheme class is its whole definition: `label`; `validate(cfg, where)`, which
 # names the failing field as `where.<field>`; `overhead(cfg)`, the nominal
-# (angle_bits, amplitude_bits); and `precoder(ch, cfg, alloc, f_opt)`, its unit-norm
-# M x S matrix on one draw given the shared optimal precoder `f_opt`.
+# (angle_bits, amplitude_bits); `omp_need(cfg)`, the (BasisSpec, K) its report reads
+# off the shared OMP path, or None; and `precoder(ch, cfg, alloc, f_opt, omp=None)`, its
+# unit-norm M x S matrix on one draw given the shared optimal precoder `f_opt` and,
+# for a scheme with an OMP need, that path's (indices, G, history) at its K.
 
 @dataclass(frozen=True)
 class OptimalScheme:
@@ -49,7 +53,10 @@ class OptimalScheme:
     def overhead(self, cfg):
         return 0, 0
 
-    def precoder(self, ch, cfg, alloc, f_opt):
+    def omp_need(self, cfg):
+        return None
+
+    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
         return f_opt.matrix
 
 
@@ -81,10 +88,13 @@ class ProposedScheme:
     def overhead(self, cfg):
         return proposed_bits(self.k, cfg.streams, self._spec(cfg).codebook, self.coeff_codebook)
 
-    def precoder(self, ch, cfg, alloc, f_opt):
+    def omp_need(self, cfg):
+        return self._spec(cfg), self.k
+
+    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
         spec = self._spec(cfg)
-        report = build_report(f_opt, spec, self.k, self.coeff_codebook)
-        return reconstruct_precoder(report, spec).matrix
+        indices, g, _ = omp or omp_approximate(f_opt, spec, self.k)
+        return reconstruct_precoder(pack_report(indices, g, spec, self.coeff_codebook), spec).matrix
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,11 @@ class SparseScheme:
     def overhead(self, cfg):
         return self._proposed().overhead(cfg)
 
-    def precoder(self, ch, cfg, alloc, f_opt):
-        return self._proposed().precoder(ch, cfg, alloc, f_opt)
+    def omp_need(self, cfg):
+        return self._proposed().omp_need(cfg)
+
+    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
+        return self._proposed().precoder(ch, cfg, alloc, f_opt, omp)
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,10 @@ class MultilevelScheme:
         return overhead_bits("multilevel_csi", k=self.k, angle_codebook_size=self.angle_codebook_size,
                              coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
 
-    def precoder(self, ch, cfg, alloc, f_opt):
+    def omp_need(self, cfg):
+        return None
+
+    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
         h_hat = multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
                                         self.coeff_codebook)
         return optimal_precoder(h_hat, cfg.streams, alloc).matrix
@@ -221,14 +237,22 @@ def _precoder_groups(cfg, ch):
     """(SNR indices, their linear SNRs, precoder of every scheme) groups covering the SNR grid.
 
     Unitary precoders do not depend on the SNR, so one group holds every point;
-    water-filling gives one group per point. A group's schemes share one F_opt.
+    water-filling gives one group per point. A group's schemes share one F_opt and
+    one OMP path per distinct BasisSpec, run up to the largest K asked of it.
     """
     snrs = _snr_linear(cfg)
     unitary = cfg.allocation == "unitary"
+    needs = [scheme.omp_need(cfg) for scheme in cfg.schemes]
+    ks = {}
+    for spec, k in filter(None, needs):
+        ks.setdefault(spec, []).append(k)
     for cols in [list(range(len(snrs)))] if unitary else [[j] for j in range(len(snrs))]:
         alloc = PowerAllocation(cfg.allocation, total_power=snrs[cols[0]])
         f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
-        yield cols, snrs[cols], [scheme.precoder(ch, cfg, alloc, f_opt) for scheme in cfg.schemes]
+        paths = {spec: omp_path(f_opt, spec, spec_ks) for spec, spec_ks in ks.items()}
+        omps = [need and paths[need[0]][need[1]] for need in needs]
+        yield cols, snrs[cols], [scheme.precoder(ch, cfg, alloc, f_opt, omp)
+                                 for scheme, omp in zip(cfg.schemes, omps)]
 
 
 def _rate_trial(cfg, trial):
@@ -261,12 +285,26 @@ def _worker_count(workers, trials):
     return max(1, min(workers, trials, os.cpu_count() or 1))
 
 
+def _one_blas_thread():
+    """Pool initializer: pin the OpenBLAS that numpy's wheel bundles to one thread in this
+    worker, so that workers and BLAS threads do not compete for the same cores. A no-op where
+    that library or its set-threads symbol is absent."""
+    numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(numpy_libs, "*openblas*")):
+        try:
+            set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if set_threads is not None:
+            set_threads(1)
+
+
 def _map_trials(fn, cfg, workers):
     trials = range(cfg.trials)
     workers = _worker_count(workers, cfg.trials)
     if workers <= 1:
         return [fn(cfg, t) for t in trials]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         return list(pool.map(fn, [cfg] * cfg.trials, trials))
 
 

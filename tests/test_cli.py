@@ -155,6 +155,19 @@ class TestMainExitCodes:
         assert cli.main(["overhead", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error: --config: ")
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "x"), ("--workers", "2.5")])
+    def test_malformed_flag_is_a_config_error(self, capsys, flag, value):
+        assert cli.main(["overhead", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: argument {flag}: invalid int value: '{value}'\n"
+        assert captured.out == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rate", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
     def test_water_filling_at_very_low_snr(self, tmp_path):
         # The water-filling powers keep their unit budget where 1 + 1/snr rounds.
         out = tmp_path / "rate.csv"

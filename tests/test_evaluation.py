@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fapsim import numerics
+from fapsim import evaluation, numerics
 from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, array_response,
                             reconstruct_from_paths, sample_channel, substream)
 from fapsim.errors import InvalidInputError
@@ -220,6 +220,17 @@ class TestBeamPattern:
         g2 = beam_pattern(spec2, 8)
         inside = (g1.angles >= lo) & (g1.angles <= hi)
         assert np.min(g2.gain[inside]) > np.min(g1.gain[inside])
+
+    @pytest.mark.parametrize("m, grid_size", [(16, 1000), (128, 4096), (1024, 2048)])
+    @pytest.mark.parametrize("block", [8, 64, 256])
+    def test_blocks_bitwise_equal_one_block(self, monkeypatch, m, grid_size, block):
+        spec = self.spec(2, m=m)
+        monkeypatch.setattr(evaluation, "BEAM_PATTERN_BLOCK", grid_size)
+        whole = beam_pattern(spec, 3, grid_size)
+        monkeypatch.setattr(evaluation, "BEAM_PATTERN_BLOCK", block)
+        blocked = beam_pattern(spec, 3, grid_size)
+        assert blocked.gain.tobytes() == whole.gain.tobytes()
+        assert blocked.angles.tobytes() == whole.angles.tobytes()
 
     def test_grid_size_and_errors(self):
         bp = beam_pattern(self.spec(1), 0, grid_size=256)

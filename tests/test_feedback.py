@@ -10,8 +10,8 @@ from fapsim.channel import ArrayGeometry, array_response
 from fapsim.errors import DomainError, InvalidInputError
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport,
                              basis_matrix, build_report, deserialize_report, dictionary,
-                             omp_approximate, overhead_bits, proposed_bits, quantize_angles,
-                             reconstruct_precoder, serialize_report)
+                             omp_approximate, omp_path, overhead_bits, proposed_bits,
+                             quantize_angles, reconstruct_precoder, serialize_report)
 from fapsim.numerics import least_squares
 from fapsim.precoding import Precoder
 
@@ -253,6 +253,83 @@ class TestOmp:
         spec = spec_of(size=8)
         with pytest.raises(InvalidInputError):
             omp_approximate(atom_precoder(spec, 0), spec, 9)
+
+
+def orthogonal_to_dictionary(spec, rng, s=1):
+    """Unit-norm M x s target whose columns are orthogonal to every dictionary column."""
+    psi = dictionary(spec)
+    v = random_complex(rng, (spec.tx.num_elements, s))
+    v = v - psi @ least_squares(psi, v)
+    return v / np.linalg.norm(v)
+
+
+def omp_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+def assert_same_omp(got, expected):
+    indices, g, history = got
+    assert indices == expected[0]
+    assert g.shape == expected[1].shape and g.tobytes() == expected[1].tobytes()
+    assert history == expected[2]
+
+
+class TestOmpPath:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=SEEDS, m=st.integers(2, 24), s=st.integers(1, 3), size_bits=st.integers(1, 5),
+           gamma=st.sampled_from([1, 2]), target=st.sampled_from(["random", "atom", "atom+orth"]),
+           ks=st.lists(st.integers(1, 32), min_size=1, max_size=4))
+    def test_every_k_bitwise_equals_a_run_stopped_there(self, seed, m, s, size_bits, gamma, target,
+                                                        ks):
+        # "atom" stops at a zero residual when gamma = 1; "atom+orth" leaves a residual orthogonal
+        # to every column, where the greedy pick is rounding noise and may repeat a column.
+        spec = spec_of(m=m, size=2 ** size_bits, gamma=gamma)
+        rng = np.random.default_rng(seed)
+        ks = [min(k, spec.codebook.size) for k in ks]
+        if target == "random":
+            f_opt = random_precoder(rng, m, min(s, m))
+        else:
+            f = atom_precoder(spec, int(rng.integers(spec.codebook.size))).matrix
+            if target == "atom+orth" and m > spec.codebook.size:
+                f = f + orthogonal_to_dictionary(spec, rng)
+            f_opt = Precoder(f / np.linalg.norm(f))
+        path = omp_or_error(omp_path, f_opt, spec, ks)
+        runs = {k: omp_or_error(omp_approximate, f_opt, spec, k) for k in ks}
+        if path is DomainError:
+            assert DomainError in runs.values()
+            return
+        assert sorted(path) == sorted(set(ks))
+        for k in ks:
+            assert_same_omp(path[k], runs[k])
+
+    def test_zero_residual_stop_serves_every_larger_k(self):
+        spec = spec_of(m=16, size=8, gamma=1)
+        path = omp_path(atom_precoder(spec, 2), spec, (5, 1, 3))
+        for k in (3, 5):
+            assert_same_omp(path[k], path[1])
+        assert path[5][0] == (2,) and len(path[5][2]) == 1
+
+    def test_prefixes_of_one_run(self):
+        rng = np.random.default_rng(48)
+        spec = spec_of(m=32, size=64, gamma=2)
+        path = omp_path(random_precoder(rng, 32, 3), spec, (16, 6, 8))
+        assert path[6][0] == path[16][0][:6] and path[8][0] == path[16][0][:8]
+        assert path[6][2] == path[16][2][:6] and path[8][2] == path[16][2][:8]
+
+    def test_no_energy_is_the_same_domain_error(self):
+        spec = spec_of(m=16, size=8)
+        f_opt = Precoder(orthogonal_to_dictionary(spec, np.random.default_rng(49), s=2))
+        for fn, k in ((omp_path, (1, 4)), (omp_approximate, 4)):
+            with pytest.raises(DomainError, match="carries no energy"):
+                fn(f_opt, spec, k)
+
+    def test_k_out_of_range(self):
+        spec = spec_of(size=8)
+        with pytest.raises(InvalidInputError, match=r"k must be in \[1, 8\], got 9"):
+            omp_path(atom_precoder(spec, 0), spec, (2, 9))
 
 
 class TestBuildReport:

@@ -1,6 +1,9 @@
+import ctypes
 import dataclasses
+import glob
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substre
 from fapsim.errors import InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, build_report,
-                             deserialize_report, overhead_bits, serialize_report)
+                             deserialize_report, omp_path, overhead_bits, serialize_report)
 from fapsim.precoding import PowerAllocation, optimal_precoder
 from fapsim.precoding import Precoder
 from fapsim.runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, MultilevelScheme,
@@ -60,6 +63,24 @@ class TestTrialEngine:
         runner._rate_trial(cfg, 0)
         assert len(calls) == 2          # F_opt of H, shared, and the multilevel H_hat's
 
+    @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
+    def test_one_omp_path_per_spec_and_group(self, monkeypatch, allocation, groups):
+        # The reference schemes' K = 6, 8, 16 and Q = 8 share one spec: one path to K = 16.
+        cfg = reference_experiment(trials=1, allocation=allocation)
+        paths = []
+
+        def counting(f_opt, spec, ks):
+            paths.append(sorted(ks))
+            return omp_path(f_opt, spec, ks)
+
+        def forbidden(*args):
+            raise AssertionError("the runner reads every K off the shared path")
+
+        monkeypatch.setattr(runner, "omp_path", counting)
+        monkeypatch.setattr(runner, "omp_approximate", forbidden)
+        runner._rate_trial(cfg, 0)
+        assert paths == [[6, 8, 8, 16]] * groups
+
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_shared_draw_matches_per_scheme_draws(self, allocation):
         cfg = reference_experiment(trials=1, symbols_per_trial=300, allocation=allocation,
@@ -100,6 +121,24 @@ class TestTrialEngine:
     def test_worker_count_clamp(self, monkeypatch, workers, trials, cpus, expected):
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         assert runner._worker_count(workers, trials) == expected
+
+
+def _blas_threads(cfg, trial):
+    """Thread count of numpy's bundled OpenBLAS in this process; None where it is absent."""
+    numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(numpy_libs, "*openblas*")):
+        get_threads = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if get_threads is not None:
+            return get_threads()
+    return None
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    counts = runner._map_trials(_blas_threads, small_experiment(trials=4), workers=2)
+    if counts[0] is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    assert counts == [1] * 4
 
 
 class TestRateSweep:
