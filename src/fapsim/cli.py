@@ -277,7 +277,7 @@ def main(argv=None):
     except (InvalidInputError, OSError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, np.linalg.LinAlgError) as exc:
+    except (DomainError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -103,16 +103,18 @@ def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):
     g(phi) = |h_t^H(phi) psi_k|^2 scaled so that its trapezoidal integral
     over the angle grid equals one. The responses are built BEAM_PATTERN_BLOCK
     grid points at a time, so memory is bounded by M x block, not M x grid.
+    A gain sums h_m conj(psi_m) without BLAS, so no block size or thread count moves it.
     """
     if grid_size < BEAM_PATTERN_MIN_GRID:
         raise InvalidInputError(f"grid_size must be >= {BEAM_PATTERN_MIN_GRID}")
     cb = spec.codebook
     if not 0 <= center_index < cb.size:
         raise InvalidInputError(f"center_index must be in [0, {cb.size}), got {center_index}")
-    column = basis_matrix(spec, np.array([cb.centers[center_index]]))[:, 0]
+    conj_psi = basis_matrix(spec, np.array([cb.centers[center_index]]))[:, 0].conj()
     lo, hi = cb.sector
     grid = np.linspace(lo, hi, grid_size)
     blocks = (grid[i:i + BEAM_PATTERN_BLOCK] for i in range(0, grid_size, BEAM_PATTERN_BLOCK))
-    gain = np.concatenate([np.abs(_steering_matrix(spec.tx, b).conj().T @ column) ** 2 for b in blocks])
+    gain = np.concatenate([np.abs(np.multiply(_steering_matrix(spec.tx, b).T, conj_psi, order="C")
+                                  .sum(axis=1)) ** 2 for b in blocks])
     gain /= np.trapezoid(gain, grid)
     return BeamPattern(angles=grid, gain=gain)

@@ -5,8 +5,8 @@ Psi's columns are (multi-beam) transmit array responses at angles drawn from
 a shared discrete codebook. Orthogonal matching pursuit picks the K best
 angles, a least-squares solve gives G, and the feedback message carries only
 the K angle indices plus the (optionally quantized) K x S combining matrix.
-OMP is greedy, so one run up to the largest K (`omp_path`) yields the result
-of every smaller K as a prefix; `omp_approximate` reads it off at one K.
+OMP is greedy, so one run (`OmpPath`), extended as far as it is asked, yields
+the result of every K as a prefix; `omp_approximate` reads it off at one K.
 """
 
 import functools
@@ -184,54 +184,50 @@ def _cached_dictionary(spec):
     return psi
 
 
-def omp_path(f_opt, spec, ks):
-    """One greedy run for F_hat = Psi(phi) G, read off at every K in `ks`.
+class OmpPath:
+    """One greedy run for F_hat = Psi(phi) G, extended only as far as `at` asks.
 
     Per iteration: correlate every dictionary column with the residual, take
     the strongest (ties to the lowest index), re-solve G over all selected
     columns, and renormalize the residual. The picks do not depend on K, so
-    one run up to max(ks) serves every K. Returns {K: (indices, G, history)}:
-    the selected indices, the combining matrix scaled so ||Psi(phi) G|| = 1,
-    and the residual norms ||F_opt - Psi(phi) G|| per iteration. A zero
-    residual or a column picked twice stops the run; larger Ks get its state.
+    one run serves every K, asked in any order. A zero residual or a column
+    picked twice stops the run; larger Ks get its stopped state.
     """
-    cb = spec.codebook
-    for k in ks:
-        if not 1 <= k <= cb.size:
-            raise InvalidInputError(f"k must be in [1, {cb.size}], got {k}")
-    psi = dictionary(spec)
-    psi_h = psi.conj().T
-    f = f_opt.matrix
-    f_res = f
-    selected, history, path = [], [], {}
-    stopped = False
-    for k in sorted(set(ks)):
-        while len(selected) < k and not stopped:
-            corr = psi_h @ f_res
-            metric = np.sum(np.abs(corr) ** 2, axis=1)     # diagonal of corr @ corr^H
-            pick = int(np.argmax(metric))
-            if pick in selected:
-                stopped = True                             # numerically degenerate residual
+
+    def __init__(self, f_opt, spec):
+        self._psi = dictionary(spec)
+        self._psi_h = self._psi.conj().T
+        self._f = self._f_res = f_opt.matrix                      # residual; None once stopped
+        self._selected, self._fits = [], []    # per pick: (G, ||Psi(phi) G||, residual norm)
+
+    def at(self, k):
+        """The run stopped at `k` picks: (indices, G scaled so ||Psi(phi) G|| = 1,
+        the residual norms ||F_opt - Psi(phi) G|| per iteration)."""
+        if not 1 <= k <= self._psi.shape[1]:
+            raise InvalidInputError(f"k must be in [1, {self._psi.shape[1]}], got {k}")
+        while len(self._selected) < k and self._f_res is not None:
+            corr = self._psi_h @ self._f_res
+            pick = int(np.argmax(np.sum(np.abs(corr) ** 2, axis=1)))   # diag of corr @ corr^H
+            if pick in self._selected:
+                self._f_res = None                         # numerically degenerate residual
                 break
-            selected.append(pick)
-            atoms = psi[:, selected]
-            g = numerics.least_squares(atoms, f)
-            resid = f - atoms @ g
+            atoms = self._psi[:, self._selected + [pick]]
+            g = numerics.least_squares(atoms, self._f)
+            approx = atoms @ g
+            resid = self._f - approx
             rnorm = float(np.linalg.norm(resid))
-            history.append(rnorm)
-            stopped = rnorm <= _ZERO_RESIDUAL
-            if not stopped:
-                f_res = resid / rnorm
-        scale = float(np.linalg.norm(atoms @ g))
+            self._selected.append(pick)
+            self._fits.append((g, float(np.linalg.norm(approx)), rnorm))
+            self._f_res = resid / rnorm if rnorm > _ZERO_RESIDUAL else None
+        g, scale, _ = self._fits[min(k, len(self._fits)) - 1]
         if scale <= _ZERO_RESIDUAL:
             raise DomainError("selected basis carries no energy of the target precoder")
-        path[k] = (tuple(selected), g / scale, list(history))
-    return path
+        return tuple(self._selected[:k]), g / scale, [fit[2] for fit in self._fits[:k]]
 
 
 def omp_approximate(f_opt, spec, k):
-    """The K-angle greedy approximation: `omp_path` read off at `k` alone."""
-    return omp_path(f_opt, spec, (k,))[k]
+    """The K-angle greedy approximation: a fresh `OmpPath` read off at `k`."""
+    return OmpPath(f_opt, spec).at(k)
 
 
 def pack_report(indices, g, spec, cc):

@@ -53,9 +53,3 @@ def reconstruct(d):
     """Recombine a decomposition: (Rbar + Rtil) @ B."""
     return (d.rf_bar + d.rf_tilde) @ d.baseband
 
-
-def phase_shifter_count(num_antennas, num_streams):
-    """Phase shifters needed by the two-per-coefficient architecture: 2*M*S."""
-    if num_antennas < 1 or num_streams < 1:
-        raise InvalidInputError("antenna and stream counts must be >= 1")
-    return 2 * num_antennas * num_streams

@@ -8,6 +8,7 @@ the resolved configuration embedded in '#' comment lines.
 
 import ctypes
 import dataclasses
+import functools
 import glob
 import json
 import math
@@ -22,8 +23,8 @@ from .channel import ChannelConfig, sample_channel, substream
 from .errors import InvalidInputError
 from .evaluation import (BEAM_PATTERN_MIN_GRID, achievable_rate, beam_pattern, detect_qpsk_mmse,
                          draw_qpsk)
-from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, _log2_exact, omp_approximate,
-                       omp_path, overhead_bits, pack_report, proposed_bits, reconstruct_precoder)
+from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, _log2_exact,
+                       overhead_bits, pack_report, proposed_bits, reconstruct_precoder)
 from .precoding import PowerAllocation, optimal_precoder
 
 
@@ -36,10 +37,9 @@ def _coeff_suffix(cc):
 
 # A scheme class is its whole definition: `label`; `validate(cfg, where)`, which
 # names the failing field as `where.<field>`; `overhead(cfg)`, the nominal
-# (angle_bits, amplitude_bits); `omp_need(cfg)`, the (BasisSpec, K) its report reads
-# off the shared OMP path, or None; and `precoder(ch, cfg, alloc, f_opt, omp=None)`, its
-# unit-norm M x S matrix on one draw given the shared optimal precoder `f_opt` and,
-# for a scheme with an OMP need, that path's (indices, G, history) at its K.
+# (angle_bits, amplitude_bits); and `precoder(ch, cfg, alloc, f_opt, omp)`, its unit-norm
+# M x S matrix on one draw given the shared optimal precoder `f_opt` and the group's
+# memo `omp(spec)`, the one `OmpPath` of `f_opt` per BasisSpec that every scheme reads.
 
 @dataclass(frozen=True)
 class OptimalScheme:
@@ -53,10 +53,7 @@ class OptimalScheme:
     def overhead(self, cfg):
         return 0, 0
 
-    def omp_need(self, cfg):
-        return None
-
-    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
+    def precoder(self, ch, cfg, alloc, f_opt, omp):
         return f_opt.matrix
 
 
@@ -88,12 +85,9 @@ class ProposedScheme:
     def overhead(self, cfg):
         return proposed_bits(self.k, cfg.streams, self._spec(cfg).codebook, self.coeff_codebook)
 
-    def omp_need(self, cfg):
-        return self._spec(cfg), self.k
-
-    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
+    def precoder(self, ch, cfg, alloc, f_opt, omp):
         spec = self._spec(cfg)
-        indices, g, _ = omp or omp_approximate(f_opt, spec, self.k)
+        indices, g, _ = omp(spec).at(self.k)
         return reconstruct_precoder(pack_report(indices, g, spec, self.coeff_codebook), spec).matrix
 
 
@@ -121,10 +115,7 @@ class SparseScheme:
     def overhead(self, cfg):
         return self._proposed().overhead(cfg)
 
-    def omp_need(self, cfg):
-        return self._proposed().omp_need(cfg)
-
-    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
+    def precoder(self, ch, cfg, alloc, f_opt, omp):
         return self._proposed().precoder(ch, cfg, alloc, f_opt, omp)
 
 
@@ -149,10 +140,7 @@ class MultilevelScheme:
         return overhead_bits("multilevel_csi", k=self.k, angle_codebook_size=self.angle_codebook_size,
                              coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
 
-    def omp_need(self, cfg):
-        return None
-
-    def precoder(self, ch, cfg, alloc, f_opt, omp=None):
+    def precoder(self, ch, cfg, alloc, f_opt, omp):
         h_hat = multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
                                         self.coeff_codebook)
         return optimal_precoder(h_hat, cfg.streams, alloc).matrix
@@ -238,21 +226,17 @@ def _precoder_groups(cfg, ch):
 
     Unitary precoders do not depend on the SNR, so one group holds every point;
     water-filling gives one group per point. A group's schemes share one F_opt and
-    one OMP path per distinct BasisSpec, run up to the largest K asked of it.
+    one `OmpPath` per distinct BasisSpec, extended to the largest K read off it.
     """
     snrs = _snr_linear(cfg)
     unitary = cfg.allocation == "unitary"
-    needs = [scheme.omp_need(cfg) for scheme in cfg.schemes]
-    ks = {}
-    for spec, k in filter(None, needs):
-        ks.setdefault(spec, []).append(k)
     for cols in [list(range(len(snrs)))] if unitary else [[j] for j in range(len(snrs))]:
         alloc = PowerAllocation(cfg.allocation, total_power=snrs[cols[0]])
         f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
-        paths = {spec: omp_path(f_opt, spec, spec_ks) for spec, spec_ks in ks.items()}
-        omps = [need and paths[need[0]][need[1]] for need in needs]
-        yield cols, snrs[cols], [scheme.precoder(ch, cfg, alloc, f_opt, omp)
-                                 for scheme, omp in zip(cfg.schemes, omps)]
+        omp = functools.cache(functools.partial(OmpPath, f_opt))
+        precoders = [s.precoder(ch, cfg, alloc, f_opt, omp) for s in cfg.schemes]
+        omp.cache_clear()                  # free the paths' Psi^H copies while the caller detects
+        yield cols, snrs[cols], precoders
 
 
 def _rate_trial(cfg, trial):

@@ -3,6 +3,9 @@ import functools
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,15 @@ from fapsim import cli, runner
 
 
 REFERENCE_YAML = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fapsim(args, env=None, preexec_fn=None):
+    """`fapsim <args>` in a fresh interpreter with `src` on its path and `env` added."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fapsim.cli", *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+                          preexec_fn=preexec_fn, timeout=300)
 
 
 def write_config(tmp_path, tree, name="cfg.yaml"):
@@ -180,6 +192,31 @@ class TestMainExitCodes:
                                   "step": 1 / 128})
         cfg = cli.build_experiment_config(cli._merge(cli.DEFAULT_CONFIG, tree, ""))
         assert len(cfg.snr_db_grid) == cli.MAX_SNR_POINTS
+
+    def test_allocation_failure_is_a_numeric_error(self, tmp_path):
+        # An in-range config whose BER noise block (512 x 100 000 complex, 0.8 GB) does not fit
+        # under a 512 MB address-space limit set in the child process only.
+        resource = pytest.importorskip("resource")
+        tree = dict(TINY, channel=dict(TINY["channel"], rx_antennas=512), symbols_per_trial=100_000,
+                    trials=1, schemes=[{"type": "optimal"}])
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
+
+        done = run_fapsim(["ber", "--config", write_config(tmp_path, tree)],
+                          env={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=limit)
+        err = done.stderr.decode()
+        assert done.returncode == 2 and done.stdout == b""
+        assert err.startswith("numeric error: ") and "Traceback" not in err
+
+    def test_beam_pattern_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # An odd grid at M = 1024: a BLAS product here gave thread-count-dependent gains.
+        cfg = write_config(tmp_path, {"channel": {"tx_antennas": 1024},
+                                      "beam_pattern": {"grid_size": 777, "gammas": [1, 2]}})
+        outs = [run_fapsim(["beam-pattern", "--config", cfg], env={"OPENBLAS_NUM_THREADS": n})
+                for n in ("1", "2")]
+        assert [done.returncode for done in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
 
     def test_ber_and_beam_pattern_commands(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(TINY, beam_pattern={

@@ -221,7 +221,8 @@ class TestBeamPattern:
         inside = (g1.angles >= lo) & (g1.angles <= hi)
         assert np.min(g2.gain[inside]) > np.min(g1.gain[inside])
 
-    @pytest.mark.parametrize("m, grid_size", [(16, 1000), (128, 4096), (1024, 2048)])
+    @pytest.mark.parametrize("m, grid_size", [(16, 1000), (128, 4096), (1024, 2048), (128, 777),
+                                              (1024, 4097)])
     @pytest.mark.parametrize("block", [8, 64, 256])
     def test_blocks_bitwise_equal_one_block(self, monkeypatch, m, grid_size, block):
         spec = self.spec(2, m=m)

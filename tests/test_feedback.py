@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from fapsim.channel import ArrayGeometry, array_response
 from fapsim.errors import DomainError, InvalidInputError
-from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport,
+from fapsim import numerics
+from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport, OmpPath,
                              basis_matrix, build_report, deserialize_report, dictionary,
-                             omp_approximate, omp_path, overhead_bits, proposed_bits,
+                             omp_approximate, overhead_bits, proposed_bits,
                              quantize_angles, reconstruct_precoder, serialize_report)
 from fapsim.numerics import least_squares
 from fapsim.precoding import Precoder
@@ -281,14 +282,18 @@ class TestOmpPath:
     @settings(max_examples=120, deadline=None)
     @given(seed=SEEDS, m=st.integers(2, 24), s=st.integers(1, 3), size_bits=st.integers(1, 5),
            gamma=st.sampled_from([1, 2]), target=st.sampled_from(["random", "atom", "atom+orth"]),
-           ks=st.lists(st.integers(1, 32), min_size=1, max_size=4))
+           ks=st.lists(st.integers(1, 32), min_size=1, max_size=5),
+           order=st.sampled_from(["drawn", "descending"]))
     def test_every_k_bitwise_equals_a_run_stopped_there(self, seed, m, s, size_bits, gamma, target,
-                                                        ks):
+                                                        ks, order):
         # "atom" stops at a zero residual when gamma = 1; "atom+orth" leaves a residual orthogonal
         # to every column, where the greedy pick is rounding noise and may repeat a column.
         spec = spec_of(m=m, size=2 ** size_bits, gamma=gamma)
         rng = np.random.default_rng(seed)
         ks = [min(k, spec.codebook.size) for k in ks]
+        if order == "descending":
+            ks.sort(reverse=True)
+        ks.append(ks[0])                                   # always one repeat
         if target == "random":
             f_opt = random_precoder(rng, m, min(s, m))
         else:
@@ -296,40 +301,70 @@ class TestOmpPath:
             if target == "atom+orth" and m > spec.codebook.size:
                 f = f + orthogonal_to_dictionary(spec, rng)
             f_opt = Precoder(f / np.linalg.norm(f))
-        path = omp_or_error(omp_path, f_opt, spec, ks)
-        runs = {k: omp_or_error(omp_approximate, f_opt, spec, k) for k in ks}
-        if path is DomainError:
-            assert DomainError in runs.values()
-            return
-        assert sorted(path) == sorted(set(ks))
+        path = OmpPath(f_opt, spec)
         for k in ks:
-            assert_same_omp(path[k], runs[k])
+            got, expected = omp_or_error(path.at, k), omp_or_error(omp_approximate, f_opt, spec, k)
+            if expected is DomainError:
+                assert got is DomainError
+            else:
+                assert_same_omp(got, expected)
+                assert len(set(got[0])) == len(got[0]) == len(got[2]) <= k
+
+    def test_extends_only_as_far_as_asked(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.shape[1])
+            return least_squares(a, b)
+
+        monkeypatch.setattr(numerics, "least_squares", counting)
+        spec = spec_of(m=32, size=64)
+        path = OmpPath(random_precoder(np.random.default_rng(50), 32, 2), spec)
+        assert calls == []
+        path.at(3)
+        path.at(1)
+        path.at(3)
+        assert calls == [1, 2, 3]
+        path.at(5)
+        assert calls == [1, 2, 3, 4, 5]
 
     def test_zero_residual_stop_serves_every_larger_k(self):
         spec = spec_of(m=16, size=8, gamma=1)
-        path = omp_path(atom_precoder(spec, 2), spec, (5, 1, 3))
-        for k in (3, 5):
-            assert_same_omp(path[k], path[1])
-        assert path[5][0] == (2,) and len(path[5][2]) == 1
+        path = OmpPath(atom_precoder(spec, 2), spec)
+        for k in (5, 3):
+            assert_same_omp(path.at(k), path.at(1))
+        assert path.at(5)[0] == (2,) and len(path.at(5)[2]) == 1
 
     def test_prefixes_of_one_run(self):
         rng = np.random.default_rng(48)
         spec = spec_of(m=32, size=64, gamma=2)
-        path = omp_path(random_precoder(rng, 32, 3), spec, (16, 6, 8))
-        assert path[6][0] == path[16][0][:6] and path[8][0] == path[16][0][:8]
-        assert path[6][2] == path[16][2][:6] and path[8][2] == path[16][2][:8]
+        path = OmpPath(random_precoder(rng, 32, 3), spec)
+        full = path.at(16)
+        assert path.at(6)[0] == full[0][:6] and path.at(8)[0] == full[0][:8]
+        assert path.at(6)[2] == full[2][:6] and path.at(8)[2] == full[2][:8]
+
+    def test_returned_history_is_a_copy(self):
+        spec = spec_of(m=24, size=16)
+        f_opt = random_precoder(np.random.default_rng(51), 24, 2)
+        path = OmpPath(f_opt, spec)
+        path.at(4)[2].append(-1.0)
+        assert path.at(4)[2] == omp_approximate(f_opt, spec, 4)[2]
 
     def test_no_energy_is_the_same_domain_error(self):
         spec = spec_of(m=16, size=8)
         f_opt = Precoder(orthogonal_to_dictionary(spec, np.random.default_rng(49), s=2))
-        for fn, k in ((omp_path, (1, 4)), (omp_approximate, 4)):
+        path = OmpPath(f_opt, spec)
+        for read in (lambda: path.at(1), lambda: path.at(4), lambda: omp_approximate(f_opt, spec, 4)):
             with pytest.raises(DomainError, match="carries no energy"):
-                fn(f_opt, spec, k)
+                read()
 
     def test_k_out_of_range(self):
         spec = spec_of(size=8)
-        with pytest.raises(InvalidInputError, match=r"k must be in \[1, 8\], got 9"):
-            omp_path(atom_precoder(spec, 0), spec, (2, 9))
+        path = OmpPath(atom_precoder(spec, 0), spec)
+        path.at(2)
+        for k in (9, 0):
+            with pytest.raises(InvalidInputError, match=rf"k must be in \[1, 8\], got {k}"):
+                path.at(k)
 
 
 class TestBuildReport:

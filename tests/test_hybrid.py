@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fapsim.errors import InvalidInputError
-from fapsim.hybrid import decompose, phase_shifter_count, reconstruct
+from fapsim.hybrid import decompose, reconstruct
 
 
 def random_mixed_precoder(rng, rows, cols):
@@ -114,18 +114,3 @@ class TestReconstruct:
         d = decompose(f)
         assert np.allclose(reconstruct(d), 2.0 * d.rf_bar @ d.baseband)
 
-
-class TestPhaseShifterCount:
-    def test_reference_architecture(self):
-        assert phase_shifter_count(128, 4) == 1024
-
-    def test_minimal(self):
-        assert phase_shifter_count(1, 1) == 2
-
-    def test_matches_fully_connected_budget(self):
-        # Q=8 RF chains, 128 antennas: same phase-shifter count as 2*M*S with S=4.
-        assert phase_shifter_count(128, 4) == 8 * 128
-
-    def test_invalid(self):
-        with pytest.raises(InvalidInputError):
-            phase_shifter_count(0, 1)

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import functools
 import glob
 import json
 import math
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 from helpers import parse_csv, scheme_curve
 
-from fapsim import cli, runner
+from fapsim import benchmarks, cli, feedback, numerics, runner
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.errors import InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
-from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, build_report,
-                             deserialize_report, omp_path, overhead_bits, serialize_report)
+from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, build_report,
+                             deserialize_report, overhead_bits, serialize_report)
+from fapsim.numerics import least_squares
 from fapsim.precoding import PowerAllocation, optimal_precoder
 from fapsim.precoding import Precoder
 from fapsim.runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, MultilevelScheme,
@@ -65,21 +67,29 @@ class TestTrialEngine:
 
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
     def test_one_omp_path_per_spec_and_group(self, monkeypatch, allocation, groups):
-        # The reference schemes' K = 6, 8, 16 and Q = 8 share one spec: one path to K = 16.
+        # The reference schemes' K = 6, 8, 16 and Q = 8 share one spec: one path, 16 picks.
         cfg = reference_experiment(trials=1, allocation=allocation)
-        paths = []
+        specs, solves = [], []
 
-        def counting(f_opt, spec, ks):
-            paths.append(sorted(ks))
-            return omp_path(f_opt, spec, ks)
+        class Counting(OmpPath):
+            def __init__(self, f_opt, spec):
+                specs.append(spec)
+                super().__init__(f_opt, spec)
+
+        def counting_solve(a, b):
+            solves.append(a.shape[1])
+            return least_squares(a, b)
 
         def forbidden(*args):
-            raise AssertionError("the runner reads every K off the shared path")
+            raise AssertionError("the runner reads every K off the group's OmpPath")
 
-        monkeypatch.setattr(runner, "omp_path", counting)
-        monkeypatch.setattr(runner, "omp_approximate", forbidden)
+        monkeypatch.setattr(runner, "OmpPath", Counting)
+        monkeypatch.setattr(numerics, "least_squares", counting_solve)
+        monkeypatch.setattr(feedback, "omp_approximate", forbidden)
+        monkeypatch.setattr(benchmarks, "omp_approximate", forbidden)
         runner._rate_trial(cfg, 0)
-        assert paths == [[6, 8, 8, 16]] * groups
+        assert len(specs) == groups and len(set(specs)) == 1
+        assert solves == list(range(1, 17)) * groups           # 16 and 208 solves
 
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_shared_draw_matches_per_scheme_draws(self, allocation):
@@ -392,5 +402,6 @@ class TestSparseDelegation:
             f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
             f_rf, f_bb = sparse_precoder(f_opt, bench)
             expected = f_rf @ f_bb
-            assert np.array_equal(scheme.precoder(ch, cfg, alloc, f_opt),
+            omp = functools.cache(functools.partial(OmpPath, f_opt))     # a fresh memo per draw
+            assert np.array_equal(scheme.precoder(ch, cfg, alloc, f_opt, omp),
                                   expected / np.linalg.norm(expected))
