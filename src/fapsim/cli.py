@@ -247,6 +247,8 @@ def main(argv=None):
             p.add_argument("--gammas", help="comma-separated gamma list, e.g. 1,2,4")
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            raise InvalidInputError(f"--workers: must be >= 1, got {args.workers}")
         flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials))
                  if value is not None}
         if getattr(args, "gammas", None):

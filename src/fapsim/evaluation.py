@@ -8,6 +8,7 @@ from . import numerics
 from .channel import _steering_matrix
 from .errors import InvalidInputError
 from .feedback import basis_matrix
+from .precoding import Precoder
 
 BEAM_PATTERN_GRID = 2048
 BEAM_PATTERN_MIN_GRID = 64
@@ -21,6 +22,18 @@ class BeamPattern:
     gain: np.ndarray               # normalized so the trapezoidal integral is 1
 
 
+def _link_inputs(h, f, snr_linear):
+    """A link metric's checked (H, F, SNR array): finite, shapes fit, unit-norm F, SNRs > 0."""
+    h = numerics._as_matrix(h, "h")
+    f = Precoder(numerics._as_matrix(f, "f")).matrix
+    if h.shape[1] != f.shape[0]:
+        raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
+    snr = np.asarray(snr_linear, dtype=float)
+    if snr.size == 0 or not np.all((snr > 0) & np.isfinite(snr)):
+        raise InvalidInputError("snr_linear must be positive and finite")
+    return h, f, snr
+
+
 def achievable_rate(h, f, snr_linear):
     """log2 det(I_N + snr * H F F^H H^H) for a unit-Frobenius-norm precoder F.
 
@@ -28,15 +41,7 @@ def achievable_rate(h, f, snr_linear):
     H F, so one SVD serves every SNR: `snr_linear` may be a scalar (returns a
     float) or an array of SNRs (returns an array of rates of the same shape).
     """
-    h = numerics._as_matrix(h, "h")
-    f = numerics._as_matrix(f, "f")
-    if h.shape[1] != f.shape[0]:
-        raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
-    if abs(np.linalg.norm(f) - 1.0) > 1e-6:
-        raise InvalidInputError("precoder must have unit Frobenius norm")
-    snr = np.asarray(snr_linear, dtype=float)
-    if snr.size == 0 or not np.all((snr > 0) & np.isfinite(snr)):
-        raise InvalidInputError("snr_linear must be positive and finite")
+    h, f, snr = _link_inputs(h, f, snr_linear)
     gains = np.linalg.svd(h @ f, compute_uv=False) ** 2
     rate = np.sum(np.log2(1.0 + snr[..., None] * gains), axis=-1)
     return float(rate) if rate.ndim == 0 else rate
@@ -60,9 +65,11 @@ def draw_qpsk(rng, num_streams, num_rx, num_symbols):
 def detect_qpsk_mmse(h, f, snr_linear, bits, noise):
     """Send `bits` over y = H F s + z with noise `noise`; joint LMMSE detection.
 
-    Gray-mapped QPSK symbols with E[s s^H] = P * I (P = snr, unit noise
-    variance), estimator s_hat = P F^H H^H (P H F F^H H^H + I)^{-1} y, and
-    per-quadrature sign slicing. Returns (bit_errors, bits_sent).
+    Gray-mapped QPSK symbols with E[s s^H] = P * I (P = snr, unit noise variance), estimator
+    s_hat = P F^H H^H (P H F F^H H^H + I)^{-1} y, and per-quadrature sign slicing. Returns
+    (bit_errors, bits_sent). The sweep's unchecked inner step: its caller checks H, F and P.
+    With H F = U diag(sigma) V^H the estimator is V diag(sigma / (sigma^2 + 1/P)) U^H y, which
+    no rank of H F and no SNR makes singular, unlike the N x N inverse at a high SNR.
     """
     h = np.asarray(h, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
@@ -78,9 +85,8 @@ def detect_qpsk_mmse(h, f, snr_linear, bits, noise):
 
     hf = h @ f
     y = np.sqrt(p) * (hf @ symbols) + noise
-    cov = p * (hf @ hf.conj().T) + np.eye(n)
-    detector = p * np.linalg.solve(cov, hf).conj().T      # S x N, Hermitian cov
-    est = detector @ y
+    u, sigma, vh = np.linalg.svd(hf, full_matrices=False)
+    est = (vh.conj().T * (sigma / (sigma ** 2 + 1.0 / p))) @ (u.conj().T @ y)
 
     errors = int(np.count_nonzero((est.real < 0) != bits[0]))
     errors += int(np.count_nonzero((est.imag < 0) != bits[1]))
@@ -90,11 +96,14 @@ def detect_qpsk_mmse(h, f, snr_linear, bits, noise):
 def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
     """Uncoded QPSK over y = H F s + z with joint linear MMSE detection.
 
-    Draws one block from `rng` (`draw_qpsk`) and detects it
-    (`detect_qpsk_mmse`). Returns (bit_errors, bits_sent).
+    Checks its inputs as `achievable_rate` does (the SNR a scalar), then draws one block
+    from `rng` (`draw_qpsk`) and detects it (`detect_qpsk_mmse`): (bit_errors, bits_sent).
     """
-    bits, noise = draw_qpsk(rng, np.shape(f)[1], np.shape(h)[0], num_symbols)
-    return detect_qpsk_mmse(h, f, snr_linear, bits, noise)
+    h, f, snr = _link_inputs(h, f, snr_linear)
+    if snr.ndim != 0:
+        raise InvalidInputError("snr_linear must be a scalar")
+    bits, noise = draw_qpsk(rng, f.shape[1], h.shape[0], num_symbols)
+    return detect_qpsk_mmse(h, f, snr, bits, noise)
 
 
 def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from . import numerics
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,11 +29,7 @@ def decompose(f):
     all-ones phases; zero entries inside a nonzero column use phase 0, where
     arccos(0) makes the pair antipodal so it sums to zero.
     """
-    f = np.asarray(f, dtype=np.complex128)
-    if f.ndim != 2 or f.size == 0:
-        raise InvalidInputError("f must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(f)):
-        raise InvalidInputError("f contains non-finite entries")
+    f = numerics._as_matrix(f, "f")
 
     mags = np.abs(f)
     b = 0.5 * mags.max(axis=0)

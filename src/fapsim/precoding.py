@@ -58,14 +58,12 @@ def water_fill(sigma, snr):
     if not np.any(sigma > 0):
         raise DegenerateChannelError("all singular values are zero")
 
-    # Each channel's noise floor times snr; infinite at zero gain.
-    inv = np.divide(1.0, sigma ** 2, out=np.full(sigma.shape, np.inf), where=sigma > 0)
-
-    order = np.argsort(inv)                      # strongest channels first
-    # Gaps above the strongest channel's floor, in units of the power budget: an active
-    # gap is at most 1, so none cancels at low SNR, and an infinite one (zero gain or
-    # overflow) is never active.
-    with np.errstate(over="ignore"):
+    # Each channel's noise floor times snr: infinite at zero gain and where 1 / sigma^2
+    # overflows. Gaps above the strongest channel's floor, in units of the power budget: an
+    # active gap is at most 1, so none cancels at low SNR, and an infinite one is never active.
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / sigma ** 2
+        order = np.argsort(inv)                  # strongest channels first
         gap = (inv - inv[order[0]]) / snr
     power = np.zeros_like(sigma)
     for count in range(int(np.sum(np.isfinite(gap))), 0, -1):
@@ -81,7 +79,8 @@ def optimal_precoder(h, num_streams, alloc):
     """Top-S right singular vectors of H with the requested power split.
 
     Each singular vector's phase is fixed so that its largest-magnitude entry
-    is real non-negative, making the output deterministic.
+    is real non-negative, making the output deterministic. Under water-filling,
+    `water_fill` sets each stream's power; one below the water level gets a zero column.
     """
     u, s, v = numerics.svd(h)
     if num_streams < 1 or num_streams > min(h.shape):
@@ -99,9 +98,5 @@ def optimal_precoder(h, num_streams, alloc):
     if alloc.mode == "unitary":
         alpha = np.full(num_streams, 1.0 / np.sqrt(num_streams))
     else:
-        if s[num_streams - 1] <= 1e-12 * s[0]:
-            raise InvalidInputError(
-                "water_filling requires num_streams nonzero singular values"
-            )
         alpha = np.sqrt(water_fill(s[:num_streams], alloc.total_power))
     return Precoder(cols * alpha[None, :])

@@ -169,6 +169,8 @@ class BeamPatternConfig:
             raise InvalidInputError("beam_pattern.center_index: must be in [0, codebook_size)")
         if self.grid_size < BEAM_PATTERN_MIN_GRID:
             raise InvalidInputError(f"beam_pattern.grid_size: must be >= {BEAM_PATTERN_MIN_GRID}")
+        if len(set(self.gammas)) != len(self.gammas):
+            raise InvalidInputError("beam_pattern.gammas: entries must be unique")
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,6 @@ def _rate_trial(cfg, trial):
 def _ber_trial(cfg, trial):
     ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
     errors = np.zeros((len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
-    sent = np.zeros_like(errors)
     for cols, snrs, precoders in _precoder_groups(cfg, ch):
         for j, snr in zip(cols, snrs):
             # One bit/noise block per (trial, snr), shared by every scheme: each
@@ -260,8 +261,8 @@ def _ber_trial(cfg, trial):
             bits, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams, ch.matrix.shape[0],
                                     cfg.symbols_per_trial)
             for i, f in enumerate(precoders):
-                errors[i, j], sent[i, j] = detect_qpsk_mmse(ch.matrix, f, snr, bits, noise)
-    return errors, sent
+                errors[i, j], _ = detect_qpsk_mmse(ch.matrix, f, snr, bits, noise)
+    return errors
 
 
 def _worker_count(workers, trials):
@@ -336,22 +337,18 @@ def run_rate_sweep(cfg, workers=1):
 
 
 def run_ber_sweep(cfg, workers=1):
-    """Uncoded QPSK BER per (scheme, SNR); bit errors accumulate across trials."""
-    results = _map_trials(_ber_trial, cfg, workers)
-    errors = np.zeros((len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
-    sent = np.zeros_like(errors)
-    for e, b in results:                       # integer sums, order-independent
-        errors += e
-        sent += b
+    """Uncoded QPSK BER per (scheme, SNR): bit errors over all trials, of 2 S T trials bits."""
+    errors = sum(_map_trials(_ber_trial, cfg, workers))        # integer sums, order-independent
+    sent = 2 * cfg.streams * cfg.symbols_per_trial * cfg.trials
     columns = ["scheme", "snr_db", "ber", "stderr", "bit_errors", "bits_sent",
                "feedback_angle_bits", "feedback_amplitude_bits"]
     rows = []
     for i, scheme in enumerate(cfg.schemes):
         abits, cbits = scheme.overhead(cfg)
         for j, snr_db in enumerate(cfg.snr_db_grid):
-            ber = int(errors[i, j]) / int(sent[i, j])
-            stderr = float(np.sqrt(ber * (1.0 - ber) / int(sent[i, j])))
-            rows.append([scheme.label, snr_db, ber, stderr, errors[i, j], sent[i, j], abits, cbits])
+            ber = int(errors[i, j]) / sent
+            stderr = float(np.sqrt(ber * (1.0 - ber) / sent))
+            rows.append([scheme.label, snr_db, ber, stderr, errors[i, j], sent, abits, cbits])
     return _csv(cfg, "ber sweep", columns, rows)
 
 

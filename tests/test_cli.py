@@ -15,6 +15,9 @@ import yaml
 from helpers import parse_csv
 
 from fapsim import cli, runner
+from fapsim.benchmarks import multilevel_csi_feedback
+from fapsim.channel import sample_channel, substream
+from fapsim.feedback import ComplexCodebook
 
 
 REFERENCE_YAML = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
@@ -187,6 +190,34 @@ class TestMainExitCodes:
         assert cli.main(["rate", "--config", write_config(tmp_path, tree), "--out", str(out)]) == 0
         assert all(0.0 <= float(r) < 1e-12 for r in parse_csv(out.read_text())["mean_rate"])
 
+    def test_water_filling_on_a_rank_deficient_estimate(self, tmp_path):
+        # At the reference seed, trial 0's 4-path multilevel estimate has rank < 4 = streams;
+        # its missing streams get no power instead of ending the sweep.
+        tree = {"allocation": "water_filling", "trials": 2, "snr_db": [-20.0, 10.0],
+                "schemes": [{"type": "optimal"}, {"type": "multilevel", "k": 4}]}
+        cfg = cli.build_experiment_config(cli._merge(cli.DEFAULT_CONFIG, tree, ""))
+        ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
+        sigma = np.linalg.svd(multilevel_csi_feedback(ch, cfg.channel, 4, 256,
+                                                      ComplexCodebook.ideal()), compute_uv=False)
+        assert sigma[3] <= 1e-12 * sigma[0]
+        out = tmp_path / "rate.csv"
+        assert cli.main(["rate", "--config", write_config(tmp_path, tree), "--out", str(out)]) == 0
+        table = parse_csv(out.read_text())
+        rates = dict(zip(zip(table["scheme"], table["snr_db"]), map(float, table["mean_rate"])))
+        for snr_db in ("-20.0", "10.0"):
+            assert 0.0 < rates["multilevel_k4_cb256", snr_db] < rates["optimal", snr_db]
+
+    def test_ber_at_the_top_of_the_snr_range(self, tmp_path):
+        # 2 receive antennas, 1 stream: from about 150 dB on, P H F F^H H^H + I is singular in
+        # floating point (at trials 6 and 7 here), so the detector must not invert it.
+        tree = {"channel": {"tx_antennas": 8, "rx_antennas": 2, "clusters": 2,
+                            "rays_per_cluster": 2},
+                "streams": 1, "snr_db": [150.0, 200.0, 300.0], "trials": 8,
+                "symbols_per_trial": 100, "schemes": [{"type": "optimal"}]}
+        out = tmp_path / "ber.csv"
+        assert cli.main(["ber", "--config", write_config(tmp_path, tree), "--out", str(out)]) == 0
+        assert set(parse_csv(out.read_text())["bit_errors"]) == {"0"}
+
     def test_snr_range_at_the_point_bound(self):
         tree = dict(TINY, snr_db={"start": -40.0, "stop": -40.0 + (cli.MAX_SNR_POINTS - 1) / 128,
                                   "step": 1 / 128})
@@ -313,6 +344,12 @@ HOSTILE = [
     # An SNR list has the range form's length bound, and its errors name `snr_db`.
     ("rate", dict(TINY, snr_db=[0.0] * (cli.MAX_SNR_POINTS + 1)), [], "snr_db: "),
     ("overhead", dict(TINY, snr_db=[]), [], "snr_db: "),
+    # A pool size below one, for every command; a gamma listed twice, as a flag or in the file.
+    ("rate", TINY, ["--workers", "0"], "--workers: must be >= 1, got 0"),
+    ("overhead", TINY, ["--workers", "-3"], "--workers: must be >= 1, got -3"),
+    ("beam-pattern", TINY, ["--gammas", "2,2"], "beam_pattern.gammas: entries must be unique"),
+    ("beam-pattern", dict(TINY, beam_pattern={"gammas": [1, 1]}), [],
+     "beam_pattern.gammas: entries must be unique"),
 ]
 
 
@@ -403,7 +440,10 @@ def _with_leaf(key, bound, step):
     parent = functools.reduce(operator.getitem, parents, tree)
     node = parent[last]
     if isinstance(node, list):
-        parent[last] = (node * (bound + step))[:bound + step]
+        # Integer entries count up from the first, since `gammas` entries must be unique.
+        size = bound + step
+        grown = range(node[0], node[0] + size) if isinstance(node[0], int) else node * size
+        parent[last] = list(grown)[:size]
     elif isinstance(bound, float):
         parent[last] = math.nextafter(bound, math.copysign(math.inf, step)) if step else bound
     else:

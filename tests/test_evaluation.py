@@ -73,6 +73,9 @@ class TestAchievableRate:
     def test_requires_unit_norm(self):
         with pytest.raises(InvalidInputError):
             achievable_rate(np.eye(2), 2.0 * np.eye(2), 1.0)
+        # Off by 1e-7: outside `Precoder`'s tolerance (1e-9), which both link metrics use.
+        with pytest.raises(InvalidInputError, match="got 1.0000001"):
+            achievable_rate(np.eye(2), (1.0 + 1e-7) * np.eye(2) / np.sqrt(2), 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -188,10 +191,53 @@ class TestBerQpskMmse:
             assert detect_qpsk_mmse(h, f, snr, bits, noise) == ber_qpsk_mmse(
                 h, f, snr, 300, np.random.default_rng(5))
 
+    @pytest.mark.parametrize("case", ["nan_f", "nan_snr", "negative_snr", "scaled_f", "snr_array"])
+    def test_rejects_invalid_link(self, case):
+        # Inputs that `achievable_rate` rejects: the BER metric rejects them too.
+        rng = np.random.default_rng(70)
+        h = random_channel(rng, 4, 8)
+        f = optimal_precoder(h, 4, PowerAllocation("unitary")).matrix
+        snr = {"nan_snr": np.nan, "negative_snr": -1.0, "snr_array": [1.0, 2.0]}.get(case, 1.0)
+        if case == "nan_f":
+            f[3, 1] = np.nan
+        elif case == "scaled_f":
+            f = 3.0 * f
+        with pytest.raises(InvalidInputError):
+            ber_qpsk_mmse(h, f, snr, 1000, np.random.default_rng(0))
+
     def test_detect_rejects_mismatched_block(self):
         bits, noise = draw_qpsk(np.random.default_rng(0), 1, 2, 10)
         with pytest.raises(InvalidInputError):
             detect_qpsk_mmse(np.eye(2), np.eye(2) / np.sqrt(2), 1.0, bits, noise)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6),
+       s=st.integers(1, 3), extra_cols=st.sampled_from([0, 0, 0, 1]),
+       bad_h=st.sampled_from([None] * 6 + [np.nan, np.inf, -np.inf]),
+       bad_f=st.sampled_from([None] * 6 + [np.nan, np.inf, -np.inf]),
+       scale=st.sampled_from([1.0] * 5 + [0.0, 0.5, 3.0, 1.0 + 1e-7, 1.0 - 1e-8]),
+       snr=st.one_of(st.sampled_from([0.0, -1.0, np.nan, np.inf, -np.inf]),
+                     st.floats(1e-300, 1e300)))
+def test_link_metrics_accept_the_same_inputs(seed, n, m, s, extra_cols, bad_h, bad_f, scale, snr):
+    # achievable_rate and ber_qpsk_mmse take (H, F, scalar SNR) through one check: both accept
+    # it or both raise InvalidInputError, and nothing else escapes either.
+    rng = np.random.default_rng(seed)
+    h, f = random_channel(rng, n, m + extra_cols), scale * unit_precoder(rng, m, min(s, m))
+    if bad_h is not None:
+        h[rng.integers(n), rng.integers(m)] = bad_h
+    if bad_f is not None:
+        f[rng.integers(m), rng.integers(f.shape[1])] = bad_f
+    accepted = []
+    for metric in (lambda: achievable_rate(h, f, snr),
+                   lambda: ber_qpsk_mmse(h, f, snr, 4, np.random.default_rng(seed))):
+        try:
+            metric()
+            accepted.append(True)
+        except InvalidInputError:
+            accepted.append(False)
+    assert accepted[0] == accepted[1]
 
 
 class TestBeamPattern:

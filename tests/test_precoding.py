@@ -66,6 +66,12 @@ class TestWaterFill:
         assert water_fill(sigma, snr).tolist() == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weak", [1e-160, 1e-200, 5e-324])
+    def test_gain_too_small_to_invert_gets_nothing(self, weak):
+        # 1 / weak^2 overflows or divides by an underflowed zero: an infinite floor, no warning.
+        assert water_fill([1.0, weak], 1.0).tolist() == [1.0, 0.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(sigma=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=1, max_size=8)
            .filter(any),
@@ -145,9 +151,20 @@ class TestOptimalPrecoder:
             optimal_precoder(np.zeros((3, 3)), 2, UNITARY)
 
     def test_water_filling_rank_deficient(self):
-        with pytest.raises(InvalidInputError):
-            optimal_precoder(np.diag([1.0, 0.0]).astype(complex), 2,
-                             PowerAllocation("water_filling"))
+        # water_fill gives a zero singular value no power, so its column is exactly zero.
+        f = optimal_precoder(np.diag([1.0, 0.0]).astype(complex), 2,
+                             PowerAllocation("water_filling")).matrix
+        assert np.array_equal(f, [[1.0, 0.0], [0.0, 0.0]])            # unit norm, one stream
+        # Rank r = 2 < S = 4: two numerically zero singular values get zero columns, and the
+        # first r columns are the r-stream water-filled precoder.
+        rng = np.random.default_rng(35)
+        h = random_channel(rng, 6, 2) @ random_channel(rng, 2, 8)
+        for snr in (0.1, 1.0, 100.0):
+            alloc = PowerAllocation("water_filling", total_power=snr)
+            f = optimal_precoder(h, 4, alloc).matrix
+            assert np.all(f[:, 2:] == 0)
+            assert np.array_equal(f[:, :2], optimal_precoder(h, 2, alloc).matrix)
+            assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPrecoderType:

@@ -95,7 +95,7 @@ class TestTrialEngine:
     def test_shared_draw_matches_per_scheme_draws(self, allocation):
         cfg = reference_experiment(trials=1, symbols_per_trial=300, allocation=allocation,
                                    snr_db_grid=(-20.0, -5.0, 10.0))
-        errors, sent = runner._ber_trial(cfg, 0)
+        errors = runner._ber_trial(cfg, 0)
         ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
         for cols, _, precoders in runner._precoder_groups(cfg, ch):
             for j in cols:
@@ -103,7 +103,7 @@ class TestTrialEngine:
                 for i, f in enumerate(precoders):
                     expected = ber_qpsk_mmse(ch.matrix, f, snr, cfg.symbols_per_trial,
                                              substream(cfg.seed, 0, j))
-                    assert (errors[i, j], sent[i, j]) == expected
+                    assert (errors[i, j], 2 * cfg.streams * cfg.symbols_per_trial) == expected
 
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_rate_trial_matches_per_snr_rates(self, allocation):
