@@ -31,6 +31,10 @@ def _link_inputs(h, f, snr_linear):
     snr = np.asarray(snr_linear, dtype=float)
     if snr.size == 0 or not np.all((snr > 0) & np.isfinite(snr)):
         raise InvalidInputError("snr_linear must be positive and finite")
+    with np.errstate(over="ignore"):       # ||F|| = 1, so this bounds every snr * sigma^2 of H F
+        bound = np.max(snr) * np.linalg.norm(h) ** 2
+    if not bound < np.inf:
+        raise InvalidInputError(f"snr * ||H||^2 must be finite, got {bound}")
     return h, f, snr
 
 

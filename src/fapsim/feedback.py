@@ -67,8 +67,8 @@ class BasisSpec:
     gamma: int = 1
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise InvalidInputError("gamma must be >= 1")
+        if not (isinstance(self.gamma, (int, np.integer)) and self.gamma >= 1):
+            raise InvalidInputError(f"gamma must be an integer >= 1, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -328,14 +328,14 @@ def proposed_bits(k, num_streams, codebook, cc):
 # Wire format
 # ---------------------------------------------------------------------------
 #
-# header: K (u16 LE), gamma (u8), flags (u8, bit0 = quantized amplitudes)
-# quantized mode only: magnitude range as one f64 LE
+# Only a quantized report has a wire form; an ideal codebook is refused.
+# header (12 bytes, LE): K (u16), gamma (u8), flags (u8, always 0x01),
+#                        magnitude range (f64)
 # bit-packed payload (MSB-first within each byte, zero-padded to a byte):
 #   K angle indices, log2|Cphi| bits each
-#   quantized mode: K*S combining entries, log2|Cc| bits each
-#                   (the `ComplexCodebook.encode` words)
-# ideal mode: K*S combining entries appended as raw (f64 real, f64 imag) LE pairs
+#   K*S combining entries, log2|Cc| bits each (the `ComplexCodebook.encode` words)
 
+_HEADER = struct.Struct("<HBBd")
 _FLAG_QUANTIZED = 0x01
 
 
@@ -361,70 +361,43 @@ def _unpack_bits(data, widths):
 
 
 def serialize_report(report, spec, cc):
-    """Encode a report for the feedback link; see the layout notes above."""
-    quantized = cc.mode != "ideal"
-    if quantized and np.any(np.abs(report.combining) == 0):
+    """Encode a quantized report for the feedback link; see the layout notes above."""
+    if cc.mode == "ideal":
+        raise InvalidInputError("an ideal complex codebook has no wire form")
+    if np.any(np.abs(report.combining) == 0):
         raise InvalidInputError("zero combining entries are not representable on the polar grid")
-    flags = _FLAG_QUANTIZED if quantized else 0
-    out = struct.pack("<HBB", report.k, report.gamma, flags)
-    if quantized:
-        out += struct.pack("<d", report.magnitude_scale)
-
+    words = cc.encode(report.combining, report.magnitude_scale)
     fields = [(int(idx), spec.codebook.index_bits) for idx in report.angle_indices]
-    if quantized:
-        words = cc.encode(report.combining, report.magnitude_scale)
-        fields += [(int(word), cc.bits_per_value) for word in words.reshape(-1)]
-    out += _pack_bits(fields)
-    if not quantized:
-        out += np.asarray(report.combining, dtype="<c16").tobytes()
-    return out
+    fields += [(int(word), cc.bits_per_value) for word in words.reshape(-1)]
+    header = _HEADER.pack(report.k, report.gamma, _FLAG_QUANTIZED, report.magnitude_scale)
+    return header + _pack_bits(fields)
 
 
 def deserialize_report(data, spec, cc, num_streams):
     """Decode a serialized report; the basis spec, codebooks, and S are shared state."""
-    if len(data) < 4:
+    if cc.mode == "ideal":
+        raise InvalidInputError("an ideal complex codebook has no wire form")
+    if len(data) < _HEADER.size:
         raise InvalidInputError("truncated report header")
-    k, gamma, flags = struct.unpack_from("<HBB", data, 0)
-    offset = 4
-    quantized = bool(flags & _FLAG_QUANTIZED)
-    if quantized != (cc.mode != "ideal"):
-        raise InvalidInputError("report mode flag does not match the shared complex codebook")
-    scale = None
-    if quantized:
-        if len(data) < offset + 8:
-            raise InvalidInputError("truncated report header")
-        (scale,) = struct.unpack_from("<d", data, offset)
-        if not (np.isfinite(scale) and scale > 0):
-            raise InvalidInputError(f"magnitude scale must be positive and finite, got {scale}")
-        offset += 8
-
+    k, gamma, flags, scale = _HEADER.unpack_from(data)
+    if flags != _FLAG_QUANTIZED:
+        raise InvalidInputError(f"report flags must be {_FLAG_QUANTIZED:#04x}, got {flags:#04x}")
+    if not 0 < scale < np.inf:                             # also rejects NaN
+        raise InvalidInputError(f"magnitude scale must be positive and finite, got {scale}")
     if k < 1:
         raise InvalidInputError("report must carry at least one angle")
     bits_angles, bits_amplitudes = proposed_bits(k, num_streams, spec.codebook, cc)
-    payload_len = (bits_angles + bits_amplitudes + 7) // 8
-    if len(data) < offset + payload_len:
+    end = _HEADER.size + (bits_angles + bits_amplitudes + 7) // 8
+    if len(data) < end:
         raise InvalidInputError("truncated report payload")
-    abits, cbits = spec.codebook.index_bits, cc.bits_per_value
-    # Ideal amplitudes are 0-bit fields here; their raw entries follow the payload.
-    values = _unpack_bits(data[offset:offset + payload_len], [abits] * k + [cbits] * (k * num_streams))
+    widths = [spec.codebook.index_bits] * k + [cc.bits_per_value] * (k * num_streams)
+    values = _unpack_bits(data[_HEADER.size:end], widths)
     indices = tuple(values[:k])
     if any(i >= spec.codebook.size for i in indices):
         raise InvalidInputError("angle index out of codebook range")
-
-    if quantized:
-        combining = cc.decode(np.array(values[k:]).reshape(k, num_streams), scale)
-    else:
-        offset += payload_len
-        if len(data) < offset + k * num_streams * 16:
-            raise InvalidInputError("truncated raw combining entries")
-        combining = np.frombuffer(data, dtype="<c16", count=k * num_streams,
-                                  offset=offset).reshape(k, num_streams).copy()
-        if not np.all(np.isfinite(combining)):
-            raise InvalidInputError("combining entries must be finite")
-
     return FeedbackReport(
         angle_indices=indices,
-        combining=combining,
+        combining=cc.decode(np.array(values[k:]).reshape(k, num_streams), scale),
         gamma=gamma,
         bits_angles=bits_angles,
         bits_amplitudes=bits_amplitudes,

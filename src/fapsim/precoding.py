@@ -61,8 +61,12 @@ def water_fill(sigma, snr):
     # Each channel's noise floor times snr: infinite at zero gain and where 1 / sigma^2
     # overflows. Gaps above the strongest channel's floor, in units of the power budget: an
     # active gap is at most 1, so none cancels at low SNR, and an infinite one is never active.
+    # When even the strongest floor overflows (every sigma below ~1e-154), the floors are taken
+    # in units of the strongest one and snr is scaled to match (at least the smallest float).
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / sigma ** 2
+        inv, top = 1.0 / sigma ** 2, np.max(sigma)
+        if np.isinf(1.0 / top ** 2):
+            inv, snr = (top / sigma) ** 2, max(snr * top * top, np.finfo(float).smallest_subnormal)
         order = np.argsort(inv)                  # strongest channels first
         gap = (inv - inv[order[0]]) / snr
     power = np.zeros_like(sigma)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import multilevel_csi_feedback
-from .channel import ChannelConfig, sample_channel, substream
+from .channel import ChannelConfig, _check_sector, sample_channel, substream
 from .errors import InvalidInputError
 from .evaluation import (BEAM_PATTERN_MIN_GRID, achievable_rate, beam_pattern, detect_qpsk_mmse,
                          draw_qpsk)
@@ -75,8 +75,8 @@ class ProposedScheme:
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
         if not 1 <= self.k <= self.angle_codebook_size:
             raise InvalidInputError(f"{where}.k: must be in [1, angle_codebook_size]")
-        if self.gamma < 1:
-            raise InvalidInputError(f"{where}.gamma: must be >= 1")
+        if not (isinstance(self.gamma, (int, np.integer)) and self.gamma >= 1):
+            raise InvalidInputError(f"{where}.gamma: must be an integer >= 1, got {self.gamma!r}")
 
     def _spec(self, cfg):
         return BasisSpec(codebook=AngleCodebook(cfg.channel.tx_sector, self.angle_codebook_size),
@@ -164,11 +164,14 @@ class BeamPatternConfig:
     gammas: tuple = (1, 2, 4)
 
     def __post_init__(self):
+        _check_sector(self.sector, "beam_pattern.sector")
         _log2_exact(self.codebook_size, "beam_pattern.codebook_size")
         if not 0 <= self.center_index < self.codebook_size:
             raise InvalidInputError("beam_pattern.center_index: must be in [0, codebook_size)")
         if self.grid_size < BEAM_PATTERN_MIN_GRID:
             raise InvalidInputError(f"beam_pattern.grid_size: must be >= {BEAM_PATTERN_MIN_GRID}")
+        if not self.gammas or not all(isinstance(g, (int, np.integer)) and g >= 1 for g in self.gammas):
+            raise InvalidInputError(f"beam_pattern.gammas: must be integers >= 1, got {self.gammas}")
         if len(set(self.gammas)) != len(self.gammas):
             raise InvalidInputError("beam_pattern.gammas: entries must be unique")
 

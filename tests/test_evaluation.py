@@ -115,6 +115,12 @@ class TestAchievableRate:
         with pytest.raises(InvalidInputError):
             achievable_rate(random_channel(rng, 2, 3), unit_precoder(rng, 3, 1), snr)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_channel_rejected(self):
+        # Finite entries, but snr * sigma^2 of H F overflows: an error, not a rate of inf.
+        with pytest.raises(InvalidInputError, match=r"snr \* \|\|H\|\|\^2 must be finite"):
+            achievable_rate(1e200 * np.eye(2), np.eye(2) / np.sqrt(2), 1.0)
+
     @pytest.mark.parametrize("where", ["h", "f"])
     def test_nan_entries_rejected(self, where):
         rng = np.random.default_rng(68)
@@ -204,6 +210,13 @@ class TestBerQpskMmse:
             f = 3.0 * f
         with pytest.raises(InvalidInputError):
             ber_qpsk_mmse(h, f, snr, 1000, np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_channel_rejected(self):
+        # Unchecked, sigma^2 overflows and the detector's gain sigma / (sigma^2 + 1/P) reads 0.
+        with pytest.raises(InvalidInputError, match=r"snr \* \|\|H\|\|\^2 must be finite"):
+            ber_qpsk_mmse(1e200 * np.eye(2), np.eye(2) / np.sqrt(2), 1.0, 200,
+                          np.random.default_rng(0))
 
     def test_detect_rejects_mismatched_block(self):
         bits, noise = draw_qpsk(np.random.default_rng(0), 1, 2, 10)

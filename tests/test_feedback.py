@@ -40,7 +40,6 @@ def random_complex(rng, shape, scale=1.0):
 SEEDS = st.integers(0, 2 ** 32 - 1)
 LEVELS = st.sampled_from([1, 2, 4, 8, 16, 32])
 POLAR = st.builds(ComplexCodebook.uniform_polar, LEVELS, LEVELS)
-COEFF_CODEBOOKS = st.one_of(st.just(ComplexCodebook.ideal()), POLAR)
 
 
 class TestAngleCodebook:
@@ -104,6 +103,16 @@ class TestComplexCodebook:
         assert np.array_equal(cc.decode(words, scale), quantized)
         assert np.array_equal(cc.encode(quantized, scale), words)
         assert np.array_equal(cc.decode(cc.encode(quantized, scale), scale), quantized)
+
+
+class TestBasisSpec:
+    @pytest.mark.parametrize("gamma", [0, 2.5, 2.0, "2"])
+    def test_gamma_must_be_a_positive_integer(self, gamma):
+        with pytest.raises(InvalidInputError, match="gamma must be an integer >= 1"):
+            spec_of(gamma=gamma)
+
+    def test_numpy_integer_gamma_accepted(self):
+        assert spec_of(gamma=np.int64(2)).gamma == 2
 
 
 class TestBasisMatrix:
@@ -456,15 +465,17 @@ class TestReconstructPrecoder:
                                 gamma=1, bits_angles=9, bits_amplitudes=0)
         assert report.k == 3
 
-    def test_huge_raw_entries_are_a_report_error(self):
-        # A decodable 1 x 1 ideal report of 1e308 overflows the rebuild at M = 8.
-        spec, cc = spec_of(m=8, size=16), ComplexCodebook.ideal()
-        huge = FeedbackReport(angle_indices=(3,), combining=np.array([[1e308 + 0j]]), gamma=1,
-                              bits_angles=4, bits_amplitudes=0)
+    def test_huge_magnitude_range_is_a_report_error(self):
+        # A decodable 1 x 1 report whose magnitude range is 1.7e308 overflows the rebuild at M = 8.
+        spec, cc = spec_of(m=8, size=16), ComplexCodebook.uniform_polar(2, 2)
+        combining, scale = cc.quantize(np.array([[1.7e308 + 0j]]))
+        huge = FeedbackReport(angle_indices=(3,), combining=combining, gamma=1,
+                              bits_angles=4, bits_amplitudes=2, magnitude_scale=scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             decoded = deserialize_report(serialize_report(huge, spec, cc), spec, cc, 1)
-            with pytest.raises(DomainError, match="report reconstructs"):
+            assert decoded.magnitude_scale == 1.7e308
+            with pytest.raises(DomainError, match="report reconstructs to a precoder of norm inf"):
                 reconstruct_precoder(decoded, spec)
 
 
@@ -533,29 +544,33 @@ class TestSerialization:
         f_tx = reconstruct_precoder(decoded, spec)
         assert np.array_equal(f_rx.matrix, f_tx.matrix)
 
-    def test_round_trip_ideal_bit_for_bit(self):
+    def test_ideal_codebook_has_no_wire_form(self):
+        # Ideal amplitudes count as 0 bits, so no byte layout could agree with the bit formula.
         rng = np.random.default_rng(54)
-        spec = spec_of(m=24, size=16)
-        cc = ComplexCodebook.ideal()
-        report = build_report(random_precoder(rng, 24, 2), spec, 4, cc)
-        decoded = deserialize_report(serialize_report(report, spec, cc), spec, cc, 2)
-        assert decoded.angle_indices == report.angle_indices
-        assert np.array_equal(decoded.combining, report.combining)
-        assert decoded.bits_angles == report.bits_angles
-        assert decoded.bits_amplitudes == 0
+        spec, cc = spec_of(m=24, size=16), ComplexCodebook.uniform_polar(4, 4)
+        report = build_report(random_precoder(rng, 24, 2), spec, 4, ComplexCodebook.ideal())
+        blob = serialize_report(build_report(random_precoder(rng, 24, 2), spec, 4, cc), spec, cc)
+        with pytest.raises(InvalidInputError, match="ideal complex codebook has no wire form"):
+            serialize_report(report, spec, ComplexCodebook.ideal())
+        with pytest.raises(InvalidInputError, match="ideal complex codebook has no wire form"):
+            deserialize_report(blob, spec, ComplexCodebook.ideal(), 2)
 
     def test_mode_flag_mismatch(self):
+        # 0x01 (quantized amplitudes) is the only valid flags byte.
         rng = np.random.default_rng(55)
-        spec = spec_of(m=24, size=16)
-        report = build_report(random_precoder(rng, 24, 2), spec, 4, ComplexCodebook.ideal())
-        blob = serialize_report(report, spec, ComplexCodebook.ideal())
-        with pytest.raises(InvalidInputError):
-            deserialize_report(blob, spec, ComplexCodebook.uniform_polar(4, 4), 2)
+        spec, cc = spec_of(m=24, size=16), ComplexCodebook.uniform_polar(4, 4)
+        blob = bytearray(serialize_report(build_report(random_precoder(rng, 24, 2), spec, 4, cc),
+                                          spec, cc))
+        assert blob[3] == 0x01
+        for flags in (0x00, 0x02, 0x03, 0x81, 0xff):
+            blob[3] = flags
+            with pytest.raises(InvalidInputError, match="report flags must be 0x01"):
+                deserialize_report(bytes(blob), spec, cc, 2)
 
     def test_truncated(self):
         spec = spec_of()
-        with pytest.raises(InvalidInputError):
-            deserialize_report(b"\x01", spec, ComplexCodebook.ideal(), 1)
+        with pytest.raises(InvalidInputError, match="truncated report header"):
+            deserialize_report(b"\x01", spec, ComplexCodebook.uniform_polar(4, 4), 1)
 
     def test_truncated_magnitude_scale(self):
         with pytest.raises(InvalidInputError, match="truncated"):
@@ -583,7 +598,7 @@ class TestSerialization:
             serialize_report(report, spec, cc)
 
     @settings(max_examples=150, deadline=None)
-    @given(cc=COEFF_CODEBOOKS, seed=SEEDS, k=st.integers(1, 8), s=st.integers(1, 4),
+    @given(cc=POLAR, seed=SEEDS, k=st.integers(1, 8), s=st.integers(1, 4),
            size_bits=st.integers(1, 8), gamma=st.integers(1, 4))
     def test_round_trip_property(self, cc, seed, k, s, size_bits, gamma):
         rng = np.random.default_rng(seed)
@@ -598,15 +613,13 @@ class TestSerialization:
         assert (decoded.angle_indices, decoded.k, decoded.gamma) == (indices, k, gamma)
         assert (decoded.bits_angles, decoded.bits_amplitudes) == bits
         assert decoded.magnitude_scale == scale
-        if scale is None:
-            assert decoded.combining.tobytes() == np.asarray(combining, dtype="<c16").tobytes()
-        else:
-            assert np.array_equal(cc.encode(decoded.combining, scale), cc.encode(combining, scale))
-            assert np.array_equal(decoded.combining, combining)
+        assert len(blob) == 12 + (sum(bits) + 7) // 8
+        assert np.array_equal(cc.encode(decoded.combining, scale), cc.encode(combining, scale))
+        assert np.array_equal(decoded.combining, combining)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
-    @given(cc=COEFF_CODEBOOKS, seed=SEEDS, s=st.integers(1, 3), data=st.data())
+    @given(cc=POLAR, seed=SEEDS, s=st.integers(1, 3), data=st.data())
     def test_hostile_bytes_raise_only_library_errors(self, cc, seed, s, data):
         # Random bytes, and valid reports truncated or with one byte replaced.
         spec = spec_of(m=8, size=16)

@@ -86,6 +86,17 @@ class TestWaterFill:
         assert np.all(p[np.asarray(sigma) == 0] == 0)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_budget_kept_when_no_gain_can_be_inverted(self):
+        # Every 1 / sigma^2 overflows: the floors are measured against the strongest one.
+        assert water_fill([1e-160, 1e-161], 1.0).tolist() == [1.0, 0.0]
+        assert water_fill([1e-160, 1e-160], 1.0).tolist() == [0.5, 0.5]
+        assert water_fill([5e-324, 0.0], 1e-300).tolist() == [1.0, 0.0]
+        # Scaling sigma by c and snr by 1 / c^2 gives the same split (here both streams active).
+        assert np.allclose(water_fill([7e-155, 6.93e-155], 1e308),
+                           water_fill([1.0, 0.99], 1e308 * 7e-155 * 7e-155), rtol=1e-9, atol=0)
+
+
 class TestOptimalPrecoder:
     def test_symmetric_channel_unitary(self):
         f = optimal_precoder(np.eye(2), 2, UNITARY)
@@ -149,6 +160,13 @@ class TestOptimalPrecoder:
     def test_zero_channel(self):
         with pytest.raises(DegenerateChannelError):
             optimal_precoder(np.zeros((3, 3)), 2, UNITARY)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_water_filling_tiny_channel(self):
+        # Equal, uninvertibly small gains: water-filling splits evenly, as unitary allocation does.
+        h = 1e-160 * np.eye(3)
+        f = optimal_precoder(h, 2, PowerAllocation("water_filling")).matrix
+        assert np.allclose(f, optimal_precoder(h, 2, UNITARY).matrix, rtol=0, atol=1e-15)
 
     def test_water_filling_rank_deficient(self):
         # water_fill gives a zero singular value no power, so its column is exactly zero.

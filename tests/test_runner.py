@@ -278,6 +278,23 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="trials"):
             small_experiment(trials=0)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(sector=(1.0, 0.0)), "beam_pattern.sector"),
+        (dict(gammas=(0,)), "beam_pattern.gammas"),
+        (dict(gammas=(1, 2.5)), "beam_pattern.gammas"),
+        (dict(gammas=()), "beam_pattern.gammas"),
+    ])
+    def test_beam_pattern_config_names_field(self, kwargs, field):
+        # A library-built config fails where the CLI's would, naming the field.
+        with pytest.raises(InvalidInputError, match=field):
+            small_experiment(beam_pattern=BeamPatternConfig(**kwargs))
+
+    def test_non_integer_gamma_rejected(self):
+        # gamma = 2.5 would build 3 beams scaled by 1/sqrt(2.5) under a `g2.5` label.
+        with pytest.raises(InvalidInputError, match=r"schemes\[1\]\.gamma: must be an integer"):
+            small_experiment(schemes=(OptimalScheme(), ProposedScheme(k=4, gamma=2.5,
+                                                                      angle_codebook_size=64)))
+
     def test_empty_snr_grid(self):
         with pytest.raises(InvalidInputError, match="snr_db_grid"):
             small_experiment(snr_db_grid=())
@@ -376,13 +393,15 @@ class TestOneBitFormula:
         report = build_report(Precoder(f / np.linalg.norm(f)), spec, n, rcc)
         assert report.k == n
         assert (report.bits_angles, report.bits_amplitudes) == expected
+        if rcc.mode == "ideal":         # 0-bit amplitudes: no wire form agrees with the formula
+            with pytest.raises(InvalidInputError, match="no wire form"):
+                serialize_report(report, spec, rcc)
+            return
         blob = serialize_report(report, spec, rcc)
         decoded = deserialize_report(blob, spec, rcc, s)
         assert (decoded.bits_angles, decoded.bits_amplitudes) == expected
-        if rcc.mode == "ideal":         # header, bit-packed indices, raw f64 pairs
-            assert len(blob) == 4 + math.ceil(sum(expected) / 8) + 16 * n * s
-        else:                           # header, magnitude range, bit-packed indices and entries
-            assert len(blob) == 4 + 8 + math.ceil(sum(expected) / 8)
+        # 12-byte header (K, gamma, flags, magnitude range), then bit-packed indices and entries
+        assert len(blob) == 12 + math.ceil(sum(expected) / 8)
 
 
 class TestSparseDelegation:
