@@ -3,10 +3,12 @@
 The receiver approximates the optimal precoder as F_hat = Psi(phi) @ G where
 Psi's columns are (multi-beam) transmit array responses at angles drawn from
 a shared discrete codebook. Orthogonal matching pursuit picks the K best
-angles, a least-squares solve gives G, and the feedback message carries only
-the K angle indices plus the (optionally quantized) K x S combining matrix.
-OMP is greedy, so one run (`OmpPath`), extended as far as it is asked, yields
-the result of every K as a prefix; `omp_approximate` reads it off at one K.
+angles and a least-squares solve gives G. OMP is greedy, so one run
+(`OmpPath`), extended as far as it is asked, yields every K as a prefix. A
+`FeedbackReport` carries the K angle indices and the (optionally quantized)
+K x S combining matrix, and holds the `BasisSpec` and `ComplexCodebook` it was
+made under: its K, gamma and bit counts derive from them, and the transmitter
+side (`reconstruct_precoder`, the wire format) refuses any other.
 """
 
 import functools
@@ -124,16 +126,26 @@ class ComplexCodebook:
 
 @dataclass(frozen=True, eq=False)
 class FeedbackReport:
-    angle_indices: tuple           # K indices into the shared angle codebook
-    combining: np.ndarray          # K x S, already quantized if applicable
-    gamma: int
-    bits_angles: int
-    bits_amplitudes: int
+    """K angle indices and a K x S combining matrix, with the spec and codebook they were made under."""
+
+    angle_indices: tuple           # K indices into spec.codebook
+    combining: np.ndarray          # K x S, already quantized by coeff_codebook
+    spec: BasisSpec
+    coeff_codebook: ComplexCodebook
     magnitude_scale: float = None  # polar-quantizer range, sent unquantized
 
-    @property
-    def k(self):
-        return len(self.angle_indices)
+    def __post_init__(self):                 # the one check of the indices
+        idx, size = self.angle_indices, self.spec.codebook.size
+        if len(idx) == 0 or min(idx) < 0 or max(idx) >= size:
+            raise InvalidInputError(f"angle indices must be non-empty and in [0, {size})")
+
+    k = property(lambda self: len(self.angle_indices))
+    gamma = property(lambda self: self.spec.gamma)
+    bits_angles = property(lambda self: self._bits()[0])
+    bits_amplitudes = property(lambda self: self._bits()[1])
+
+    def _bits(self):                         # the one bit formula, `overhead_bits`
+        return proposed_bits(self.k, self.combining.shape[1], self.spec.codebook, self.coeff_codebook)
 
 
 def quantize_angles(cb, angles):
@@ -231,22 +243,13 @@ def omp_approximate(f_opt, spec, k):
 
 
 def pack_report(indices, g, spec, cc):
-    """Pack selected angles and their combining matrix as a feedback message.
+    """Pack selected angles and their `cc.quantize`d combining matrix as a feedback report.
 
-    The combining matrix goes through `cc.quantize`: untouched and counted as
-    zero bits when ideal, on a polar grid otherwise, whose magnitude range
-    travels as one extra unquantized scalar outside the bit accounting.
+    A polar grid's magnitude range travels as one unquantized scalar outside the bit count.
     """
     g, scale = cc.quantize(g)
-    bits_angles, bits_amplitudes = proposed_bits(len(indices), g.shape[1], spec.codebook, cc)
-    return FeedbackReport(
-        angle_indices=indices,
-        combining=g,
-        gamma=spec.gamma,
-        bits_angles=bits_angles,
-        bits_amplitudes=bits_amplitudes,
-        magnitude_scale=scale,
-    )
+    return FeedbackReport(angle_indices=indices, combining=g, spec=spec, coeff_codebook=cc,
+                          magnitude_scale=scale)
 
 
 def build_report(f_opt, spec, k, cc):
@@ -255,16 +258,17 @@ def build_report(f_opt, spec, k, cc):
     return pack_report(indices, g, spec, cc)
 
 
+def _check_made_under(report, spec, cc=None):
+    """The mismatch rule: a report is read only under the spec (and codebook) it was made under."""
+    for made, given in ((report.spec, spec), (report.coeff_codebook, cc)):
+        if given is not None and given != made:
+            raise InvalidInputError(f"report was made under {made}, not {given}")
+
+
 def reconstruct_precoder(report, spec):
     """Transmitter-side rebuild: F_hat = Psi(angles) @ G, renormalized to unit norm."""
-    if report.gamma != spec.gamma:
-        raise InvalidInputError(
-            f"report gamma {report.gamma} does not match spec gamma {spec.gamma}"
-        )
-    idx = np.asarray(report.angle_indices, dtype=int)
-    if idx.size == 0 or np.any(idx < 0) or np.any(idx >= spec.codebook.size):
-        raise InvalidInputError("angle index out of codebook range")
-    psi = dictionary(spec)[:, idx]
+    _check_made_under(report, spec)
+    psi = dictionary(spec)[:, np.asarray(report.angle_indices, dtype=int)]
     with np.errstate(over="ignore", invalid="ignore"):     # huge entries overflow to inf
         f = psi @ report.combining
         norm = np.linalg.norm(f)
@@ -328,7 +332,8 @@ def proposed_bits(k, num_streams, codebook, cc):
 # Wire format
 # ---------------------------------------------------------------------------
 #
-# Only a quantized report has a wire form; an ideal codebook is refused.
+# Only a quantized report has a wire form; an ideal codebook is refused, and so
+# is a spec or codebook other than the one the report was made under.
 # header (12 bytes, LE): K (u16), gamma (u8), flags (u8, always 0x01),
 #                        magnitude range (f64)
 # bit-packed payload (MSB-first within each byte, zero-padded to a byte):
@@ -343,8 +348,6 @@ def _pack_bits(fields):
     """Concatenate (value, nbits) fields MSB-first, zero-padded to whole bytes."""
     acc, total = 0, 0
     for value, nbits in fields:
-        if not 0 <= value < (1 << nbits):
-            raise InvalidInputError(f"value {value} does not fit in {nbits} bits")
         acc, total = (acc << nbits) | value, total + nbits
     pad = -total % 8
     return (acc << pad).to_bytes((total + pad) // 8, "big")
@@ -353,6 +356,8 @@ def _pack_bits(fields):
 def _unpack_bits(data, widths):
     """Inverse of `_pack_bits`: the leading fields of `data` with the given bit widths."""
     acc, pos = int.from_bytes(data, "big"), 8 * len(data)
+    if sum(widths) > pos:
+        raise InvalidInputError("truncated report payload")
     values = []
     for nbits in widths:
         pos -= nbits
@@ -364,6 +369,10 @@ def serialize_report(report, spec, cc):
     """Encode a quantized report for the feedback link; see the layout notes above."""
     if cc.mode == "ideal":
         raise InvalidInputError("an ideal complex codebook has no wire form")
+    _check_made_under(report, spec, cc)
+    for name, value, top in (("K", report.k, 0xFFFF), ("gamma", report.gamma, 0xFF)):
+        if value > top:
+            raise InvalidInputError(f"report header field {name} must be <= {top}, got {value}")
     if np.any(np.abs(report.combining) == 0):
         raise InvalidInputError("zero combining entries are not representable on the polar grid")
     words = cc.encode(report.combining, report.magnitude_scale)
@@ -384,22 +393,12 @@ def deserialize_report(data, spec, cc, num_streams):
         raise InvalidInputError(f"report flags must be {_FLAG_QUANTIZED:#04x}, got {flags:#04x}")
     if not 0 < scale < np.inf:                             # also rejects NaN
         raise InvalidInputError(f"magnitude scale must be positive and finite, got {scale}")
-    if k < 1:
-        raise InvalidInputError("report must carry at least one angle")
-    bits_angles, bits_amplitudes = proposed_bits(k, num_streams, spec.codebook, cc)
-    end = _HEADER.size + (bits_angles + bits_amplitudes + 7) // 8
-    if len(data) < end:
-        raise InvalidInputError("truncated report payload")
+    if num_streams < 1:
+        raise InvalidInputError(f"num_streams must be >= 1, got {num_streams}")
+    if gamma != spec.gamma:
+        raise InvalidInputError(f"report header gamma {gamma} does not match spec gamma {spec.gamma}")
     widths = [spec.codebook.index_bits] * k + [cc.bits_per_value] * (k * num_streams)
-    values = _unpack_bits(data[_HEADER.size:end], widths)
-    indices = tuple(values[:k])
-    if any(i >= spec.codebook.size for i in indices):
-        raise InvalidInputError("angle index out of codebook range")
-    return FeedbackReport(
-        angle_indices=indices,
-        combining=cc.decode(np.array(values[k:]).reshape(k, num_streams), scale),
-        gamma=gamma,
-        bits_angles=bits_angles,
-        bits_amplitudes=bits_amplitudes,
-        magnitude_scale=scale,
-    )
+    values = _unpack_bits(data[_HEADER.size:], widths)
+    return FeedbackReport(angle_indices=tuple(values[:k]), spec=spec, coeff_codebook=cc,
+                          combining=cc.decode(np.array(values[k:]).reshape(k, num_streams), scale),
+                          magnitude_scale=scale)

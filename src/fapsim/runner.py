@@ -24,7 +24,8 @@ from .errors import InvalidInputError
 from .evaluation import (BEAM_PATTERN_MIN_GRID, achievable_rate, beam_pattern, detect_qpsk_mmse,
                          draw_qpsk)
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, _log2_exact,
-                       overhead_bits, pack_report, proposed_bits, reconstruct_precoder)
+                       deserialize_report, overhead_bits, pack_report, proposed_bits,
+                       reconstruct_precoder, serialize_report)
 from .precoding import PowerAllocation, optimal_precoder
 
 
@@ -86,9 +87,11 @@ class ProposedScheme:
         return proposed_bits(self.k, cfg.streams, self._spec(cfg).codebook, self.coeff_codebook)
 
     def precoder(self, ch, cfg, alloc, f_opt, omp):
-        spec = self._spec(cfg)
-        indices, g, _ = omp(spec).at(self.k)
-        return reconstruct_precoder(pack_report(indices, g, spec, self.coeff_codebook), spec).matrix
+        spec, cc = self._spec(cfg), self.coeff_codebook
+        report = pack_report(*omp(spec).at(self.k)[:2], spec, cc)
+        if cc.mode != "ideal":             # the transmitter rebuilds F_hat from the wire bytes alone
+            report = deserialize_report(serialize_report(report, spec, cc), spec, cc, cfg.streams)
+        return reconstruct_precoder(report, spec).matrix
 
 
 @dataclass(frozen=True)
@@ -316,10 +319,8 @@ def _csv(cfg, title, columns, rows):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -21,6 +21,7 @@ from fapsim.feedback import ComplexCodebook
 
 
 REFERENCE_YAML = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
+QUANTIZED_YAML = Path(__file__).resolve().parents[1] / "configs" / "quantized.yaml"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -115,6 +116,20 @@ class TestMainExitCodes:
         assert table["scheme"] == ["proposed_k3_g1_cb32", "proposed_k3_g1_cb32_m16p16",
                                    "multilevel_k4_cb32", "multilevel_k4_cb32_m16p16"]
         assert table["feedback_amplitude_bits"] == ["0", "48", "0", "32"]
+
+    @pytest.mark.parametrize("command", ["rate", "ber"])
+    def test_quantized_yaml_runs(self, tmp_path, command):
+        # The checked-in quantized config, so that it cannot rot: every proposed report crosses the wire.
+        out = tmp_path / f"{command}.csv"
+        code = cli.main([command, "--config", str(QUANTIZED_YAML), "--trials", "2", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert '"allocation": "water_filling"' in text
+        table = parse_csv(text)
+        labels = ["optimal", "proposed_k16_g2_cb256_m16p16", "proposed_k8_g1_cb256_m16p16",
+                  "multilevel_k16_cb256_m16p16"]
+        assert table["scheme"] == [label for label in labels for _ in range(13)]
+        assert table["feedback_amplitude_bits"][::13] == ["0", "512", "256", "128"]
 
     def test_flag_overrides(self, tmp_path, capsys):
         code = cli.main(["overhead", "--config", write_config(tmp_path, TINY), "--seed", "99"])

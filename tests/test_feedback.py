@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import warnings
 
@@ -17,6 +18,7 @@ from fapsim.numerics import least_squares
 from fapsim.precoding import Precoder
 
 QUARTER = (-np.pi / 4, np.pi / 4)
+IDEAL = ComplexCodebook.ideal()
 
 
 def spec_of(m=16, size=8, gamma=1, sector=QUARTER):
@@ -447,30 +449,46 @@ class TestReconstructPrecoder:
         assert np.linalg.norm(f_hat.matrix - f_opt.matrix) <= 1e-9
 
     def test_index_out_of_range(self):
+        # The report's constructor is the one check of its indices.
         spec = spec_of(size=8)
-        bad = FeedbackReport(angle_indices=(8,), combining=np.ones((1, 1), dtype=complex),
-                             gamma=1, bits_angles=3, bits_amplitudes=0)
-        with pytest.raises(InvalidInputError):
-            reconstruct_precoder(bad, spec)
+        for indices in [(8,), (-1,), (0, 8), ()]:
+            combining = np.ones((len(indices), 1), dtype=complex)
+            with pytest.raises(InvalidInputError, match=r"non-empty and in \[0, 8\)"):
+                FeedbackReport(angle_indices=indices, combining=combining, spec=spec, coeff_codebook=IDEAL)
 
     def test_gamma_mismatch(self):
         spec = spec_of(size=8, gamma=2)
         bad = FeedbackReport(angle_indices=(1,), combining=np.ones((1, 1), dtype=complex),
-                             gamma=1, bits_angles=3, bits_amplitudes=0)
-        with pytest.raises(InvalidInputError):
+                             spec=spec_of(size=8, gamma=1), coeff_codebook=IDEAL)
+        with pytest.raises(InvalidInputError, match="report was made under"):
             reconstruct_precoder(bad, spec)
 
     def test_k_is_the_index_count(self):
         report = FeedbackReport(angle_indices=(1, 5, 2), combining=np.ones((3, 1), dtype=complex),
-                                gamma=1, bits_angles=9, bits_amplitudes=0)
+                                spec=spec_of(size=8), coeff_codebook=IDEAL)
         assert report.k == 3
+        assert (report.gamma, report.bits_angles, report.bits_amplitudes) == (1, 9, 0)
+
+    def test_stores_only_its_shared_state(self):
+        # gamma, K and the bit counts are derived from the spec and codebook, never stored.
+        assert [f.name for f in dataclasses.fields(FeedbackReport)] == [
+            "angle_indices", "combining", "spec", "coeff_codebook", "magnitude_scale"]
+        cc = ComplexCodebook.uniform_polar(16, 16)
+        report = FeedbackReport(angle_indices=(3, 4), combining=np.ones((2, 3), dtype=complex),
+                                spec=spec_of(size=64, gamma=4), coeff_codebook=cc, magnitude_scale=1.0)
+        assert (report.k, report.gamma) == (2, 4)
+        bits = proposed_bits(2, 3, report.spec.codebook, cc)
+        assert (report.bits_angles, report.bits_amplitudes) == bits
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.gamma = 2
 
     def test_huge_magnitude_range_is_a_report_error(self):
         # A decodable 1 x 1 report whose magnitude range is 1.7e308 overflows the rebuild at M = 8.
         spec, cc = spec_of(m=8, size=16), ComplexCodebook.uniform_polar(2, 2)
         combining, scale = cc.quantize(np.array([[1.7e308 + 0j]]))
-        huge = FeedbackReport(angle_indices=(3,), combining=combining, gamma=1,
-                              bits_angles=4, bits_amplitudes=2, magnitude_scale=scale)
+        huge = FeedbackReport(angle_indices=(3,), combining=combining, spec=spec, coeff_codebook=cc,
+                              magnitude_scale=scale)
+        assert (huge.bits_angles, huge.bits_amplitudes) == (4, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             decoded = deserialize_report(serialize_report(huge, spec, cc), spec, cc, 1)
@@ -516,8 +534,9 @@ class TestSerialization:
         spec = spec_of(m=4, size=4)
         cc = ComplexCodebook.uniform_polar(2, 2)
         combining = cc.decode(np.array([[0b10]]), 1.0)      # magnitude index 1, phase index 0
-        report = FeedbackReport(angle_indices=(2,), combining=combining, gamma=1,
-                                bits_angles=2, bits_amplitudes=2, magnitude_scale=1.0)
+        report = FeedbackReport(angle_indices=(2,), combining=combining, spec=spec, coeff_codebook=cc,
+                                magnitude_scale=1.0)
+        assert (report.bits_angles, report.bits_amplitudes) == (2, 2)
         blob = serialize_report(report, spec, cc)
         # header + range scalar + one payload byte: idx '10', entry '10', zero padding
         assert blob == struct.pack("<HBB", 1, 1, 1) + struct.pack("<d", 1.0) + b"\xa0"
@@ -555,6 +574,60 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match="ideal complex codebook has no wire form"):
             deserialize_report(blob, spec, ComplexCodebook.ideal(), 2)
 
+    def test_ideal_report_under_a_polar_codebook_is_refused(self):
+        # An ideal report has no magnitude range, so `encode` could not place its entries.
+        rng = np.random.default_rng(58)
+        spec, cc = spec_of(m=24, size=16), ComplexCodebook.uniform_polar(4, 4)
+        report = build_report(random_precoder(rng, 24, 2), spec, 4, IDEAL)
+        with pytest.raises(InvalidInputError, match="report was made under ComplexCodebook.*'ideal'"):
+            serialize_report(report, spec, cc)
+
+    def test_report_serialized_under_another_codebook_or_spec_is_refused(self):
+        # A 16x16 report sent as 8x4 words would decode to a different combining matrix.
+        rng = np.random.default_rng(59)
+        spec = spec_of(m=32, size=64)
+        made, other = ComplexCodebook.uniform_polar(16, 16), ComplexCodebook.uniform_polar(8, 4)
+        report = build_report(random_precoder(rng, 32, 3), spec, 5, made)
+        with pytest.raises(InvalidInputError, match="report was made under"):
+            serialize_report(report, spec, other)
+        for wrong in (spec_of(m=32, size=64, gamma=2), spec_of(m=32, size=128), spec_of(m=16, size=64)):
+            with pytest.raises(InvalidInputError, match="report was made under"):
+                serialize_report(report, wrong, made)
+            with pytest.raises(InvalidInputError, match="report was made under"):
+                reconstruct_precoder(report, wrong)
+        assert serialize_report(report, spec_of(m=32, size=64), made)        # an equal spec is the spec
+
+    def test_header_gamma_must_match_spec_gamma(self):
+        rng = np.random.default_rng(60)
+        spec, cc = spec_of(m=24, size=16, gamma=2), ComplexCodebook.uniform_polar(4, 4)
+        blob = serialize_report(build_report(random_precoder(rng, 24, 2), spec, 4, cc), spec, cc)
+        assert deserialize_report(blob, spec, cc, 2).gamma == 2
+        for gamma in (1, 3):
+            with pytest.raises(InvalidInputError, match="header gamma 2 does not match spec gamma"):
+                deserialize_report(blob, spec_of(m=24, size=16, gamma=gamma), cc, 2)
+
+    def test_header_fields_that_overflow_are_refused(self):
+        # K is a u16 and gamma a u8 in the header.
+        cc = ComplexCodebook.uniform_polar(2, 2)
+        wide = spec_of(m=4, size=4, gamma=300)
+        report = FeedbackReport(angle_indices=(1,), combining=cc.decode(np.array([[2]]), 1.0),
+                                spec=wide, coeff_codebook=cc, magnitude_scale=1.0)
+        with pytest.raises(InvalidInputError, match="header field gamma must be <= 255, got 300"):
+            serialize_report(report, wide, cc)
+        spec, k = spec_of(m=4, size=4), 65536
+        report = FeedbackReport(angle_indices=(1,) * k, combining=cc.decode(np.full((k, 1), 2), 1.0),
+                                spec=spec, coeff_codebook=cc, magnitude_scale=1.0)
+        with pytest.raises(InvalidInputError, match="header field K must be <= 65535, got 65536"):
+            serialize_report(report, spec, cc)
+
+    @pytest.mark.parametrize("num_streams", [0, -1])
+    def test_stream_count_must_be_positive(self, num_streams):
+        rng = np.random.default_rng(61)
+        spec, cc = spec_of(m=24, size=16), ComplexCodebook.uniform_polar(4, 4)
+        blob = serialize_report(build_report(random_precoder(rng, 24, 2), spec, 4, cc), spec, cc)
+        with pytest.raises(InvalidInputError, match="num_streams must be >= 1"):
+            deserialize_report(blob, spec, cc, num_streams)
+
     def test_mode_flag_mismatch(self):
         # 0x01 (quantized amplitudes) is the only valid flags byte.
         rng = np.random.default_rng(55)
@@ -568,9 +641,13 @@ class TestSerialization:
                 deserialize_report(bytes(blob), spec, cc, 2)
 
     def test_truncated(self):
-        spec = spec_of()
+        spec, cc = spec_of(), ComplexCodebook.uniform_polar(4, 4)
         with pytest.raises(InvalidInputError, match="truncated report header"):
-            deserialize_report(b"\x01", spec, ComplexCodebook.uniform_polar(4, 4), 1)
+            deserialize_report(b"\x01", spec, cc, 1)
+        report = build_report(random_precoder(np.random.default_rng(56), 16, 1), spec, 3, cc)
+        blob = serialize_report(report, spec, cc)
+        with pytest.raises(InvalidInputError, match="truncated report payload"):
+            deserialize_report(blob[:-1], spec, cc, 1)
 
     def test_truncated_magnitude_scale(self):
         with pytest.raises(InvalidInputError, match="truncated"):
@@ -593,7 +670,8 @@ class TestSerialization:
         spec = spec_of(m=4, size=4)
         cc = ComplexCodebook.uniform_polar(2, 2)
         report = FeedbackReport(angle_indices=(2,), combining=np.array([[0.5 + 0.5j, 0.0]]),
-                                gamma=1, bits_angles=2, bits_amplitudes=4, magnitude_scale=1.0)
+                                spec=spec, coeff_codebook=cc, magnitude_scale=1.0)
+        assert (report.bits_angles, report.bits_amplitudes) == (2, 4)
         with pytest.raises(InvalidInputError, match="zero combining entries"):
             serialize_report(report, spec, cc)
 
@@ -606,8 +684,9 @@ class TestSerialization:
         indices = tuple(int(i) for i in rng.integers(0, spec.codebook.size, size=k))
         combining, scale = cc.quantize(random_complex(rng, (k, s)))
         bits = proposed_bits(k, s, spec.codebook, cc)
-        report = FeedbackReport(angle_indices=indices, combining=combining, gamma=gamma,
-                                bits_angles=bits[0], bits_amplitudes=bits[1], magnitude_scale=scale)
+        report = FeedbackReport(angle_indices=indices, combining=combining, spec=spec, coeff_codebook=cc,
+                                magnitude_scale=scale)
+        assert (report.gamma, report.bits_angles, report.bits_amplitudes) == (gamma, *bits)
         blob = serialize_report(report, spec, cc)
         decoded = deserialize_report(blob, spec, cc, s)
         assert (decoded.angle_indices, decoded.k, decoded.gamma) == (indices, k, gamma)

@@ -188,6 +188,41 @@ class TestRateSweep:
         assert any(s.get("label") == "sparse_q4_cb64" for s in blob["schemes"])
         assert "# seed: 321" in lines
 
+    def test_quantized_schemes_go_over_the_wire(self, monkeypatch):
+        # The transmitter rebuilds a quantized scheme's F_hat from the wire bytes alone, so one
+        # flipped payload bit moves every quantized row; ideal reports have no wire form.
+        polar, coarse = ComplexCodebook.uniform_polar(16, 16), ComplexCodebook.uniform_polar(4, 8)
+        quantized = (ProposedScheme(k=4, angle_codebook_size=64, coeff_codebook=polar),
+                     ProposedScheme(k=6, gamma=2, angle_codebook_size=32, coeff_codebook=coarse))
+        ideal = (OptimalScheme(), ProposedScheme(k=4, angle_codebook_size=64),
+                 SparseScheme(q=4, angle_codebook_size=64))
+        cfg = small_experiment(trials=3, schemes=ideal + quantized)
+        clean = run_rate_sweep(cfg)
+        sizes = {}
+
+        def flip_first_payload_bit(report, spec, cc):
+            blob = bytearray(serialize_report(report, spec, cc))
+            sizes.setdefault((spec.gamma, cc), set()).add(len(blob))
+            blob[12] ^= 0x80                   # the top bit of the first angle index
+            return bytes(blob)
+
+        monkeypatch.setattr(runner, "serialize_report", flip_first_payload_bit)
+        flipped = run_rate_sweep(cfg)
+        rows = [ln for ln in clean.splitlines() if not ln.startswith("#")][1:]
+        flipped_rows = [ln for ln in flipped.splitlines() if not ln.startswith("#")][1:]
+        assert len(rows) == len(flipped_rows) == 5 * 3
+        quantized_labels = {s.label for s in quantized}
+        for row, other in zip(rows, flipped_rows):
+            if row.split(",")[0] in quantized_labels:
+                assert row.split(",")[2] != other.split(",")[2]         # mean_rate
+            else:
+                assert row == other
+        table = parse_csv(clean)
+        for scheme in quantized:
+            i = table["scheme"].index(scheme.label)
+            bits = int(table["feedback_angle_bits"][i]) + int(table["feedback_amplitude_bits"][i])
+            assert sizes[(scheme.gamma, scheme.coeff_codebook)] == {12 + math.ceil(bits / 8)}
+
     def test_overhead_columns(self):
         cfg = small_experiment()
         table = parse_csv(run_rate_sweep(cfg))
