@@ -61,53 +61,57 @@ def draw_qpsk(rng, num_streams, num_rx, num_symbols):
     if num_symbols < 1:
         raise InvalidInputError("num_symbols must be >= 1")
     bits = rng.integers(0, 2, size=(2, num_streams, num_symbols))
-    noise = (rng.standard_normal((num_rx, num_symbols))
-             + 1j * rng.standard_normal((num_rx, num_symbols))) / np.sqrt(2.0)
+    noise = np.empty((num_rx, num_symbols), dtype=np.complex128)   # (a + 1j b) / sqrt 2, in place
+    noise.real, noise.imag = rng.standard_normal(noise.shape), rng.standard_normal(noise.shape)
+    noise /= np.sqrt(2.0)
     return bits, noise
 
 
-def detect_qpsk_mmse(h, f, snr_linear, bits, noise):
-    """Send `bits` over y = H F s + z with noise `noise`; joint LMMSE detection.
+def qpsk_symbols(bits):
+    """Gray-mapped QPSK symbols (S x T, unit energy) of a 2 x S x T bit block from `draw_qpsk`."""
+    return ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
 
-    Gray-mapped QPSK symbols with E[s s^H] = P * I (P = snr, unit noise variance), estimator
-    s_hat = P F^H H^H (P H F F^H H^H + I)^{-1} y, and per-quadrature sign slicing. Returns
-    (bit_errors, bits_sent). The sweep's unchecked inner step: its caller checks H, F and P.
-    With H F = U diag(sigma) V^H the estimator is V diag(sigma / (sigma^2 + 1/P)) U^H y, which
-    no rank of H F and no SNR makes singular, unlike the N x N inverse at a high SNR.
+
+class MmseLink:
+    """The link y = sqrt(P) H F s + z, factored once for joint LMMSE detection at any SNR P.
+
+    With H F = U diag(sigma) V^H, the estimator P F^H H^H (P H F F^H H^H + I)^{-1} y (unit
+    noise variance) is V diag(sigma / (sigma^2 + 1/P)) U^H y: one SVD serves every SNR, and no
+    rank of H F and no SNR makes it singular. Unchecked inner step: its caller checks H, F, P.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    f = np.asarray(f, dtype=np.complex128)
-    if h.shape[1] != f.shape[0]:
-        raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
-    n = h.shape[0]
-    s = f.shape[1]
-    if bits.shape[:2] != (2, s) or noise.shape != (n, bits.shape[2]):
-        raise InvalidInputError(f"bits {bits.shape} and noise {noise.shape} do not fit "
-                                f"{s} streams and {n} receive antennas")
-    p = float(snr_linear)
-    symbols = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
 
-    hf = h @ f
-    y = np.sqrt(p) * (hf @ symbols) + noise
-    u, sigma, vh = np.linalg.svd(hf, full_matrices=False)
-    est = (vh.conj().T * (sigma / (sigma ** 2 + 1.0 / p))) @ (u.conj().T @ y)
+    def __init__(self, h, f):
+        h, f = np.asarray(h, dtype=np.complex128), np.asarray(f, dtype=np.complex128)
+        if h.shape[1] != f.shape[0]:
+            raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
+        self.hf = h @ f
+        u, self.sigma, vh = np.linalg.svd(self.hf, full_matrices=False)
+        self.uh, self.v = u.conj().T, vh.conj().T
 
-    errors = int(np.count_nonzero((est.real < 0) != bits[0]))
-    errors += int(np.count_nonzero((est.imag < 0) != bits[1]))
-    return errors, bits.size
+    def bit_errors(self, snr_linear, symbols, noise):
+        """Bit errors of `qpsk_symbols` sent at SNR P: each sign of the estimate, real and
+        imaginary, against the sign of the symbol sent (negative for a 1 bit)."""
+        n, s = self.hf.shape
+        if symbols.shape[0] != s or noise.shape != (n, symbols.shape[1]):
+            raise InvalidInputError(f"symbols {symbols.shape} and noise {noise.shape} do not fit "
+                                    f"{s} streams and {n} receive antennas")
+        p, symbols = float(snr_linear), np.ascontiguousarray(symbols)   # .view interleaves re, im
+        y = np.sqrt(p) * (self.hf @ symbols) + noise
+        est = (self.v * (self.sigma / (self.sigma ** 2 + 1.0 / p))) @ (self.uh @ y)
+        return int(np.count_nonzero((est.view(np.float64) < 0) != (symbols.view(np.float64) < 0)))
 
 
 def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
     """Uncoded QPSK over y = H F s + z with joint linear MMSE detection.
 
     Checks its inputs as `achievable_rate` does (the SNR a scalar), then draws one block
-    from `rng` (`draw_qpsk`) and detects it (`detect_qpsk_mmse`): (bit_errors, bits_sent).
+    from `rng` (`draw_qpsk`) and detects it (`MmseLink`): (bit_errors, bits_sent).
     """
     h, f, snr = _link_inputs(h, f, snr_linear)
     if snr.ndim != 0:
         raise InvalidInputError("snr_linear must be a scalar")
     bits, noise = draw_qpsk(rng, f.shape[1], h.shape[0], num_symbols)
-    return detect_qpsk_mmse(h, f, snr, bits, noise)
+    return MmseLink(h, f).bit_errors(snr, qpsk_symbols(bits), noise), bits.size
 
 
 def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):

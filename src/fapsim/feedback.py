@@ -138,6 +138,10 @@ class FeedbackReport:
         idx, size = self.angle_indices, self.spec.codebook.size
         if len(idx) == 0 or min(idx) < 0 or max(idx) >= size:
             raise InvalidInputError(f"angle indices must be non-empty and in [0, {size})")
+        scale, polar = self.magnitude_scale, self.coeff_codebook.mode != "ideal"
+        if (scale is not None) != polar or polar and not 0 < scale < np.inf:
+            raise InvalidInputError(f"magnitude scale must be {'positive and finite' if polar else 'None'}"
+                                    f" under a {self.coeff_codebook.mode} codebook, got {scale}")
 
     k = property(lambda self: len(self.angle_indices))
     gamma = property(lambda self: self.spec.gamma)
@@ -336,7 +340,7 @@ def proposed_bits(k, num_streams, codebook, cc):
 # is a spec or codebook other than the one the report was made under.
 # header (12 bytes, LE): K (u16), gamma (u8), flags (u8, always 0x01),
 #                        magnitude range (f64)
-# bit-packed payload (MSB-first within each byte, zero-padded to a byte):
+# bit-packed payload (MSB-first within each byte, zero-padded to a byte, nothing after it):
 #   K angle indices, log2|Cphi| bits each
 #   K*S combining entries, log2|Cc| bits each (the `ComplexCodebook.encode` words)
 
@@ -354,10 +358,11 @@ def _pack_bits(fields):
 
 
 def _unpack_bits(data, widths):
-    """Inverse of `_pack_bits`: the leading fields of `data` with the given bit widths."""
+    """Inverse of `_pack_bits`: the fields of `data`, exactly their widths padded to a byte."""
     acc, pos = int.from_bytes(data, "big"), 8 * len(data)
-    if sum(widths) > pos:
-        raise InvalidInputError("truncated report payload")
+    extra = len(data) - (sum(widths) + 7) // 8
+    if extra:
+        raise InvalidInputError(f"trailing bytes: {extra}" if extra > 0 else "truncated report payload")
     values = []
     for nbits in widths:
         pos -= nbits
@@ -391,8 +396,6 @@ def deserialize_report(data, spec, cc, num_streams):
     k, gamma, flags, scale = _HEADER.unpack_from(data)
     if flags != _FLAG_QUANTIZED:
         raise InvalidInputError(f"report flags must be {_FLAG_QUANTIZED:#04x}, got {flags:#04x}")
-    if not 0 < scale < np.inf:                             # also rejects NaN
-        raise InvalidInputError(f"magnitude scale must be positive and finite, got {scale}")
     if num_streams < 1:
         raise InvalidInputError(f"num_streams must be >= 1, got {num_streams}")
     if gamma != spec.gamma:

@@ -21,8 +21,8 @@ import numpy as np
 from .benchmarks import multilevel_csi_feedback
 from .channel import ChannelConfig, _check_sector, sample_channel, substream
 from .errors import InvalidInputError
-from .evaluation import (BEAM_PATTERN_MIN_GRID, achievable_rate, beam_pattern, detect_qpsk_mmse,
-                         draw_qpsk)
+from .evaluation import (BEAM_PATTERN_MIN_GRID, MmseLink, achievable_rate, beam_pattern, draw_qpsk,
+                         qpsk_symbols)
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, _log2_exact,
                        deserialize_report, overhead_bits, pack_report, proposed_bits,
                        reconstruct_precoder, serialize_report)
@@ -261,13 +261,15 @@ def _ber_trial(cfg, trial):
     ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
     errors = np.zeros((len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
     for cols, snrs, precoders in _precoder_groups(cfg, ch):
+        links = [MmseLink(ch.matrix, f) for f in precoders]   # one SVD of H F per scheme and group
         for j, snr in zip(cols, snrs):
-            # One bit/noise block per (trial, snr), shared by every scheme: each
-            # scheme sees the same bits and noise, pairing the comparison.
+            # One bit/noise block and its symbols per (trial, snr), shared by every
+            # scheme: each scheme sees the same bits and noise, pairing the comparison.
             bits, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams, ch.matrix.shape[0],
                                     cfg.symbols_per_trial)
-            for i, f in enumerate(precoders):
-                errors[i, j], _ = detect_qpsk_mmse(ch.matrix, f, snr, bits, noise)
+            symbols = qpsk_symbols(bits)
+            for i, link in enumerate(links):
+                errors[i, j] = link.bit_errors(snr, symbols, noise)
     return errors
 
 

@@ -9,8 +9,8 @@ from fapsim import evaluation, numerics
 from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, array_response,
                             reconstruct_from_paths, sample_channel, substream)
 from fapsim.errors import InvalidInputError
-from fapsim.evaluation import (achievable_rate, beam_pattern, ber_qpsk_mmse, detect_qpsk_mmse,
-                               draw_qpsk)
+from fapsim.evaluation import (MmseLink, achievable_rate, beam_pattern, ber_qpsk_mmse, draw_qpsk,
+                               qpsk_symbols)
 from fapsim.feedback import AngleCodebook, BasisSpec
 from fapsim.precoding import PowerAllocation, optimal_precoder
 
@@ -193,9 +193,19 @@ class TestBerQpskMmse:
         f = optimal_precoder(h, 2, PowerAllocation("unitary")).matrix
         bits, noise = draw_qpsk(np.random.default_rng(5), 2, 4, 300)
         assert bits.shape == (2, 2, 300) and noise.shape == (4, 300)
+        link, symbols = MmseLink(h, f), qpsk_symbols(bits)
         for snr in (0.1, 1.0, 10.0):
-            assert detect_qpsk_mmse(h, f, snr, bits, noise) == ber_qpsk_mmse(
+            assert (link.bit_errors(snr, symbols, noise), bits.size) == ber_qpsk_mmse(
                 h, f, snr, 300, np.random.default_rng(5))
+
+    def test_draw_is_the_expression_form(self):
+        # The noise is assembled in place; its values are those of the one-line expression.
+        for seed, (s, n, t) in enumerate([(1, 1, 1), (2, 4, 300), (4, 16, 1000), (3, 5, 7)]):
+            rng = np.random.default_rng(seed)
+            bits = rng.integers(0, 2, size=(2, s, t))
+            noise = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / np.sqrt(2.0)
+            drawn = draw_qpsk(np.random.default_rng(seed), s, n, t)
+            assert np.array_equal(drawn[0], bits) and drawn[1].tobytes() == noise.tobytes()
 
     @pytest.mark.parametrize("case", ["nan_f", "nan_snr", "negative_snr", "scaled_f", "snr_array"])
     def test_rejects_invalid_link(self, case):
@@ -219,9 +229,55 @@ class TestBerQpskMmse:
                           np.random.default_rng(0))
 
     def test_detect_rejects_mismatched_block(self):
+        # The factor step checks H against F, the per-SNR step the block against the link.
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            MmseLink(np.eye(2), np.ones((3, 1)) / np.sqrt(3))
         bits, noise = draw_qpsk(np.random.default_rng(0), 1, 2, 10)
-        with pytest.raises(InvalidInputError):
-            detect_qpsk_mmse(np.eye(2), np.eye(2) / np.sqrt(2), 1.0, bits, noise)
+        with pytest.raises(InvalidInputError, match="do not fit 2 streams"):
+            MmseLink(np.eye(2), np.eye(2) / np.sqrt(2)).bit_errors(1.0, qpsk_symbols(bits), noise)
+
+
+def single_call_detector(h, f, snr_linear, bits, noise):
+    """The BER detector as one call, before its factor/step split: every call forms H F, its
+    SVD and the QPSK symbols again. Kept here, unchanged, as the oracle of `MmseLink`."""
+    h = np.asarray(h, dtype=np.complex128)
+    f = np.asarray(f, dtype=np.complex128)
+    p = float(snr_linear)
+    symbols = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
+
+    hf = h @ f
+    y = np.sqrt(p) * (hf @ symbols) + noise
+    u, sigma, vh = np.linalg.svd(hf, full_matrices=False)
+    est = (vh.conj().T * (sigma / (sigma ** 2 + 1.0 / p))) @ (u.conj().T @ y)
+
+    errors = int(np.count_nonzero((est.real < 0) != bits[0]))
+    errors += int(np.count_nonzero((est.imag < 0) != bits[1]))
+    return errors
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8),
+       data=st.data(), t=st.integers(1, 64),
+       degenerate=st.sampled_from([None, None, "zero_f_column", "singular_h"]),
+       snrs_db=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4))
+def test_split_detector_is_the_single_call_detector(seed, n, m, data, t, degenerate, snrs_db):
+    # One factor per link, reused at every SNR, and one symbol map per block give the bit-error
+    # counts of the single-call detector, also on a rank-deficient F and a singular H.
+    s = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    h, f = random_channel(rng, n, m), unit_precoder(rng, m, s)
+    if degenerate == "zero_f_column":
+        f[:, rng.integers(s)] = 0.0
+    elif degenerate == "singular_h":
+        h = np.outer(h[:, 0], h[0])                 # rank 1
+    bits, noise = draw_qpsk(rng, s, n, t)
+    link, symbols = MmseLink(h, f), qpsk_symbols(bits)
+    if data.draw(st.booleans()):                    # the same symbols in a strided layout
+        symbols = np.asfortranarray(symbols)
+    for snr_db in snrs_db:
+        snr = 10.0 ** (snr_db / 10.0)
+        assert link.bit_errors(snr, symbols, noise) == single_call_detector(h, f, snr, bits, noise)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

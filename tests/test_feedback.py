@@ -582,6 +582,17 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match="report was made under ComplexCodebook.*'ideal'"):
             serialize_report(report, spec, cc)
 
+    def test_magnitude_scale_must_fit_the_codebook(self):
+        # A polar report without a positive, finite range could not be encoded (`cc.encode(G,
+        # None)` raised a bare TypeError in `serialize_report`); an ideal report carries none.
+        spec, polar = spec_of(m=8, size=16), ComplexCodebook.uniform_polar(4, 4)
+        for cc, scale in [(polar, None), (polar, 0.0), (polar, -1.0), (polar, float("nan")),
+                          (polar, float("inf")), (IDEAL, 1.0)]:
+            with pytest.raises(InvalidInputError, match=f"magnitude scale must be .* under a {cc.mode}"):
+                FeedbackReport((1,), np.ones((1, 1)), spec, cc, magnitude_scale=scale)
+        assert FeedbackReport((1,), np.ones((1, 1)), spec, polar, magnitude_scale=1.0).k == 1
+        assert FeedbackReport((1,), np.ones((1, 1)), spec, IDEAL).magnitude_scale is None
+
     def test_report_serialized_under_another_codebook_or_spec_is_refused(self):
         # A 16x16 report sent as 8x4 words would decode to a different combining matrix.
         rng = np.random.default_rng(59)
@@ -648,6 +659,18 @@ class TestSerialization:
         blob = serialize_report(report, spec, cc)
         with pytest.raises(InvalidInputError, match="truncated report payload"):
             deserialize_report(blob[:-1], spec, cc, 1)
+
+    def test_trailing_bytes(self):
+        # Bytes after the padded payload are a framing error (two reports run together, a
+        # stale tail), not part of the report: the blob must be exactly header + payload.
+        spec, cc = spec_of(m=8, size=16), ComplexCodebook.uniform_polar(4, 4)
+        report = build_report(random_precoder(np.random.default_rng(62), 8, 1), spec, 1, cc)
+        blob = serialize_report(report, spec, cc)
+        assert len(blob) == 12 + 1                          # 4 + 4 payload bits, one byte
+        assert deserialize_report(blob, spec, cc, 1).angle_indices == report.angle_indices
+        for tail in (b"\x00", b"\x00\x00", blob):
+            with pytest.raises(InvalidInputError, match=f"trailing bytes: {len(tail)}$"):
+                deserialize_report(blob + tail, spec, cc, 1)
 
     def test_truncated_magnitude_scale(self):
         with pytest.raises(InvalidInputError, match="truncated"):

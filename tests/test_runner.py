@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import parse_csv, scheme_curve
 
-from fapsim import benchmarks, cli, feedback, numerics, runner
+from fapsim import benchmarks, cli, evaluation, feedback, numerics, runner
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.errors import InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
@@ -90,6 +90,37 @@ class TestTrialEngine:
         runner._rate_trial(cfg, 0)
         assert len(specs) == groups and len(set(specs)) == 1
         assert solves == list(range(1, 17)) * groups           # 16 and 208 solves
+
+    @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
+    def test_one_link_factor_per_scheme_and_group(self, monkeypatch, allocation, groups):
+        # The detector's SVD of H F runs once per (scheme, precoder group), not once per SNR,
+        # and the bits are mapped to symbols once per SNR, not once per scheme.
+        cfg = reference_experiment(trials=1, allocation=allocation)
+        svds, maps = [], []
+
+        class CountingLinalg:
+            def __getattr__(self, name):
+                return getattr(np.linalg, name)
+
+            def svd(self, a, **kwargs):
+                svds.append(a.shape)
+                return np.linalg.svd(a, **kwargs)
+
+        class NumpyAsEvaluationSeesIt:
+            linalg = CountingLinalg()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        def counting_symbols(bits):
+            maps.append(bits.shape)
+            return evaluation.qpsk_symbols(bits)
+
+        monkeypatch.setattr(evaluation, "np", NumpyAsEvaluationSeesIt())
+        monkeypatch.setattr(runner, "qpsk_symbols", counting_symbols)
+        runner._ber_trial(cfg, 0)
+        assert svds == [(16, 4)] * 6 * groups                  # 6 and 78 link SVDs
+        assert maps == [(2, 4, 1000)] * 13
 
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_shared_draw_matches_per_scheme_draws(self, allocation):
@@ -234,8 +265,9 @@ class TestRateSweep:
 
 
 class TestBerSweep:
-    def test_deterministic_across_worker_counts(self):
-        cfg = small_experiment(trials=4)
+    @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
+    def test_deterministic_across_worker_counts(self, allocation):
+        cfg = small_experiment(trials=4, allocation=allocation)
         assert run_ber_sweep(cfg, workers=1) == run_ber_sweep(cfg, workers=2)
 
     def test_noise_free_sentinel_row(self):
