@@ -8,6 +8,7 @@ with i.i.d. CN(0,1) ray gains, cluster mean angles uniform over the sector,
 and Laplacian ray offsets around each cluster mean.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,16 @@ def array_response(geom, angle):
 
 
 def _steering_matrix(geom, angles):
-    # Stacked steering vectors, one column per angle.
+    # Stacked steering vectors, one column per angle. Element m = b*a + c of a column is
+    # exp(j*b*a*x) * exp(j*c*x) / sqrt(M), x its phase step, with b = ceil(sqrt(M)): two exp
+    # tables of about sqrt(M) rows and one broadcast product, not M exps per column.
     angles = np.asarray(angles, dtype=float)
-    m = np.arange(geom.num_elements)[:, None]
+    m = geom.num_elements
+    b = math.isqrt(m - 1) + 1                              # ceil(sqrt(M))
     phase = 2.0 * np.pi * geom.spacing_over_wavelength * np.sin(angles)[None, :]
-    return np.exp(1j * m * phase) / np.sqrt(geom.num_elements)
+    coarse = np.exp(1j * (b * np.arange((m + b - 1) // b))[:, None] * phase)   # rows b*a
+    fine = np.exp(1j * np.arange(b)[:, None] * phase) / np.sqrt(m)            # rows c
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, angles.size)[:m]
 
 
 def substream(master_seed, *path):

@@ -69,7 +69,10 @@ def draw_qpsk(rng, num_streams, num_rx, num_symbols):
 
 def qpsk_symbols(bits):
     """Gray-mapped QPSK symbols (S x T, unit energy) of a 2 x S x T bit block from `draw_qpsk`."""
-    return ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
+    symbols = np.empty(bits.shape[1:], dtype=np.complex128)   # (1 - 2 b0) + 1j (1 - 2 b1), in place
+    symbols.real, symbols.imag = 1 - 2 * bits[0], 1 - 2 * bits[1]
+    symbols /= np.sqrt(2.0)
+    return symbols
 
 
 class MmseLink:

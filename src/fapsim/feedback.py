@@ -3,12 +3,14 @@
 The receiver approximates the optimal precoder as F_hat = Psi(phi) @ G where
 Psi's columns are (multi-beam) transmit array responses at angles drawn from
 a shared discrete codebook. Orthogonal matching pursuit picks the K best
-angles and a least-squares solve gives G. OMP is greedy, so one run
-(`OmpPath`), extended as far as it is asked, yields every K as a prefix. A
-`FeedbackReport` carries the K angle indices and the (optionally quantized)
-K x S combining matrix, and holds the `BasisSpec` and `ComplexCodebook` it was
-made under: its K, gamma and bit counts derive from them, and the transmitter
-side (`reconstruct_precoder`, the wire format) refuses any other.
+angles; each pick extends a QR factorization of the picked columns by one
+Gram-Schmidt step, and G is solved from its triangular factor. OMP is greedy,
+so one run (`OmpPath`), extended as far as it is asked, yields every K as a
+prefix. A `FeedbackReport` carries the K angle indices and the (optionally
+quantized) K x S combining matrix, and holds the `BasisSpec` and
+`ComplexCodebook` it was made under: its K, gamma and bit counts derive from
+them, and the transmitter side (`reconstruct_precoder`, the wire format)
+refuses any other.
 """
 
 import functools
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .channel import ArrayGeometry, _check_sector, _steering_matrix
 from .errors import DomainError, InvalidInputError
 from .precoding import Precoder
@@ -203,42 +204,64 @@ def _cached_dictionary(spec):
 class OmpPath:
     """One greedy run for F_hat = Psi(phi) G, extended only as far as `at` asks.
 
-    Per iteration: correlate every dictionary column with the residual, take
-    the strongest (ties to the lowest index), re-solve G over all selected
-    columns, and renormalize the residual. The picks do not depend on K, so
-    one run serves every K, asked in any order. A zero residual or a column
-    picked twice stops the run; larger Ks get its stopped state.
+    Per pick: correlate every dictionary column with the residual and take the strongest
+    (ties to the lowest index). Classical Gram-Schmidt, run twice (CGS2), orthogonalizes it
+    against Q, the orthonormal basis of the columns picked so far: Q gains a column, the
+    triangular R of Psi(phi) = Q R a column and Q^H F a row, and the residual is
+    F - Q (Q^H F). `at(k)` solves R_k G = (Q^H F)_k. The picks do not depend on K, so one run
+    serves every K, asked in any order. A zero residual, a column picked twice or a column
+    with no norm left outside Q's span stops the run; larger Ks get its stopped state.
     """
 
     def __init__(self, f_opt, spec):
         self._psi = dictionary(spec)
         self._psi_h = self._psi.conj().T
-        self._f = self._f_res = f_opt.matrix                      # residual; None once stopped
-        self._selected, self._fits = [], []    # per pick: (G, ||Psi(phi) G||, residual norm)
+        self._f = self._resid = f_opt.matrix                      # residual; None once stopped
+        m, s = self._f.shape                   # each grows by one column or row per pick:
+        self._q = np.empty((m, 0), complex)    # orthonormal basis of the picked columns, M x k
+        self._r = np.empty((0, 0), complex)    # Psi(phi) = Q R, R upper triangular, k x k
+        self._qhf = np.empty((0, s), complex)  # Q^H F, k x S
+        self._selected, self._norms = [], []   # per pick: its index, the residual norm after it
+
+    def _pick(self):
+        corr = self._psi_h @ self._resid
+        pick = int(np.argmax(np.sum(np.abs(corr) ** 2, axis=1)))   # diag of corr @ corr^H
+        col, q = self._psi[:, pick], self._q
+        coef = (col.conj() @ q).conj()                     # Q^H col, then Q^H of what is left
+        v = col - q @ coef
+        again = (v.conj() @ q).conj()
+        v = v - q @ again
+        norm = float(np.linalg.norm(v))
+        if pick in self._selected or norm <= _ZERO_RESIDUAL * np.linalg.norm(col):
+            self._resid = None                             # numerically degenerate residual
+            return
+        v /= norm
+        k = len(self._selected)
+        r = np.zeros((k + 1, k + 1), complex)
+        r[:k, :k], r[:k, k], r[k, k] = self._r, coef + again, norm
+        row = v.conj() @ self._f
+        self._q, self._r, self._qhf = np.column_stack((q, v)), r, np.vstack((self._qhf, row))
+        self._resid = self._resid - np.outer(v, row)
+        rnorm = float(np.linalg.norm(self._resid))
+        self._selected.append(pick)
+        self._norms.append(rnorm)
+        if rnorm <= _ZERO_RESIDUAL:
+            self._resid = None
 
     def at(self, k):
         """The run stopped at `k` picks: (indices, G scaled so ||Psi(phi) G|| = 1,
         the residual norms ||F_opt - Psi(phi) G|| per iteration)."""
         if not 1 <= k <= self._psi.shape[1]:
             raise InvalidInputError(f"k must be in [1, {self._psi.shape[1]}], got {k}")
-        while len(self._selected) < k and self._f_res is not None:
-            corr = self._psi_h @ self._f_res
-            pick = int(np.argmax(np.sum(np.abs(corr) ** 2, axis=1)))   # diag of corr @ corr^H
-            if pick in self._selected:
-                self._f_res = None                         # numerically degenerate residual
-                break
-            atoms = self._psi[:, self._selected + [pick]]
-            g = numerics.least_squares(atoms, self._f)
-            approx = atoms @ g
-            resid = self._f - approx
-            rnorm = float(np.linalg.norm(resid))
-            self._selected.append(pick)
-            self._fits.append((g, float(np.linalg.norm(approx)), rnorm))
-            self._f_res = resid / rnorm if rnorm > _ZERO_RESIDUAL else None
-        g, scale, _ = self._fits[min(k, len(self._fits)) - 1]
+        while len(self._selected) < k and self._resid is not None:
+            self._pick()
+        k = min(k, len(self._selected))
+        qhf = self._qhf[:k]
+        scale = float(np.linalg.norm(qhf))                   # ||Psi(phi) G|| = ||Q (Q^H F)_k||
         if scale <= _ZERO_RESIDUAL:
             raise DomainError("selected basis carries no energy of the target precoder")
-        return tuple(self._selected[:k]), g / scale, [fit[2] for fit in self._fits[:k]]
+        g = np.linalg.solve(self._r[:k, :k], qhf)
+        return tuple(self._selected[:k]), g / scale, self._norms[:k]
 
 
 def omp_approximate(f_opt, spec, k):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, array_response,
-                            channel_from_paths, reconstruct_from_paths, sample_channel, substream)
+from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, _steering_matrix,
+                            array_response, channel_from_paths, reconstruct_from_paths,
+                            sample_channel, substream)
 from fapsim.errors import InvalidInputError
 
 
@@ -31,6 +32,20 @@ class TestArrayResponse:
         rng = np.random.default_rng(m)
         for angle in rng.uniform(-np.pi, np.pi, 100):
             assert abs(np.linalg.norm(array_response(ArrayGeometry(m), angle)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 128, 1024])
+    @pytest.mark.parametrize("spacing", [0.01, 0.3, 0.5, 1.0, 7.3, 100.0])
+    def test_separable_steering_is_the_direct_exponent(self, m, spacing):
+        # exp(j b a x) exp(j c x) for element b a + c moves each entry by rounding only: a small
+        # multiple of eps times the largest exponent |m x|, over sqrt(M).
+        angles = np.concatenate([np.linspace(-np.pi, np.pi, 181),
+                                 np.random.default_rng(m).uniform(-np.pi, np.pi, 64)])
+        exponent = np.arange(m)[:, None] * (2.0 * np.pi * spacing * np.sin(angles))[None, :]
+        direct = np.exp(1j * exponent) / np.sqrt(m)
+        got = _steering_matrix(ArrayGeometry(m, spacing), angles)
+        bound = 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(exponent))) / np.sqrt(m)
+        assert got.shape == direct.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - direct)) <= bound
 
     def test_nonfinite_angle(self):
         with pytest.raises(InvalidInputError):

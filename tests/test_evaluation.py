@@ -207,6 +207,14 @@ class TestBerQpskMmse:
             drawn = draw_qpsk(np.random.default_rng(seed), s, n, t)
             assert np.array_equal(drawn[0], bits) and drawn[1].tobytes() == noise.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(1, 8), t=st.integers(1, 300))
+    def test_symbols_are_the_expression_form(self, seed, s, t):
+        # The symbols are filled in place; their bytes are those of the one-line expression.
+        bits = np.random.default_rng(seed).integers(0, 2, size=(2, s, t))
+        expected = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
+        assert qpsk_symbols(bits).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("case", ["nan_f", "nan_snr", "negative_snr", "scaled_f", "snr_array"])
     def test_rejects_invalid_link(self, case):
         # Inputs that `achievable_rate` rejects: the BER metric rejects them too.

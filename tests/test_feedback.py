@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fapsim.channel import ArrayGeometry, array_response
 from fapsim.errors import DomainError, InvalidInputError
-from fapsim import numerics
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport, OmpPath,
                              basis_matrix, build_report, deserialize_report, dictionary,
                              omp_approximate, overhead_bits, proposed_bits,
@@ -289,7 +288,64 @@ def assert_same_omp(got, expected):
     assert history == expected[2]
 
 
+def lstsq_omp(f, psi, k):
+    """Straight-line OMP: per pick, lstsq over every picked column, then the residual.
+
+    Returns the picks, the unit-norm fit and residual norm after each, how many leading picks
+    rounding cannot move (a correlation lead over the runner-up above 1e-9 ||r||^2, and a
+    residual norm not within a factor 1e3 of the zero-residual stop), and whether that is all
+    of the run, its stop included.
+    """
+    picks, fits, norms, r = [], [], [], f
+    while len(picks) < k:
+        corr = np.sum(np.abs(psi.conj().T @ r) ** 2, axis=1)
+        top = np.sort(corr)[::-1]
+        if len(top) > 1 and top[0] - top[1] <= 1e-9 * np.linalg.norm(r) ** 2:
+            return picks, fits, norms, len(picks), False
+        pick = int(np.argmax(corr))
+        if pick in picks:
+            break
+        picks.append(pick)
+        atoms = psi[:, picks]
+        fit = atoms @ np.linalg.lstsq(atoms, f, rcond=None)[0]
+        r = f - fit
+        fits.append(fit / np.linalg.norm(fit))
+        norms.append(np.linalg.norm(r))
+        if 1e-15 < norms[-1] < 1e-9:
+            return picks, fits, norms, len(picks), False
+        if norms[-1] <= 1e-12:
+            break
+    return picks, fits, norms, len(picks), True
+
+
 class TestOmpPath:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, m=st.integers(1, 24), s=st.integers(1, 3), size_bits=st.integers(1, 6),
+           gamma=st.sampled_from([1, 2]), target=st.sampled_from(["random", "atom", "atom+orth"]),
+           k=st.integers(1, 64))
+    def test_picks_fits_and_history_match_straight_line_omp(self, seed, m, s, size_bits, gamma,
+                                                            target, k):
+        spec = spec_of(m=m, size=2 ** size_bits, gamma=gamma)
+        rng = np.random.default_rng(seed)
+        k = min(k, spec.codebook.size)                     # K > M when the codebook allows it
+        if target == "random":
+            f_opt = random_precoder(rng, m, min(s, m))
+        else:
+            f = atom_precoder(spec, int(rng.integers(spec.codebook.size))).matrix
+            if target == "atom+orth" and m > spec.codebook.size:
+                f = f + orthogonal_to_dictionary(spec, rng)
+            f_opt = Precoder(f / np.linalg.norm(f))
+        psi = dictionary(spec)
+        picks, fits, norms, sure, whole = lstsq_omp(f_opt.matrix, psi, k)
+        path = OmpPath(f_opt, spec)
+        indices, _, history = path.at(k)
+        assert indices[:sure] == tuple(picks[:sure])
+        assert not whole or len(indices) == len(picks)
+        assert np.allclose(history[:sure], norms[:sure], rtol=0, atol=1e-9)
+        for j in range(1, sure + 1):
+            idx, g, _ = path.at(j)
+            assert np.linalg.norm(psi[:, list(idx)] @ g - fits[j - 1]) <= 1e-9
+
     @settings(max_examples=120, deadline=None)
     @given(seed=SEEDS, m=st.integers(2, 24), s=st.integers(1, 3), size_bits=st.integers(1, 5),
            gamma=st.sampled_from([1, 2]), target=st.sampled_from(["random", "atom", "atom+orth"]),
@@ -322,22 +378,46 @@ class TestOmpPath:
                 assert len(set(got[0])) == len(got[0]) == len(got[2]) <= k
 
     def test_extends_only_as_far_as_asked(self, monkeypatch):
-        calls = []
+        picks = []                                         # picks already made, at each pick
 
-        def counting(a, b):
-            calls.append(a.shape[1])
-            return least_squares(a, b)
+        def counting(path):
+            picks.append(len(path._selected))
+            pick(path)
 
-        monkeypatch.setattr(numerics, "least_squares", counting)
+        pick = OmpPath._pick
+        monkeypatch.setattr(OmpPath, "_pick", counting)
         spec = spec_of(m=32, size=64)
         path = OmpPath(random_precoder(np.random.default_rng(50), 32, 2), spec)
-        assert calls == []
+        assert picks == []
         path.at(3)
         path.at(1)
         path.at(3)
-        assert calls == [1, 2, 3]
+        assert picks == [0, 1, 2]
         path.at(5)
-        assert calls == [1, 2, 3, 4, 5]
+        assert picks == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("gamma", [1, 2])
+    def test_ties_go_to_the_lowest_index(self, gamma):
+        # One antenna: every column is the same number, so every correlation ties exactly.
+        spec = spec_of(m=1, size=8, gamma=gamma)
+        assert OmpPath(Precoder(np.array([[1j]])), spec).at(3)[0] == (0,)
+
+    def test_a_pick_inside_the_span_stops_the_run(self):
+        # At d/lambda = 1 / (sin c1 - sin c0) columns 0 and 1 coincide, and so do 2 and 3. Once
+        # one column of each pair is picked, the residual is orthogonal to every column and the
+        # next pick is rounding noise: a repeat, or the twin of a picked column. Both stop.
+        codebook = AngleCodebook((-np.pi / 2, np.pi / 2), 4)
+        spacing = 1.0 / (np.sin(codebook.centers[1]) - np.sin(codebook.centers[0]))
+        spec = BasisSpec(codebook=codebook, tx=ArrayGeometry(4, spacing))
+        psi = dictionary(spec)
+        target = psi[:, 0] + psi[:, 2]
+        for seed in range(12):
+            f = target[:, None] + orthogonal_to_dictionary(spec, np.random.default_rng(seed))
+            indices, g, history = OmpPath(Precoder(f / np.linalg.norm(f)), spec).at(4)
+            assert len(indices) == 2 and {i // 2 for i in indices} == {0, 1}
+            fit = psi[:, list(indices)] @ g
+            assert np.linalg.norm(fit[:, 0] - target / np.linalg.norm(target)) <= 1e-9
+            assert history[-1] == pytest.approx(1.0 / np.linalg.norm(f), abs=1e-9)
 
     def test_zero_residual_stop_serves_every_larger_k(self):
         spec = spec_of(m=16, size=8, gamma=1)

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from helpers import parse_csv, scheme_curve
 
-from fapsim import benchmarks, cli, evaluation, feedback, numerics, runner
+from fapsim import benchmarks, cli, evaluation, feedback, runner
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.errors import InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, build_report,
                              deserialize_report, overhead_bits, serialize_report)
-from fapsim.numerics import least_squares
 from fapsim.precoding import PowerAllocation, optimal_precoder
 from fapsim.precoding import Precoder
 from fapsim.runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, MultilevelScheme,
@@ -69,27 +68,26 @@ class TestTrialEngine:
     def test_one_omp_path_per_spec_and_group(self, monkeypatch, allocation, groups):
         # The reference schemes' K = 6, 8, 16 and Q = 8 share one spec: one path, 16 picks.
         cfg = reference_experiment(trials=1, allocation=allocation)
-        specs, solves = [], []
+        specs, picks = [], []
 
         class Counting(OmpPath):
             def __init__(self, f_opt, spec):
                 specs.append(spec)
                 super().__init__(f_opt, spec)
 
-        def counting_solve(a, b):
-            solves.append(a.shape[1])
-            return least_squares(a, b)
+            def _pick(self):
+                picks.append(len(self._selected))
+                super()._pick()
 
         def forbidden(*args):
             raise AssertionError("the runner reads every K off the group's OmpPath")
 
         monkeypatch.setattr(runner, "OmpPath", Counting)
-        monkeypatch.setattr(numerics, "least_squares", counting_solve)
         monkeypatch.setattr(feedback, "omp_approximate", forbidden)
         monkeypatch.setattr(benchmarks, "omp_approximate", forbidden)
         runner._rate_trial(cfg, 0)
         assert len(specs) == groups and len(set(specs)) == 1
-        assert solves == list(range(1, 17)) * groups           # 16 and 208 solves
+        assert picks == list(range(16)) * groups               # 16 and 208 picks
 
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
     def test_one_link_factor_per_scheme_and_group(self, monkeypatch, allocation, groups):
