@@ -147,10 +147,10 @@ def channel_from_paths(gains, aod, aoa, tx, rx, total_paths=None):
         raise InvalidInputError("gains, aod and aoa must be non-empty 1-D arrays of one length")
     if total_paths is None:
         total_paths = gains.size
-    if total_paths < 1:
-        raise InvalidInputError("total_paths must be >= 1")
-    if not np.all(np.isfinite(gains)):
-        raise InvalidInputError("path gains must be finite")
+    if not 1 <= total_paths < np.inf:
+        raise InvalidInputError(f"total_paths must be finite and >= 1, got {total_paths!r}")
+    if not all(np.all(np.isfinite(x)) for x in (gains, aod, aoa)):
+        raise InvalidInputError("path gains and angles must be finite")
     h_t = _steering_matrix(tx, aod)    # M x K
     h_r = _steering_matrix(rx, aoa)    # N x K
     scale = np.sqrt(tx.num_elements * rx.num_elements / total_paths)

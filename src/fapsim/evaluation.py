@@ -52,27 +52,22 @@ def achievable_rate(h, f, snr_linear):
 
 
 def draw_qpsk(rng, num_streams, num_rx, num_symbols):
-    """Random inputs of one QPSK block: (bits, noise).
+    """Random inputs of one QPSK block: (symbols, noise).
 
-    bits is 2 x S x T (in-phase, quadrature) in {0, 1}; noise is N x T
-    circularly-symmetric CN(0, 1). The draw order is fixed, so one generator
-    state gives the same block to every precoder detected on it.
+    symbols is S x T, unit-energy Gray-mapped QPSK ((1 - 2 b0) + 1j (1 - 2 b1)) / sqrt 2 of
+    uniform bits b0, b1; noise is N x T circularly-symmetric CN(0, 1). The draw order is fixed
+    (bits, then noise), so one generator state gives the same block to every precoder.
     """
-    if num_symbols < 1:
-        raise InvalidInputError("num_symbols must be >= 1")
+    if not (isinstance(num_symbols, (int, np.integer)) and num_symbols >= 1):
+        raise InvalidInputError(f"num_symbols must be an integer >= 1, got {num_symbols!r}")
     bits = rng.integers(0, 2, size=(2, num_streams, num_symbols))
+    symbols = np.empty(bits.shape[1:], dtype=np.complex128)          # mapped in place
+    symbols.real, symbols.imag = 1 - 2 * bits[0], 1 - 2 * bits[1]
+    symbols /= np.sqrt(2.0)
     noise = np.empty((num_rx, num_symbols), dtype=np.complex128)   # (a + 1j b) / sqrt 2, in place
     noise.real, noise.imag = rng.standard_normal(noise.shape), rng.standard_normal(noise.shape)
     noise /= np.sqrt(2.0)
-    return bits, noise
-
-
-def qpsk_symbols(bits):
-    """Gray-mapped QPSK symbols (S x T, unit energy) of a 2 x S x T bit block from `draw_qpsk`."""
-    symbols = np.empty(bits.shape[1:], dtype=np.complex128)   # (1 - 2 b0) + 1j (1 - 2 b1), in place
-    symbols.real, symbols.imag = 1 - 2 * bits[0], 1 - 2 * bits[1]
-    symbols /= np.sqrt(2.0)
-    return symbols
+    return symbols, noise
 
 
 class MmseLink:
@@ -80,7 +75,8 @@ class MmseLink:
 
     With H F = U diag(sigma) V^H, the estimator P F^H H^H (P H F F^H H^H + I)^{-1} y (unit
     noise variance) is V diag(sigma / (sigma^2 + 1/P)) U^H y: one SVD serves every SNR, and no
-    rank of H F and no SNR makes it singular. Unchecked inner step: its caller checks H, F, P.
+    rank of H F and no SNR makes it singular. It checks only that H and F fit and that a block
+    fits the link; its caller checks that H, F and P are finite, F of unit norm and P positive.
     """
 
     def __init__(self, h, f):
@@ -92,7 +88,7 @@ class MmseLink:
         self.uh, self.v = u.conj().T, vh.conj().T
 
     def bit_errors(self, snr_linear, symbols, noise):
-        """Bit errors of `qpsk_symbols` sent at SNR P: each sign of the estimate, real and
+        """Bit errors of `draw_qpsk`'s symbols sent at SNR P: each sign of the estimate, real and
         imaginary, against the sign of the symbol sent (negative for a 1 bit)."""
         n, s = self.hf.shape
         if symbols.shape[0] != s or noise.shape != (n, symbols.shape[1]):
@@ -113,8 +109,8 @@ def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
     h, f, snr = _link_inputs(h, f, snr_linear)
     if snr.ndim != 0:
         raise InvalidInputError("snr_linear must be a scalar")
-    bits, noise = draw_qpsk(rng, f.shape[1], h.shape[0], num_symbols)
-    return MmseLink(h, f).bit_errors(snr, qpsk_symbols(bits), noise), bits.size
+    symbols, noise = draw_qpsk(rng, f.shape[1], h.shape[0], num_symbols)
+    return MmseLink(h, f).bit_errors(snr, symbols, noise), 2 * symbols.size
 
 
 def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):

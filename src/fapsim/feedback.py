@@ -209,8 +209,8 @@ class OmpPath:
     against Q, the orthonormal basis of the columns picked so far: Q gains a column, the
     triangular R of Psi(phi) = Q R a column and Q^H F a row, and the residual is
     F - Q (Q^H F). `at(k)` solves R_k G = (Q^H F)_k. The picks do not depend on K, so one run
-    serves every K, asked in any order. A zero residual, a column picked twice or a column
-    with no norm left outside Q's span stops the run; larger Ks get its stopped state.
+    serves every K, asked in any order. A zero residual or a column with no norm left outside
+    Q's span (as a column picked before) stops the run; larger Ks get its stopped state.
     """
 
     def __init__(self, f_opt, spec):
@@ -232,7 +232,7 @@ class OmpPath:
         again = (v.conj() @ q).conj()
         v = v - q @ again
         norm = float(np.linalg.norm(v))
-        if pick in self._selected or norm <= _ZERO_RESIDUAL * np.linalg.norm(col):
+        if norm <= _ZERO_RESIDUAL * np.linalg.norm(col):
             self._resid = None                             # numerically degenerate residual
             return
         v /= norm

@@ -21,8 +21,7 @@ import numpy as np
 from .benchmarks import multilevel_csi_feedback
 from .channel import ChannelConfig, _check_sector, sample_channel, substream
 from .errors import InvalidInputError
-from .evaluation import (BEAM_PATTERN_MIN_GRID, MmseLink, achievable_rate, beam_pattern, draw_qpsk,
-                         qpsk_symbols)
+from .evaluation import BEAM_PATTERN_MIN_GRID, MmseLink, achievable_rate, beam_pattern, draw_qpsk
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, _log2_exact,
                        deserialize_report, overhead_bits, pack_report, proposed_bits,
                        reconstruct_precoder, serialize_report)
@@ -263,11 +262,10 @@ def _ber_trial(cfg, trial):
     for cols, snrs, precoders in _precoder_groups(cfg, ch):
         links = [MmseLink(ch.matrix, f) for f in precoders]   # one SVD of H F per scheme and group
         for j, snr in zip(cols, snrs):
-            # One bit/noise block and its symbols per (trial, snr), shared by every
-            # scheme: each scheme sees the same bits and noise, pairing the comparison.
-            bits, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams, ch.matrix.shape[0],
-                                    cfg.symbols_per_trial)
-            symbols = qpsk_symbols(bits)
+            # One symbol/noise block per (trial, snr), shared by every scheme: each
+            # scheme sees the same symbols and noise, pairing the comparison.
+            symbols, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams,
+                                       ch.matrix.shape[0], cfg.symbols_per_trial)
             for i, link in enumerate(links):
                 errors[i, j] = link.bit_errors(snr, symbols, noise)
     return errors
@@ -326,36 +324,38 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _sweep_csv(cfg, title, metric_columns, cells):
+    """One row per (scheme, SNR): label, snr_db, the metric's `cells(i, j)` for scheme i at
+    SNR point j, then the scheme's feedback angle and amplitude bits."""
+    columns = ["scheme", "snr_db", *metric_columns, "feedback_angle_bits", "feedback_amplitude_bits"]
+    rows = []
+    for i, scheme in enumerate(cfg.schemes):
+        bits = scheme.overhead(cfg)
+        rows += [[scheme.label, snr_db, *cells(i, j), *bits]
+                 for j, snr_db in enumerate(cfg.snr_db_grid)]
+    return _csv(cfg, title, columns, rows)
+
+
 def run_rate_sweep(cfg, workers=1):
     """Mean achievable rate per (scheme, SNR) over independent channel draws."""
     per_trial = np.stack(_map_trials(_rate_trial, cfg, workers))   # trials x schemes x snrs
-    columns = ["scheme", "snr_db", "mean_rate", "stderr",
-               "feedback_angle_bits", "feedback_amplitude_bits"]
-    rows = []
-    for i, scheme in enumerate(cfg.schemes):
-        abits, cbits = scheme.overhead(cfg)
-        for j, snr_db in enumerate(cfg.snr_db_grid):
-            values = per_trial[:, i, j]
-            mean = float(np.mean(values))
-            stderr = float(np.std(values, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-            rows.append([scheme.label, snr_db, mean, stderr, abits, cbits])
-    return _csv(cfg, "rate sweep", columns, rows)
+
+    def cells(i, j):
+        values = per_trial[:, i, j]
+        stderr = float(np.std(values, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+        return float(np.mean(values)), stderr
+    return _sweep_csv(cfg, "rate sweep", ["mean_rate", "stderr"], cells)
 
 
 def run_ber_sweep(cfg, workers=1):
     """Uncoded QPSK BER per (scheme, SNR): bit errors over all trials, of 2 S T trials bits."""
     errors = sum(_map_trials(_ber_trial, cfg, workers))        # integer sums, order-independent
     sent = 2 * cfg.streams * cfg.symbols_per_trial * cfg.trials
-    columns = ["scheme", "snr_db", "ber", "stderr", "bit_errors", "bits_sent",
-               "feedback_angle_bits", "feedback_amplitude_bits"]
-    rows = []
-    for i, scheme in enumerate(cfg.schemes):
-        abits, cbits = scheme.overhead(cfg)
-        for j, snr_db in enumerate(cfg.snr_db_grid):
-            ber = int(errors[i, j]) / sent
-            stderr = float(np.sqrt(ber * (1.0 - ber) / sent))
-            rows.append([scheme.label, snr_db, ber, stderr, errors[i, j], sent, abits, cbits])
-    return _csv(cfg, "ber sweep", columns, rows)
+
+    def cells(i, j):
+        ber = int(errors[i, j]) / sent
+        return ber, float(np.sqrt(ber * (1.0 - ber) / sent)), errors[i, j], sent
+    return _sweep_csv(cfg, "ber sweep", ["ber", "stderr", "bit_errors", "bits_sent"], cells)
 
 
 def run_beam_pattern(cfg):

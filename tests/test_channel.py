@@ -136,6 +136,23 @@ class TestReconstructFromPaths:
         with pytest.raises(InvalidInputError):
             reconstruct_from_paths([], ArrayGeometry(4), ArrayGeometry(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field, bad", [(name, value) for name in ("aod", "aoa")
+                                            for value in (np.nan, np.inf, -np.inf)]
+                             + [("total_paths", np.nan), ("total_paths", np.inf)])
+    def test_nonfinite_path_rejected(self, field, bad):
+        # Unchecked, a NaN angle or path count gives a NaN channel and an infinite angle a numpy
+        # warning from sin; the path-list form inherits the check.
+        paths = {"gain": 1.0 + 0.0j, "aod": 0.3, "aoa": 0.0}
+        total = bad if field == "total_paths" else None
+        if field != "total_paths":
+            paths[field] = bad
+        tx, rx = ArrayGeometry(4), ArrayGeometry(2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            channel_from_paths([paths["gain"]], [paths["aod"]], [paths["aoa"]], tx, rx, total)
+        with pytest.raises(InvalidInputError, match="finite"):
+            reconstruct_from_paths([PathComponent(**paths)], tx, rx, total)
+
 
 class TestConfigValidation:
     def test_bad_cluster_count(self):

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fapsim import evaluation, numerics
 from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, array_response,
                             reconstruct_from_paths, sample_channel, substream)
 from fapsim.errors import InvalidInputError
-from fapsim.evaluation import (MmseLink, achievable_rate, beam_pattern, ber_qpsk_mmse, draw_qpsk,
-                               qpsk_symbols)
+from fapsim.evaluation import MmseLink, achievable_rate, beam_pattern, ber_qpsk_mmse, draw_qpsk
 from fapsim.feedback import AngleCodebook, BasisSpec
 from fapsim.precoding import PowerAllocation, optimal_precoder
 
@@ -26,6 +25,14 @@ def random_channel(rng, n, m):
 def unit_precoder(rng, m, s):
     f = rng.standard_normal((m, s)) + 1j * rng.standard_normal((m, s))
     return f / np.linalg.norm(f)
+
+
+def expression_block(rng, s, n, t):
+    """The draws of `draw_qpsk` (bits, then noise), assembled by one-line expressions:
+    (bits, Gray-mapped symbols, noise)."""
+    bits = rng.integers(0, 2, size=(2, s, t))
+    noise = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / np.sqrt(2.0)
+    return bits, ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0), noise
 
 
 def log_det_rate(h, f, snr):
@@ -184,36 +191,34 @@ class TestBerQpskMmse:
         assert all(ber[j + 1] <= ber[j] + slack[j] + slack[j + 1] for j in range(len(snrs) - 1))
 
     def test_bad_symbol_count(self):
-        with pytest.raises(InvalidInputError):
-            ber_qpsk_mmse(np.eye(2), np.eye(2) / np.sqrt(2), 1.0, 0, np.random.default_rng(0))
+        for count in (0, 2.5):
+            with pytest.raises(InvalidInputError, match="num_symbols"):
+                ber_qpsk_mmse(np.eye(2), np.eye(2) / np.sqrt(2), 1.0, count, np.random.default_rng(0))
 
     def test_draw_then_detect_is_ber_qpsk_mmse(self):
         rng = np.random.default_rng(69)
         h = random_channel(rng, 4, 8)
         f = optimal_precoder(h, 2, PowerAllocation("unitary")).matrix
-        bits, noise = draw_qpsk(np.random.default_rng(5), 2, 4, 300)
-        assert bits.shape == (2, 2, 300) and noise.shape == (4, 300)
-        link, symbols = MmseLink(h, f), qpsk_symbols(bits)
+        symbols, noise = draw_qpsk(np.random.default_rng(5), 2, 4, 300)
+        assert symbols.shape == (2, 300) and noise.shape == (4, 300)
+        link = MmseLink(h, f)
         for snr in (0.1, 1.0, 10.0):
-            assert (link.bit_errors(snr, symbols, noise), bits.size) == ber_qpsk_mmse(
+            assert (link.bit_errors(snr, symbols, noise), 2 * 2 * 300) == ber_qpsk_mmse(
                 h, f, snr, 300, np.random.default_rng(5))
 
-    def test_draw_is_the_expression_form(self):
-        # The noise is assembled in place; its values are those of the one-line expression.
-        for seed, (s, n, t) in enumerate([(1, 1, 1), (2, 4, 300), (4, 16, 1000), (3, 5, 7)]):
-            rng = np.random.default_rng(seed)
-            bits = rng.integers(0, 2, size=(2, s, t))
-            noise = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) / np.sqrt(2.0)
-            drawn = draw_qpsk(np.random.default_rng(seed), s, n, t)
-            assert np.array_equal(drawn[0], bits) and drawn[1].tobytes() == noise.tobytes()
-
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(1, 8), t=st.integers(1, 300))
-    def test_symbols_are_the_expression_form(self, seed, s, t):
-        # The symbols are filled in place; their bytes are those of the one-line expression.
-        bits = np.random.default_rng(seed).integers(0, 2, size=(2, s, t))
-        expected = ((1.0 - 2.0 * bits[0]) + 1j * (1.0 - 2.0 * bits[1])) / np.sqrt(2.0)
-        assert qpsk_symbols(bits).tobytes() == expected.tobytes()
+    @given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(1, 8), n=st.integers(1, 16),
+           t=st.integers(1, 300))
+    @example(seed=0, s=1, n=1, t=1)
+    @example(seed=1, s=2, n=4, t=300)
+    @example(seed=2, s=4, n=16, t=1000)
+    @example(seed=3, s=3, n=5, t=7)
+    def test_draw_is_the_expression_form(self, seed, s, n, t):
+        # The symbols and the noise are filled in place; their bytes are those of the one-line
+        # expressions over the same draws.
+        _, symbols, noise = expression_block(np.random.default_rng(seed), s, n, t)
+        drawn = draw_qpsk(np.random.default_rng(seed), s, n, t)
+        assert drawn[0].tobytes() == symbols.tobytes() and drawn[1].tobytes() == noise.tobytes()
 
     @pytest.mark.parametrize("case", ["nan_f", "nan_snr", "negative_snr", "scaled_f", "snr_array"])
     def test_rejects_invalid_link(self, case):
@@ -240,9 +245,9 @@ class TestBerQpskMmse:
         # The factor step checks H against F, the per-SNR step the block against the link.
         with pytest.raises(InvalidInputError, match="shape mismatch"):
             MmseLink(np.eye(2), np.ones((3, 1)) / np.sqrt(3))
-        bits, noise = draw_qpsk(np.random.default_rng(0), 1, 2, 10)
+        symbols, noise = draw_qpsk(np.random.default_rng(0), 1, 2, 10)
         with pytest.raises(InvalidInputError, match="do not fit 2 streams"):
-            MmseLink(np.eye(2), np.eye(2) / np.sqrt(2)).bit_errors(1.0, qpsk_symbols(bits), noise)
+            MmseLink(np.eye(2), np.eye(2) / np.sqrt(2)).bit_errors(1.0, symbols, noise)
 
 
 def single_call_detector(h, f, snr_linear, bits, noise):
@@ -270,8 +275,8 @@ def single_call_detector(h, f, snr_linear, bits, noise):
        degenerate=st.sampled_from([None, None, "zero_f_column", "singular_h"]),
        snrs_db=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4))
 def test_split_detector_is_the_single_call_detector(seed, n, m, data, t, degenerate, snrs_db):
-    # One factor per link, reused at every SNR, and one symbol map per block give the bit-error
-    # counts of the single-call detector, also on a rank-deficient F and a singular H.
+    # One factor per link, reused at every SNR, and one symbol block shared by every SNR give the
+    # bit-error counts of the single-call detector, also on a rank-deficient F and a singular H.
     s = data.draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
     h, f = random_channel(rng, n, m), unit_precoder(rng, m, s)
@@ -279,8 +284,8 @@ def test_split_detector_is_the_single_call_detector(seed, n, m, data, t, degener
         f[:, rng.integers(s)] = 0.0
     elif degenerate == "singular_h":
         h = np.outer(h[:, 0], h[0])                 # rank 1
-    bits, noise = draw_qpsk(rng, s, n, t)
-    link, symbols = MmseLink(h, f), qpsk_symbols(bits)
+    bits, symbols, noise = expression_block(rng, s, n, t)
+    link = MmseLink(h, f)
     if data.draw(st.booleans()):                    # the same symbols in a strided layout
         symbols = np.asfortranarray(symbols)
     for snr_db in snrs_db:

@@ -50,12 +50,21 @@ def water_level(sigma, snr):
     raise AssertionError("no stream above water")
 
 
-def optimal(h, s, allocation, snr):
-    """Top-S right singular vectors, largest entry of each real and non-negative, powered."""
+def optimal(h, s, allocation, snr, vectors=False):
+    """Top-S right singular vectors, largest entry of each real and non-negative, powered.
+
+    With `vectors`, the vectors themselves must be clear, not only their span: distinct top-S
+    singular values, and a largest entry of each vector clear of the next, so that rounding
+    can neither rotate the streams nor move the phase reference.
+    """
     _, sigma, vh = np.linalg.svd(h)
     gains = np.concatenate([sigma, np.zeros(h.shape[1] - sigma.size)])   # one per transmit dim
     assume(s == gains.size or gains[s - 1] - gains[s] > 1e-3 * gains[0])   # a clear top-S space
     v = vh.conj().T[:, :s]
+    if vectors:
+        assume(np.all(-np.diff(gains[:s]) > 1e-3 * gains[0]))
+        top = np.sort(np.abs(v), axis=0)
+        assume(v.shape[0] == 1 or np.all(top[-1] - top[-2] > 1e-9))
     pivot = v[np.argmax(np.abs(v), axis=0), np.arange(s)]
     v = v * (np.conj(pivot) / np.abs(pivot))
     power = np.full(s, 1.0 / s) if allocation == "unitary" else water_level(sigma[:s], snr)
@@ -113,14 +122,15 @@ def rate(h, f, snr):
     return np.linalg.slogdet(np.eye(h.shape[0]) + snr * hf @ hf.conj().T)[1] / np.log(2.0)
 
 
-def reference_rate_trial(cfg, trial):
+def reference_trial(cfg, trial, vectors=False):
+    """H and, per SNR point, (linear SNR, every scheme's F); `vectors` as in `optimal`."""
     ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
     h = channel(cfg, ch.gains, ch.aod, ch.aoa, ch.gains.size)
-    snrs = 10.0 ** (np.array(cfg.snr_db_grid) / 10.0)
-    out = np.empty((len(cfg.schemes), len(snrs)))
-    for j, snr in enumerate(snrs):
-        f_opt = optimal(h, cfg.streams, cfg.allocation, snr)
-        for i, scheme in enumerate(cfg.schemes):
+    points = []
+    for snr in 10.0 ** (np.array(cfg.snr_db_grid) / 10.0):
+        f_opt = optimal(h, cfg.streams, cfg.allocation, snr, vectors)
+        precoders = []
+        for scheme in cfg.schemes:
             if isinstance(scheme, OptimalScheme):
                 f = f_opt
             elif isinstance(scheme, ProposedScheme):
@@ -129,23 +139,32 @@ def reference_rate_trial(cfg, trial):
                 f = omp(f_opt, dictionary(cfg, scheme.angle_codebook_size, 1), scheme.q)
             else:
                 h_hat = multilevel_estimate(cfg, ch, scheme.k, scheme.angle_codebook_size)
-                f = optimal(h_hat, cfg.streams, cfg.allocation, snr)
-            out[i, j] = rate(h, f, snr)
-    return out
+                f = optimal(h_hat, cfg.streams, cfg.allocation, snr, vectors)
+            precoders.append(f)
+        points.append((snr, precoders))
+    return h, points
+
+
+def reference_rate_trial(cfg, trial):
+    h, points = reference_trial(cfg, trial)
+    return np.array([[rate(h, f, snr) for f in precoders] for snr, precoders in points]).T
 
 
 @st.composite
-def rate_configs(draw):
+def rate_configs(draw, symbols=st.just(1), min_paths=1):
+    """Small configs with every scheme type; the channel and the multilevel estimate keep at
+    least `min_paths` (at most 3) paths."""
     m, n = draw(st.integers(1, 32)), draw(st.integers(1, 8))
     streams = draw(st.integers(1, min(3, m, n)))
-    clusters, rays = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    clusters = draw(st.integers(1, 3))
+    rays = draw(st.integers(-(-min_paths // clusters), 3))
     size = draw(st.sampled_from([8, 16, 32, 64]))
     spacing = draw(st.sampled_from([0.5, 0.3, 1.0]))
     schemes = (OptimalScheme(),
                ProposedScheme(k=draw(st.integers(1, 8)), gamma=draw(st.sampled_from([1, 2])),
                               angle_codebook_size=size),
                SparseScheme(q=draw(st.integers(streams, 8)), angle_codebook_size=size),
-               MultilevelScheme(k=draw(st.integers(1, min(8, clusters * rays))),
+               MultilevelScheme(k=draw(st.integers(min_paths, min(8, clusters * rays))),
                                 angle_codebook_size=size))
     return ExperimentConfig(
         channel=ChannelConfig(tx=ArrayGeometry(m, spacing), rx=ArrayGeometry(n, spacing),
@@ -154,7 +173,7 @@ def rate_configs(draw):
         streams=streams, schemes=schemes,
         snr_db_grid=tuple(draw(st.lists(st.sampled_from([-10.0, 0.0, 7.5, 20.0]), min_size=1,
                                         max_size=3, unique=True))),
-        trials=1, symbols_per_trial=1, seed=draw(st.integers(0, 2 ** 32 - 1)),
+        trials=1, symbols_per_trial=draw(symbols), seed=draw(st.integers(0, 2 ** 32 - 1)),
         allocation=draw(st.sampled_from(["unitary", "water_filling"])))
 
 

@@ -92,9 +92,9 @@ class TestTrialEngine:
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
     def test_one_link_factor_per_scheme_and_group(self, monkeypatch, allocation, groups):
         # The detector's SVD of H F runs once per (scheme, precoder group), not once per SNR,
-        # and the bits are mapped to symbols once per SNR, not once per scheme.
+        # and the symbol block is drawn once per SNR, not once per scheme.
         cfg = reference_experiment(trials=1, allocation=allocation)
-        svds, maps = [], []
+        svds, draws = [], []
 
         class CountingLinalg:
             def __getattr__(self, name):
@@ -110,15 +110,15 @@ class TestTrialEngine:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-        def counting_symbols(bits):
-            maps.append(bits.shape)
-            return evaluation.qpsk_symbols(bits)
+        def counting_draw(rng, *shape):
+            draws.append(shape)
+            return evaluation.draw_qpsk(rng, *shape)
 
         monkeypatch.setattr(evaluation, "np", NumpyAsEvaluationSeesIt())
-        monkeypatch.setattr(runner, "qpsk_symbols", counting_symbols)
+        monkeypatch.setattr(runner, "draw_qpsk", counting_draw)
         runner._ber_trial(cfg, 0)
         assert svds == [(16, 4)] * 6 * groups                  # 6 and 78 link SVDs
-        assert maps == [(2, 4, 1000)] * 13
+        assert draws == [(4, 16, 1000)] * 13
 
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_shared_draw_matches_per_scheme_draws(self, allocation):
