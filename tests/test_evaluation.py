@@ -214,11 +214,21 @@ class TestBerQpskMmse:
     @example(seed=2, s=4, n=16, t=1000)
     @example(seed=3, s=3, n=5, t=7)
     def test_draw_is_the_expression_form(self, seed, s, n, t):
-        # The symbols and the noise are filled in place; their bytes are those of the one-line
-        # expressions over the same draws.
-        _, symbols, noise = expression_block(np.random.default_rng(seed), s, n, t)
+        # The noise is filled in place after the bit draw; its bytes are those of the one-line
+        # expression over the same draws.
+        _, _, noise = expression_block(np.random.default_rng(seed), s, n, t)
         drawn = draw_qpsk(np.random.default_rng(seed), s, n, t)
-        assert drawn[0].tobytes() == symbols.tobytes() and drawn[1].tobytes() == noise.tobytes()
+        assert drawn[1].shape == (n, t) and drawn[1].tobytes() == noise.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(1, 8), n=st.integers(1, 16),
+           t=st.integers(1, 300))
+    def test_symbols_are_the_expression_form(self, seed, s, n, t):
+        # The symbols are filled in place from the first draw; their bytes are those of the
+        # one-line Gray-map expression of the same bits.
+        _, symbols, _ = expression_block(np.random.default_rng(seed), s, n, t)
+        drawn = draw_qpsk(np.random.default_rng(seed), s, n, t)
+        assert drawn[0].shape == (s, t) and drawn[0].tobytes() == symbols.tobytes()
 
     @pytest.mark.parametrize("case", ["nan_f", "nan_snr", "negative_snr", "scaled_f", "snr_array"])
     def test_rejects_invalid_link(self, case):
