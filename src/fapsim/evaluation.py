@@ -22,12 +22,9 @@ class BeamPattern:
     gain: np.ndarray               # normalized so the trapezoidal integral is 1
 
 
-def _link_inputs(h, f, snr_linear):
-    """A link metric's checked (H, F, SNR array): finite, shapes fit, unit-norm F, SNRs > 0."""
+def check_channel(h, snr_linear):
+    """A link's checked (H, SNR array): H finite, SNRs positive and finite, snr * ||H||^2 finite."""
     h = numerics._as_matrix(h, "h")
-    f = Precoder(numerics._as_matrix(f, "f")).matrix
-    if h.shape[1] != f.shape[0]:
-        raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
     snr = np.asarray(snr_linear, dtype=float)
     if snr.size == 0 or not np.all((snr > 0) & np.isfinite(snr)):
         raise InvalidInputError("snr_linear must be positive and finite")
@@ -35,7 +32,27 @@ def _link_inputs(h, f, snr_linear):
         bound = np.max(snr) * np.linalg.norm(h) ** 2
     if not bound < np.inf:
         raise InvalidInputError(f"snr * ||H||^2 must be finite, got {bound}")
+    return h, snr
+
+
+def _link_inputs(h, f, snr_linear):
+    """A link metric's checked (H, F, SNR array): `check_channel`, and a unit-norm F that fits H."""
+    h, snr = check_channel(h, snr_linear)
+    f = Precoder(numerics._as_matrix(f, "f")).matrix
+    if h.shape[1] != f.shape[0]:
+        raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
     return h, f, snr
+
+
+def link_gains(hf):
+    """Squared singular values of a product H F, or of each in a stack of them; unchecked."""
+    return np.linalg.svd(hf, compute_uv=False) ** 2
+
+
+def link_rates(gains, snr):
+    """sum_i log2(1 + snr g_i) over the last axis of `link_gains`; SNRs broadcast against the
+    rest."""
+    return np.sum(np.log2(1.0 + snr[..., None] * gains), axis=-1)
 
 
 def achievable_rate(h, f, snr_linear):
@@ -46,8 +63,7 @@ def achievable_rate(h, f, snr_linear):
     float) or an array of SNRs (returns an array of rates of the same shape).
     """
     h, f, snr = _link_inputs(h, f, snr_linear)
-    gains = np.linalg.svd(h @ f, compute_uv=False) ** 2
-    rate = np.sum(np.log2(1.0 + snr[..., None] * gains), axis=-1)
+    rate = link_rates(link_gains(h @ f), snr)
     return float(rate) if rate.ndim == 0 else rate
 
 

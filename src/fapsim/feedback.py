@@ -6,11 +6,11 @@ a shared discrete codebook. Orthogonal matching pursuit picks the K best
 angles; each pick extends a QR factorization of the picked columns by one
 Gram-Schmidt step, and G is solved from its triangular factor. OMP is greedy,
 so one run (`OmpPath`), extended as far as it is asked, yields every K as a
-prefix. A `FeedbackReport` carries the K angle indices and the (optionally
-quantized) K x S combining matrix, and holds the `BasisSpec` and
-`ComplexCodebook` it was made under: its K, gamma and bit counts derive from
-them, and the transmitter side (`reconstruct_precoder`, the wire format)
-refuses any other.
+prefix; one run carries a stack of targets in lockstep. A `FeedbackReport`
+carries the K angle indices and the (optionally quantized) K x S combining
+matrix, and holds the `BasisSpec` and `ComplexCodebook` it was made under: its
+K, gamma and bit counts derive from them, and the transmitter side
+(`reconstruct_precoder`, the wire format) refuses any other.
 """
 
 import functools
@@ -201,72 +201,107 @@ def _cached_dictionary(spec):
     return psi
 
 
-class OmpPath:
-    """One greedy run for F_hat = Psi(phi) G, extended only as far as `at` asks.
+@functools.lru_cache(maxsize=8)
+def _cached_adjoint(spec):
+    """Psi^H of `dictionary(spec)`, contiguous and read-only, shared by every `OmpPath`."""
+    psi_h = np.ascontiguousarray(dictionary(spec).conj().T)
+    psi_h.setflags(write=False)
+    return psi_h
 
-    Per pick: correlate every dictionary column with the residual and take the strongest
-    (ties to the lowest index). Classical Gram-Schmidt, run twice (CGS2), orthogonalizes it
-    against Q, the orthonormal basis of the columns picked so far: Q gains a column, the
-    triangular R of Psi(phi) = Q R a column and Q^H F a row, and the residual is
-    F - Q (Q^H F). `at(k)` solves R_k G = (Q^H F)_k. The picks do not depend on K, so one run
+
+class OmpPath:
+    """Greedy runs for F_hat = Psi(phi) G of a stack of targets in lockstep, extended only as
+    far as `at` asks.
+
+    Per pick, every running target takes the dictionary column most correlated with its
+    residual R (ties to the lowest index): one argmax over an atoms x targets score. Classical
+    Gram-Schmidt, run twice (CGS2), orthogonalizes the column against Q, the orthonormal basis
+    of that target's picks: Q gains a column v, the triangular R of Psi(phi) = Q R a column and
+    Q^H F a row v^H F. The residual F - Q (Q^H F) loses v (v^H F), so its correlations Psi^H R
+    lose (Psi^H v)(v^H F): one product with the dictionary per pick, not a new correlation.
+    `at(k, p)` solves R_k G = (Q^H F)_k for target p. The picks do not depend on K, so one run
     serves every K, asked in any order. A zero residual or a column with no norm left outside
-    Q's span (as a column picked before) stops the run; larger Ks get its stopped state.
+    Q's span (as a column picked before) stops a target: it is frozen there, and larger Ks get
+    its stopped state.
     """
 
-    def __init__(self, f_opt, spec):
-        self._psi = dictionary(spec)
-        self._psi_h = self._psi.conj().T
-        self._f = self._resid = f_opt.matrix                      # residual; None once stopped
-        m, s = self._f.shape                   # each grows by one column or row per pick:
-        self._q = np.empty((m, 0), complex)    # orthonormal basis of the picked columns, M x k
-        self._r = np.empty((0, 0), complex)    # Psi(phi) = Q R, R upper triangular, k x k
-        self._qhf = np.empty((0, s), complex)  # Q^H F, k x S
-        self._selected, self._norms = [], []   # per pick: its index, the residual norm after it
+    def __init__(self, targets, spec, capacity=16):
+        """`targets`: one Precoder, or a sequence of Precoders of one shape; `capacity`: the
+        picks per target to preallocate (more are added as asked)."""
+        self._psi_h = _cached_adjoint(spec)                      # A x M
+        f = np.stack([t.matrix for t in ([targets] if isinstance(targets, Precoder) else targets)])
+        p, m, s = f.shape
+        cap = max(1, min(capacity, m))
+        self._f, self._resid = f, f.copy()                      # P x M x S each
+        self._corr = (f.transpose(0, 2, 1).reshape(p * s, m) @ self._psi_h.T).reshape(p, s, -1)
+        self._q = np.zeros((p, cap, m), complex)      # row j of target p: its j-th basis vector
+        self._r = np.zeros((p, cap, cap), complex)    # Psi(phi) = Q R, R upper triangular
+        self._qhf = np.zeros((p, cap, s), complex)    # Q^H F
+        self._picks = np.zeros((p, cap), int)         # per pick: its index,
+        self._norms = np.zeros((p, cap))              # and the residual norm after it
+        self._count = np.zeros(p, int)                # picks made per target
+        self._running = np.ones(p, bool)              # every running target has made _steps
+        self._steps = 0
+
+    def _grow(self):
+        more = self._picks.shape[1]
+        self._q = np.pad(self._q, ((0, 0), (0, more), (0, 0)))
+        self._r = np.pad(self._r, ((0, 0), (0, more), (0, more)))
+        self._qhf = np.pad(self._qhf, ((0, 0), (0, more), (0, 0)))
+        self._picks = np.pad(self._picks, ((0, 0), (0, more)))
+        self._norms = np.pad(self._norms, ((0, 0), (0, more)))
 
     def _pick(self):
-        corr = self._psi_h @ self._resid
-        pick = int(np.argmax(np.sum(np.abs(corr) ** 2, axis=1)))   # diag of corr @ corr^H
-        col, q = self._psi[:, pick], self._q
-        coef = (col.conj() @ q).conj()                     # Q^H col, then Q^H of what is left
-        v = col - q @ coef
-        again = (v.conj() @ q).conj()
-        v = v - q @ again
-        norm = float(np.linalg.norm(v))
-        if norm <= _ZERO_RESIDUAL * np.linalg.norm(col):
-            self._resid = None                             # numerically degenerate residual
-            return
-        v /= norm
-        k = len(self._selected)
-        r = np.zeros((k + 1, k + 1), complex)
-        r[:k, :k], r[:k, k], r[k, k] = self._r, coef + again, norm
-        row = v.conj() @ self._f
-        self._q, self._r, self._qhf = np.column_stack((q, v)), r, np.vstack((self._qhf, row))
-        self._resid = self._resid - np.outer(v, row)
-        rnorm = float(np.linalg.norm(self._resid))
-        self._selected.append(pick)
-        self._norms.append(rnorm)
-        if rnorm <= _ZERO_RESIDUAL:
-            self._resid = None
+        """One pick of every running target."""
+        run = np.flatnonzero(self._running)
+        t = slice(None) if run.size == self._running.size else run    # a view when all run
+        k = self._steps
+        if k == self._picks.shape[1]:
+            self._grow()
+        corr = self._corr[t]                                             # Psi^H R, Pa x S x A
+        picks = np.argmax(np.sum(corr.real ** 2 + corr.imag ** 2, axis=1), axis=1)
+        cols = self._psi_h[picks].conj()                                 # Pa x M
+        q = self._q[t, :k]                                               # Pa x k x M
+        coef = (cols.conj()[:, None] @ q.transpose(0, 2, 1)).conj()      # Q^H col, Pa x 1 x k
+        v = cols[:, None] - coef @ q
+        again = (v.conj() @ q.transpose(0, 2, 1)).conj()                 # Q^H of what is left
+        v -= again @ q
+        norm = np.linalg.norm(v[:, 0], axis=1)
+        ok = norm > _ZERO_RESIDUAL * np.linalg.norm(cols, axis=1)
+        if not ok.all():                      # numerically inside Q's span: stop, no pick
+            self._running[run[~ok]] = False
+            t, picks, coef, again, v, norm = run[ok], picks[ok], coef[ok], again[ok], v[ok], norm[ok]
+        v = v[:, 0] / norm[:, None]
+        row = (v.conj()[:, None] @ self._f[t])[:, 0]                    # v^H F, Pa x S
+        self._q[t, k], self._r[t, :k, k], self._r[t, k, k] = v, (coef + again)[:, 0], norm
+        self._qhf[t, k] = row
+        self._resid[t] -= v[:, :, None] * row[:, None, :]
+        self._corr[t] -= row[:, :, None] * (v @ self._psi_h.T)[:, None, :]
+        rnorm = np.linalg.norm(self._resid[t], axis=(1, 2))
+        self._picks[t, k], self._norms[t, k] = picks, rnorm
+        self._count[t] += 1
+        self._running[t] &= rnorm > _ZERO_RESIDUAL
+        self._steps += 1
 
-    def at(self, k):
-        """The run stopped at `k` picks: (indices, G scaled so ||Psi(phi) G|| = 1,
+    def at(self, k, p=0):
+        """Target p's run stopped at `k` picks: (indices, G scaled so ||Psi(phi) G|| = 1,
         the residual norms ||F_opt - Psi(phi) G|| per iteration)."""
-        if not 1 <= k <= self._psi.shape[1]:
-            raise InvalidInputError(f"k must be in [1, {self._psi.shape[1]}], got {k}")
-        while len(self._selected) < k and self._resid is not None:
+        if not 1 <= k <= self._psi_h.shape[0]:
+            raise InvalidInputError(f"k must be in [1, {self._psi_h.shape[0]}], got {k}")
+        while self._count[p] < k and self._running[p]:
             self._pick()
-        k = min(k, len(self._selected))
-        qhf = self._qhf[:k]
+        k = min(k, int(self._count[p]))
+        qhf = self._qhf[p, :k]
         scale = float(np.linalg.norm(qhf))                   # ||Psi(phi) G|| = ||Q (Q^H F)_k||
         if scale <= _ZERO_RESIDUAL:
             raise DomainError("selected basis carries no energy of the target precoder")
-        g = np.linalg.solve(self._r[:k, :k], qhf)
-        return tuple(self._selected[:k]), g / scale, self._norms[:k]
+        g = np.linalg.solve(self._r[p, :k, :k], qhf)
+        return tuple(self._picks[p, :k].tolist()), g / scale, self._norms[p, :k].tolist()
 
 
 def omp_approximate(f_opt, spec, k):
-    """The K-angle greedy approximation: a fresh `OmpPath` read off at `k`."""
-    return OmpPath(f_opt, spec).at(k)
+    """The K-angle greedy approximation: a fresh one-target `OmpPath` read off at `k`."""
+    return OmpPath(f_opt, spec, k).at(k)
 
 
 def pack_report(indices, g, spec, cc):

@@ -14,6 +14,9 @@ from . import numerics
 from .errors import DegenerateChannelError, InvalidInputError
 
 PRECODER_NORM_TOL = 1e-9
+# A column's phase pivot is its lowest-index entry within this relative distance of its largest
+# modulus, so entries that tie up to rounding (a single-path channel) always give the same one.
+PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,10 @@ def water_fill(sigma, snr):
 def optimal_precoder(h, num_streams, alloc):
     """Top-S right singular vectors of H with the requested power split.
 
-    Each singular vector's phase is fixed so that its largest-magnitude entry
-    is real non-negative, making the output deterministic. Under water-filling,
-    `water_fill` sets each stream's power; one below the water level gets a zero column.
+    Each singular vector's phase is fixed so that its largest-magnitude entry (the lowest
+    index among those within PIVOT_RTOL of the largest) is real non-negative, making the
+    output deterministic. Under water-filling, `water_fill` sets each stream's power; one
+    below the water level gets a zero column.
     """
     u, s, v = numerics.svd(h)
     if num_streams < 1 or num_streams > min(h.shape):
@@ -96,7 +100,9 @@ def optimal_precoder(h, num_streams, alloc):
 
     # A unit-norm column's largest entry has modulus >= 1/sqrt(M), so the pivot is never zero.
     cols = v[:, :num_streams]
-    pivot = cols[np.argmax(np.abs(cols), axis=0), np.arange(num_streams)]
+    mags = np.abs(cols)
+    first = np.argmax(mags >= (1.0 - PIVOT_RTOL) * np.max(mags, axis=0), axis=0)
+    pivot = cols[first, np.arange(num_streams)]
     cols = cols * (np.conj(pivot) / np.abs(pivot))
 
     if alloc.mode == "unitary":

@@ -1,14 +1,16 @@
 """Monte-Carlo experiment runner.
 
-Each trial owns an independent random sub-stream derived from (seed, trial),
-so results are identical for any worker count; per-trial values land in a
-trial-indexed buffer and are reduced serially. All sweeps emit CSV text with
-the resolved configuration embedded in '#' comment lines.
+Trials run in blocks whose size depends on the config alone. Each trial owns an
+independent random sub-stream derived from (seed, trial), workers map whole
+blocks, and per-trial values are reduced serially in trial order, so results
+are identical for any worker count. Within a block, every (trial, precoder
+group) target shares one lockstep OMP run per basis spec and one stacked rate
+SVD. All sweeps emit CSV text with the resolved configuration embedded in '#'
+comment lines.
 """
 
 import ctypes
 import dataclasses
-import functools
 import glob
 import json
 import math
@@ -21,11 +23,19 @@ import numpy as np
 from .benchmarks import multilevel_csi_feedback
 from .channel import ChannelConfig, _check_sector, sample_channel, substream
 from .errors import InvalidInputError
-from .evaluation import BEAM_PATTERN_MIN_GRID, MmseLink, achievable_rate, beam_pattern, draw_qpsk
+from .evaluation import (BEAM_PATTERN_MIN_GRID, MmseLink, beam_pattern, check_channel, draw_qpsk,
+                         link_gains, link_rates)
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, _log2_exact,
                        deserialize_report, overhead_bits, pack_report, proposed_bits,
                        reconstruct_precoder, serialize_report)
 from .precoding import PowerAllocation, optimal_precoder
+
+
+# Trials per block at the reference shapes. A block's (trial, precoder group) targets share
+# one lockstep OMP run per basis spec and one stacked rate SVD; `_block_trials` takes fewer
+# when their state would exceed BLOCK_BYTES.
+BLOCK_TRIALS = 16
+BLOCK_BYTES = 32 * 2 ** 20
 
 
 def _coeff_suffix(cc):
@@ -37,9 +47,10 @@ def _coeff_suffix(cc):
 
 # A scheme class is its whole definition: `label`; `validate(cfg, where)`, which
 # names the failing field as `where.<field>`; `overhead(cfg)`, the nominal
-# (angle_bits, amplitude_bits); and `precoder(ch, cfg, alloc, f_opt, omp)`, its unit-norm
-# M x S matrix on one draw given the shared optimal precoder `f_opt` and the group's
-# memo `omp(spec)`, the one `OmpPath` of `f_opt` per BasisSpec that every scheme reads.
+# (angle_bits, amplitude_bits); `omp_basis(cfg)`, the (BasisSpec, K) it reads off OMP, or
+# None; and `precoder(ch, cfg, alloc, f_opt, omp)`, its unit-norm M x S matrix on one draw
+# given the shared optimal precoder `f_opt` and `omp(spec, k)`, the K-pick fit of `f_opt`
+# read off the one `OmpPath` per BasisSpec that every scheme of the block reads.
 
 @dataclass(frozen=True)
 class OptimalScheme:
@@ -52,6 +63,9 @@ class OptimalScheme:
 
     def overhead(self, cfg):
         return 0, 0
+
+    def omp_basis(self, cfg):
+        return None
 
     def precoder(self, ch, cfg, alloc, f_opt, omp):
         return f_opt.matrix
@@ -85,9 +99,12 @@ class ProposedScheme:
     def overhead(self, cfg):
         return proposed_bits(self.k, cfg.streams, self._spec(cfg).codebook, self.coeff_codebook)
 
+    def omp_basis(self, cfg):
+        return self._spec(cfg), self.k
+
     def precoder(self, ch, cfg, alloc, f_opt, omp):
         spec, cc = self._spec(cfg), self.coeff_codebook
-        report = pack_report(*omp(spec).at(self.k)[:2], spec, cc)
+        report = pack_report(*omp(spec, self.k)[:2], spec, cc)
         if cc.mode != "ideal":             # the transmitter rebuilds F_hat from the wire bytes alone
             report = deserialize_report(serialize_report(report, spec, cc), spec, cc, cfg.streams)
         return reconstruct_precoder(report, spec).matrix
@@ -117,6 +134,9 @@ class SparseScheme:
     def overhead(self, cfg):
         return self._proposed().overhead(cfg)
 
+    def omp_basis(self, cfg):
+        return self._proposed().omp_basis(cfg)
+
     def precoder(self, ch, cfg, alloc, f_opt, omp):
         return self._proposed().precoder(ch, cfg, alloc, f_opt, omp)
 
@@ -141,6 +161,9 @@ class MultilevelScheme:
     def overhead(self, cfg):
         return overhead_bits("multilevel_csi", k=self.k, angle_codebook_size=self.angle_codebook_size,
                              coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
+
+    def omp_basis(self, cfg):
+        return None
 
     def precoder(self, ch, cfg, alloc, f_opt, omp):
         h_hat = multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
@@ -228,52 +251,121 @@ def _snr_linear(cfg):
     return np.array([_db_to_linear(snr_db) for snr_db in cfg.snr_db_grid])
 
 
-def _precoder_groups(cfg, ch):
-    """(SNR indices, their linear SNRs, precoder of every scheme) groups covering the SNR grid.
-
-    Unitary precoders do not depend on the SNR, so one group holds every point;
-    water-filling gives one group per point. A group's schemes share one F_opt and
-    one `OmpPath` per distinct BasisSpec, extended to the largest K read off it.
-    """
+def _groups(cfg):
+    """(SNR indices, their linear SNRs, power allocation) per precoder group. Unitary
+    precoders do not depend on the SNR, so one group holds every point; water-filling gives
+    one group per point."""
     snrs = _snr_linear(cfg)
     unitary = cfg.allocation == "unitary"
-    for cols in [list(range(len(snrs)))] if unitary else [[j] for j in range(len(snrs))]:
-        alloc = PowerAllocation(cfg.allocation, total_power=snrs[cols[0]])
-        f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
-        omp = functools.cache(functools.partial(OmpPath, f_opt))
-        precoders = [s.precoder(ch, cfg, alloc, f_opt, omp) for s in cfg.schemes]
-        omp.cache_clear()                  # free the paths' Psi^H copies while the caller detects
-        yield cols, snrs[cols], precoders
+    return [(cols, snrs[cols], PowerAllocation(cfg.allocation, total_power=snrs[cols[0]]))
+            for cols in ([list(range(len(snrs)))] if unitary else [[j] for j in range(len(snrs))])]
 
 
-def _rate_trial(cfg, trial):
-    ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
-    out = np.empty((len(cfg.schemes), len(cfg.snr_db_grid)))
-    for cols, snrs, precoders in _precoder_groups(cfg, ch):
-        for i, f in enumerate(precoders):
-            # One SVD of H F per scheme gives the rate at every SNR of the group.
-            out[i, cols] = achievable_rate(ch.matrix, f, snrs)
+def _omp_bases(cfg):
+    """Every BasisSpec the schemes read off OMP, with the largest K read off it."""
+    bases = {}
+    for spec, k in filter(None, (s.omp_basis(cfg) for s in cfg.schemes)):
+        bases[spec] = max(k, bases.get(spec, 0))
+    return bases
+
+
+def _target_bytes(cfg):
+    """Bytes of one (trial, precoder group) target's state, in 16-byte words: under each OMP
+    basis spec its Q, R, Q^H F, correlations, residual, F and pick record, and every scheme's
+    precoder."""
+    m, s = cfg.channel.tx.num_elements, cfg.streams
+    words = len(cfg.schemes) * m * s
+    for spec, k in _omp_bases(cfg).items():
+        k = min(k, m)
+        words += m * k + k * k + k * s + spec.codebook.size * s + 2 * m * s + k + 1
+    return 16 * words
+
+
+def _chunk_targets(cfg):
+    """Targets whose state fits in BLOCK_BYTES: one lockstep OMP run's width (at least 1)."""
+    return max(1, BLOCK_BYTES // _target_bytes(cfg))
+
+
+def _block_trials(cfg):
+    """Trials per block: BLOCK_TRIALS, fewer when their targets would not fit in BLOCK_BYTES.
+    It depends on the config's shapes alone, never on the worker count."""
+    return max(1, min(BLOCK_TRIALS, _chunk_targets(cfg) // len(_groups(cfg))))
+
+
+def _precoder_stage(cfg, channels):
+    """Every scheme's precoder for each (trial, precoder group) target of a block.
+
+    Yields chunks of at most `_chunk_targets(cfg)` targets, trial-major: lists of
+    (trial offset in the block, SNR indices, linear SNRs, precoders). A chunk runs one
+    lockstep `OmpPath` per BasisSpec over the F_opt of all its targets.
+    """
+    targets = [(b, group) for b in range(len(channels)) for group in _groups(cfg)]
+    size, bases = _chunk_targets(cfg), _omp_bases(cfg)
+    for lo in range(0, len(targets), size):
+        chunk = targets[lo:lo + size]
+        f_opts = [optimal_precoder(channels[b].matrix, cfg.streams, alloc)
+                  for b, (_, _, alloc) in chunk]
+        paths = {spec: OmpPath(f_opts, spec, k) for spec, k in bases.items()}
+        done = [(b, cols, snrs, [s.precoder(channels[b], cfg, alloc, f_opt,
+                                            lambda spec, k, p=p: paths[spec].at(k, p))
+                                 for s in cfg.schemes])
+                for p, ((b, (cols, snrs, alloc)), f_opt) in enumerate(zip(chunk, f_opts))]
+        del paths                          # free the OMP state while the caller evaluates
+        yield done
+
+
+def _channels(cfg, trials):
+    """Each trial's channel, drawn from its own sub-stream."""
+    return [sample_channel(cfg.channel, substream(cfg.seed, t)) for t in trials]
+
+
+def _rate_block(cfg, trials):
+    """Rates, trials x schemes x SNR points: one stacked SVD of H F per chunk of targets."""
+    channels, snr = _channels(cfg, trials), _snr_linear(cfg)
+    for ch in channels:                    # every F is a unit-norm precoder of the right shape
+        check_channel(ch.matrix, snr)
+    out = np.empty((len(trials), len(cfg.schemes), len(cfg.snr_db_grid)))
+    for chunk in _precoder_stage(cfg, channels):
+        hf = np.stack([channels[b].matrix @ np.array(precoders)                # P x I x N x S
+                       for b, _, _, precoders in chunk])
+        snrs = np.array([snrs for _, _, snrs, _ in chunk])[:, None]              # P x 1 x C
+        rates = link_rates(link_gains(hf)[:, :, None], snrs)                    # P x I x C
+        for (b, cols, _, _), rate in zip(chunk, rates):
+            out[b][:, cols] = rate
     return out
 
 
-def _ber_trial(cfg, trial):
-    ch = sample_channel(cfg.channel, substream(cfg.seed, trial))
-    errors = np.zeros((len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
-    for cols, snrs, precoders in _precoder_groups(cfg, ch):
-        links = [MmseLink(ch.matrix, f) for f in precoders]   # one SVD of H F per scheme and group
-        for j, snr in zip(cols, snrs):
-            # One symbol/noise block per (trial, snr), shared by every scheme: each
-            # scheme sees the same symbols and noise, pairing the comparison.
-            symbols, noise = draw_qpsk(substream(cfg.seed, trial, j), cfg.streams,
-                                       ch.matrix.shape[0], cfg.symbols_per_trial)
-            for i, link in enumerate(links):
-                errors[i, j] = link.bit_errors(snr, symbols, noise)
+def _ber_block(cfg, trials):
+    """Bit errors, trials x schemes x SNR points."""
+    channels = _channels(cfg, trials)
+    errors = np.zeros((len(trials), len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
+    for chunk in _precoder_stage(cfg, channels):
+        for b, cols, snrs, precoders in chunk:
+            h = channels[b].matrix
+            links = [MmseLink(h, f) for f in precoders]   # one SVD of H F per scheme and group
+            for j, snr in zip(cols, snrs):
+                # One symbol/noise block per (trial, snr), shared by every scheme: each
+                # scheme sees the same symbols and noise, pairing the comparison.
+                symbols, noise = draw_qpsk(substream(cfg.seed, trials[b], j), cfg.streams,
+                                           h.shape[0], cfg.symbols_per_trial)
+                for i, link in enumerate(links):
+                    errors[b, i, j] = link.bit_errors(snr, symbols, noise)
     return errors
 
 
-def _worker_count(workers, trials):
-    """Pool size: never more processes than trials or than the machine's CPUs."""
-    return max(1, min(workers, trials, os.cpu_count() or 1))
+def _rate_trial(cfg, trial):
+    """One trial's rates (schemes x SNR points): the one-trial block."""
+    return _rate_block(cfg, [trial])[0]
+
+
+def _ber_trial(cfg, trial):
+    """One trial's bit errors (schemes x SNR points): the one-trial block."""
+    return _ber_block(cfg, [trial])[0]
+
+
+def _worker_count(workers, blocks):
+    """Pool size: never more processes than blocks of trials or than the machine's CPUs."""
+    return max(1, min(workers, blocks, os.cpu_count() or 1))
 
 
 def _one_blas_thread():
@@ -291,12 +383,17 @@ def _one_blas_thread():
 
 
 def _map_trials(fn, cfg, workers):
-    trials = range(cfg.trials)
-    workers = _worker_count(workers, cfg.trials)
+    """`fn(cfg, trials)` over consecutive blocks of `_block_trials(cfg)` trials, each
+    returning one result per trial; the per-trial results in trial order."""
+    size = _block_trials(cfg)
+    blocks = [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
+    workers = _worker_count(workers, len(blocks))
     if workers <= 1:
-        return [fn(cfg, t) for t in trials]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, [cfg] * cfg.trials, trials))
+        results = [fn(cfg, block) for block in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            results = list(pool.map(fn, [cfg] * len(blocks), blocks))
+    return [r for block in results for r in block]
 
 
 def _fmt(value):
@@ -338,7 +435,7 @@ def _sweep_csv(cfg, title, metric_columns, cells):
 
 def run_rate_sweep(cfg, workers=1):
     """Mean achievable rate per (scheme, SNR) over independent channel draws."""
-    per_trial = np.stack(_map_trials(_rate_trial, cfg, workers))   # trials x schemes x snrs
+    per_trial = np.stack(_map_trials(_rate_block, cfg, workers))   # trials x schemes x snrs
 
     def cells(i, j):
         values = per_trial[:, i, j]
@@ -349,7 +446,7 @@ def run_rate_sweep(cfg, workers=1):
 
 def run_ber_sweep(cfg, workers=1):
     """Uncoded QPSK BER per (scheme, SNR): bit errors over all trials, of 2 S T trials bits."""
-    errors = sum(_map_trials(_ber_trial, cfg, workers))        # integer sums, order-independent
+    errors = sum(_map_trials(_ber_block, cfg, workers))        # integer sums, order-independent
     sent = 2 * cfg.streams * cfg.symbols_per_trial * cfg.trials
 
     def cells(i, j):

@@ -318,6 +318,29 @@ def lstsq_omp(f, psi, k):
     return picks, fits, norms, len(picks), True
 
 
+def assert_stack_runs_single_paths(spec, targets, k, same_picks, compared=None):
+    """A stacked `OmpPath` against one path per target: per `compared` target (default all),
+    the picks (as judged by `same_picks`), the stopped state, G within 1e-12 of its norm and
+    every residual norm within 1e-12 of ||F|| = 1. A RuntimeWarning is an error. Returns the
+    stack."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stack = OmpPath(targets, spec)
+        for p in range(len(targets)) if compared is None else compared:
+            single = OmpPath(targets[p], spec)
+            got, expected = omp_or_error(stack.at, k, p), omp_or_error(single.at, k)
+            state = (int(stack._count[p]), bool(stack._running[p]))
+            assert state == (int(single._count[0]), bool(single._running[0]))
+            if expected is DomainError:
+                assert got is DomainError
+                continue
+            assert same_picks(got[0], expected[0]), (got[0], expected[0])
+            assert np.linalg.norm(got[1] - expected[1]) <= 1e-12 * np.linalg.norm(expected[1])
+            assert len(got[2]) == len(expected[2])
+            assert np.all(np.abs(np.subtract(got[2], expected[2])) <= 1e-12)
+    return stack
+
+
 class TestOmpPath:
     @settings(max_examples=150, deadline=None)
     @given(seed=SEEDS, m=st.integers(1, 24), s=st.integers(1, 3), size_bits=st.integers(1, 6),
@@ -377,11 +400,55 @@ class TestOmpPath:
                 assert_same_omp(got, expected)
                 assert len(set(got[0])) == len(got[0]) == len(got[2]) <= k
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, m=st.integers(1, 24), s=st.integers(1, 3), size_bits=st.integers(1, 6),
+           gamma=st.sampled_from([1, 2]),
+           kinds=st.lists(st.sampled_from(["random", "atom"]), min_size=1, max_size=6),
+           k=st.integers(1, 64))
+    def test_a_stack_runs_each_target_as_its_own_path(self, seed, m, s, size_bits, gamma, kinds, k):
+        # An atom target (a dictionary column in its first stream, zeros beside it) stops at a
+        # zero residual after one pick while the random targets beside it run on. A target
+        # whose run meets a correlation tie (the straight-line OMP's margin) is left out of the
+        # comparison, as rounding picks there; it still runs in the stack.
+        spec = spec_of(m=m, size=2 ** size_bits, gamma=gamma)
+        rng, psi = np.random.default_rng(seed), dictionary(spec)
+        s = min(s, m)
+        targets = []
+        for kind in ["atom"] + kinds:
+            if kind == "random":
+                targets.append(random_precoder(rng, m, s))
+            else:
+                f = np.zeros((m, s), complex)
+                f[:, 0] = psi[:, rng.integers(spec.codebook.size)]
+                targets.append(Precoder(f / np.linalg.norm(f)))
+        k = min(k, spec.codebook.size)
+        clear = [p for p, f in enumerate(targets) if lstsq_omp(f.matrix, psi, k)[4]]
+        assert_stack_runs_single_paths(spec, targets, k, tuple.__eq__, clear)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_stack_stops_each_target_inside_the_span(self, seed):
+        # Columns 0 and 1 coincide, and so do 2 and 3 (see the test below): every target stops
+        # once its picks span the dictionary, and which twin it picks is rounding's choice.
+        codebook = AngleCodebook((-np.pi / 2, np.pi / 2), 4)
+        spacing = 1.0 / (np.sin(codebook.centers[1]) - np.sin(codebook.centers[0]))
+        spec = BasisSpec(codebook=codebook, tx=ArrayGeometry(4, spacing))
+        psi, rng = dictionary(spec), np.random.default_rng(seed)
+        targets = [random_precoder(rng, 4, 2) for _ in range(3)]
+        for j in range(2):
+            f = (psi[:, 2 * j] + psi[:, 1])[:, None] + orthogonal_to_dictionary(spec, rng)
+            targets.append(Precoder(np.hstack([f, orthogonal_to_dictionary(spec, rng)]) / np.sqrt(
+                np.linalg.norm(f) ** 2 + 1.0)))
+
+        def same_atoms(got, expected):
+            return np.allclose(psi[:, list(got)], psi[:, list(expected)], rtol=0, atol=1e-12)
+        stack = assert_stack_runs_single_paths(spec, targets, 4, same_atoms)
+        assert not stack._running.any() and stack._count.max() == 2
+
     def test_extends_only_as_far_as_asked(self, monkeypatch):
         picks = []                                         # picks already made, at each pick
 
         def counting(path):
-            picks.append(len(path._selected))
+            picks.append(int(path._count[0]))
             pick(path)
 
         pick = OmpPath._pick

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fapsim.channel import ArrayGeometry, channel_from_paths
 from fapsim.errors import DegenerateChannelError, InvalidInputError
-from fapsim.evaluation import achievable_rate
+from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
 from fapsim.precoding import Precoder, PowerAllocation, optimal_precoder, water_fill
 
 UNITARY = PowerAllocation("unitary")
@@ -141,6 +142,26 @@ class TestOptimalPrecoder:
             i = int(np.argmax(np.abs(f[:, j])))
             assert abs(f[i, j].imag) <= 1e-12
             assert f[i, j].real >= 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_single_path_pivot_ignores_rounding(self, seed):
+        # One path: the right singular vector is a steering vector, every entry of modulus
+        # 1/sqrt(M), so only rounding separates them. A copy of H a few ulps away must give the
+        # same phase pivot, so the same F_opt and the same BER counts.
+        rng = np.random.default_rng(seed)
+        gain = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        h = channel_from_paths(gain, rng.uniform(-0.7, 0.7, 1), rng.uniform(-3.0, 3.0, 1),
+                               ArrayGeometry(8), ArrayGeometry(4))
+        steps = rng.integers(-3, 4, size=h.shape + (2,))
+        near = h.copy()
+        near.real = h.real + steps[..., 0] * np.spacing(h.real)
+        near.imag = h.imag + steps[..., 1] * np.spacing(h.imag)
+        f, f_near = (optimal_precoder(x, 1, UNITARY).matrix for x in (h, near))
+        assert np.abs(f - f_near).max() <= 1e-12
+        assert np.abs(f[0, 0].imag) <= 1e-15 and f[0, 0].real > 0      # the lowest index
+        counts = [ber_qpsk_mmse(x, y, 0.1, 1000, np.random.default_rng(7)) for x, y in
+                  ((h, f), (near, f_near))]
+        assert counts[0] == counts[1]
 
     def test_water_filling_beats_unitary(self):
         rng = np.random.default_rng(34)

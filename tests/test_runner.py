@@ -1,6 +1,5 @@
 import ctypes
 import dataclasses
-import functools
 import glob
 import json
 import math
@@ -66,17 +65,18 @@ class TestTrialEngine:
 
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
     def test_one_omp_path_per_spec_and_group(self, monkeypatch, allocation, groups):
-        # The reference schemes' K = 6, 8, 16 and Q = 8 share one spec: one path, 16 picks.
+        # The reference schemes' K = 6, 8, 16 and Q = 8 share one spec: one path per block,
+        # with one target per precoder group, each picking 16 times.
         cfg = reference_experiment(trials=1, allocation=allocation)
-        specs, picks = [], []
+        specs, picks = [], []                  # per pick: (picks made, targets picking)
 
         class Counting(OmpPath):
-            def __init__(self, f_opt, spec):
+            def __init__(self, targets, spec, capacity):
                 specs.append(spec)
-                super().__init__(f_opt, spec)
+                super().__init__(targets, spec, capacity)
 
             def _pick(self):
-                picks.append(len(self._selected))
+                picks.append((self._steps, int(self._running.sum())))
                 super()._pick()
 
         def forbidden(*args):
@@ -86,8 +86,9 @@ class TestTrialEngine:
         monkeypatch.setattr(feedback, "omp_approximate", forbidden)
         monkeypatch.setattr(benchmarks, "omp_approximate", forbidden)
         runner._rate_trial(cfg, 0)
-        assert len(specs) == groups and len(set(specs)) == 1
-        assert picks == list(range(16)) * groups               # 16 and 208 picks
+        assert len(specs) == 1
+        assert picks == [(j, groups) for j in range(16)]
+        assert sum(n for _, n in picks) == 16 * groups          # 16 and 208 target-picks
 
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
     def test_one_link_factor_per_scheme_and_group(self, monkeypatch, allocation, groups):
@@ -126,7 +127,7 @@ class TestTrialEngine:
                                    snr_db_grid=(-20.0, -5.0, 10.0))
         errors = runner._ber_trial(cfg, 0)
         ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
-        for cols, _, precoders in runner._precoder_groups(cfg, ch):
+        for _, cols, _, precoders in next(runner._precoder_stage(cfg, [ch])):
             for j in cols:
                 snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
                 for i, f in enumerate(precoders):
@@ -139,11 +140,11 @@ class TestTrialEngine:
         cfg = small_experiment(allocation=allocation)
         rates = runner._rate_trial(cfg, 5)
         ch = sample_channel(cfg.channel, substream(cfg.seed, 5))
-        groups = list(runner._precoder_groups(cfg, ch))
+        [groups] = runner._precoder_stage(cfg, [ch])
         # Unitary: one group for the whole grid; water-filling: one group per SNR point.
         assert len(groups) == (1 if allocation == "unitary" else len(cfg.snr_db_grid))
-        assert sorted(j for cols, _, _ in groups for j in cols) == list(range(len(cfg.snr_db_grid)))
-        for cols, snrs, precoders in groups:
+        assert sorted(j for _, cols, _, _ in groups for j in cols) == list(range(len(cfg.snr_db_grid)))
+        for _, cols, snrs, precoders in groups:
             assert list(snrs) == [10.0 ** (cfg.snr_db_grid[j] / 10.0) for j in cols]
             for j in cols:
                 snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
@@ -162,18 +163,88 @@ class TestTrialEngine:
         assert runner._worker_count(workers, trials) == expected
 
 
-def _blas_threads(cfg, trial):
-    """Thread count of numpy's bundled OpenBLAS in this process; None where it is absent."""
+QUANTIZED_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "quantized.yaml")
+
+
+def _quantized_experiment(**overrides):
+    return dataclasses.replace(cli.build_experiment_config(cli.load_config(QUANTIZED_CONFIG)),
+                               **overrides)
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("make_cfg", [
+        lambda: small_experiment(),
+        lambda: small_experiment(allocation="water_filling"),
+        lambda: _quantized_experiment(trials=5),
+    ], ids=["unitary", "water_filling", "quantized"])
+    def test_block_size_does_not_move_the_sweeps(self, monkeypatch, make_cfg):
+        # Blocks of 1 and 3 trials (a partial last block) against the default: rates within
+        # 1e-12 relative, everything else (BER counts included) byte-identical.
+        cfg, default = make_cfg(), runner.BLOCK_TRIALS
+        outputs = {}
+        for size in (1, 3, default):
+            monkeypatch.setattr(runner, "BLOCK_TRIALS", size)
+            assert runner._block_trials(cfg) == size
+            outputs[size] = run_rate_sweep(cfg), run_ber_sweep(cfg)
+        rate, ber = outputs[default]
+        for size in (1, 3):
+            assert outputs[size][1] == ber
+            got, expected = outputs[size][0].splitlines(), rate.splitlines()
+            assert len(got) == len(expected)
+            assert [ln for ln in got if ln[0] == "#"] == [ln for ln in expected if ln[0] == "#"]
+            table, reference = parse_csv(outputs[size][0]), parse_csv(rate)
+            assert table.keys() == reference.keys()
+            for column, cells in reference.items():
+                if column in ("mean_rate", "stderr"):
+                    assert np.all(np.abs(np.array(table[column], float) - np.array(cells, float))
+                                  <= 1e-12 * np.abs(np.array(cells, float)))
+                else:
+                    assert table[column] == cells
+
+    @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
+    def test_block_state_fits_the_budget_at_the_range_maxima(self, allocation):
+        top = {name: cli.RANGES[name][1] for name in ("tx_antennas", "angle_codebook_size",
+                                                        "streams", "k")}
+        cfg = reference_experiment(
+            channel=ChannelConfig(tx=ArrayGeometry(top["tx_antennas"]), rx=ArrayGeometry(64),
+                                  num_clusters=4, rays_per_cluster=4),
+            streams=top["streams"], allocation=allocation,
+            schemes=(OptimalScheme(), ProposedScheme(k=top["k"], gamma=2,
+                                                     angle_codebook_size=top["angle_codebook_size"]),
+                     SparseScheme(q=top["k"], angle_codebook_size=top["angle_codebook_size"])))
+        groups = len(runner._groups(cfg))
+        targets = min(runner._block_trials(cfg) * groups, runner._chunk_targets(cfg))
+        assert runner._block_trials(cfg) >= 1
+        assert targets * runner._target_bytes(cfg) <= runner.BLOCK_BYTES
+
+    def test_target_bytes_bound_the_omp_state(self):
+        # The arrays an OmpPath holds per target (the shared, read-only Psi^H aside) stay within
+        # `_target_bytes`, after every K the schemes read.
+        cfg = small_experiment(schemes=(ProposedScheme(k=12, gamma=2, angle_codebook_size=64),))
+        spec, k = cfg.schemes[0].omp_basis(cfg)
+        ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
+        targets = [optimal_precoder(ch.matrix, cfg.streams, PowerAllocation("unitary"))] * 5
+        path = OmpPath(targets, spec, k)
+        path.at(k, 0)
+        held = sum(a.nbytes for a in vars(path).values() if isinstance(a, np.ndarray)
+                   and a.flags.writeable)
+        assert held <= len(targets) * runner._target_bytes(cfg)
+
+
+def _blas_threads(cfg, trials):
+    """Per trial, the thread count of numpy's bundled OpenBLAS in this process; None where it
+    is absent."""
     numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(numpy_libs, "*openblas*")):
         get_threads = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
         if get_threads is not None:
-            return get_threads()
-    return None
+            return [get_threads()] * len(trials)
+    return [None] * len(trials)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(runner, "BLOCK_TRIALS", 1)          # four blocks, so the pool runs
     counts = runner._map_trials(_blas_threads, small_experiment(trials=4), workers=2)
     if counts[0] is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
@@ -182,7 +253,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
 class TestRateSweep:
     def test_deterministic_across_worker_counts(self):
-        cfg = small_experiment()
+        cfg = small_experiment(trials=19)            # a block of 16 and a partial one of 3
         assert run_rate_sweep(cfg, workers=1) == run_rate_sweep(cfg, workers=3)
 
     def test_reproducible_single_scheme(self):
@@ -265,7 +336,7 @@ class TestRateSweep:
 class TestBerSweep:
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_deterministic_across_worker_counts(self, allocation):
-        cfg = small_experiment(trials=4, allocation=allocation)
+        cfg = small_experiment(trials=19, allocation=allocation)  # blocks of 16 and 3 trials
         assert run_ber_sweep(cfg, workers=1) == run_ber_sweep(cfg, workers=2)
 
     def test_noise_free_sentinel_row(self):
@@ -486,6 +557,6 @@ class TestSparseDelegation:
             f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
             f_rf, f_bb = sparse_precoder(f_opt, bench)
             expected = f_rf @ f_bb
-            omp = functools.cache(functools.partial(OmpPath, f_opt))     # a fresh memo per draw
+            omp = lambda spec, k: OmpPath(f_opt, spec).at(k)          # a fresh path per draw
             assert np.array_equal(scheme.precoder(ch, cfg, alloc, f_opt, omp),
                                   expected / np.linalg.norm(expected))
