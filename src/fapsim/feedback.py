@@ -5,7 +5,7 @@ Psi's columns are (multi-beam) transmit array responses at angles drawn from
 a shared discrete codebook. Orthogonal matching pursuit picks the K best
 angles; each pick extends a QR factorization of the picked columns by one
 Gram-Schmidt step, and G is solved from its triangular factor. OMP is greedy,
-so one run (`OmpPath`), extended as far as it is asked, yields every K as a
+so one run (`OmpPath`), sized for the largest K, yields every K as a
 prefix; one run carries a stack of targets in lockstep. A `FeedbackReport`
 carries the K angle indices and the (optionally quantized) K x S combining
 matrix, and holds the `BasisSpec` and `ComplexCodebook` it was made under: its
@@ -210,8 +210,8 @@ def _cached_adjoint(spec):
 
 
 class OmpPath:
-    """Greedy runs for F_hat = Psi(phi) G of a stack of targets in lockstep, extended only as
-    far as `at` asks.
+    """Greedy runs for F_hat = Psi(phi) G of a stack of targets in lockstep, sized once for the
+    largest K and extended only as far as `at` asks.
 
     Per pick, every running target takes the dictionary column most correlated with its
     residual R (ties to the lowest index): one argmax over an atoms x targets score. Classical
@@ -225,13 +225,15 @@ class OmpPath:
     its stopped state.
     """
 
-    def __init__(self, targets, spec, capacity=16):
-        """`targets`: one Precoder, or a sequence of Precoders of one shape; `capacity`: the
-        picks per target to preallocate (more are added as asked)."""
-        self._psi_h = _cached_adjoint(spec)                      # A x M
+    def __init__(self, targets, spec, k):
+        """`targets`: one Precoder, or a sequence of Precoders of one shape; `k`, in [1, A]: the
+        most picks `at` is asked for. A target stops at min(k, M) picks (M span the array)."""
+        self._psi_h, self._k = _cached_adjoint(spec), k         # A x M, the path's K
+        if not 1 <= k <= self._psi_h.shape[0]:
+            raise InvalidInputError(f"k must be in [1, {self._psi_h.shape[0]}], got {k}")
         f = np.stack([t.matrix for t in ([targets] if isinstance(targets, Precoder) else targets)])
         p, m, s = f.shape
-        cap = max(1, min(capacity, m))
+        cap = min(k, m)
         self._f, self._resid = f, f.copy()                      # P x M x S each
         self._corr = (f.transpose(0, 2, 1).reshape(p * s, m) @ self._psi_h.T).reshape(p, s, -1)
         self._q = np.zeros((p, cap, m), complex)      # row j of target p: its j-th basis vector
@@ -243,21 +245,18 @@ class OmpPath:
         self._running = np.ones(p, bool)              # every running target has made _steps
         self._steps = 0
 
-    def _grow(self):
-        more = self._picks.shape[1]
-        self._q = np.pad(self._q, ((0, 0), (0, more), (0, 0)))
-        self._r = np.pad(self._r, ((0, 0), (0, more), (0, more)))
-        self._qhf = np.pad(self._qhf, ((0, 0), (0, more), (0, 0)))
-        self._picks = np.pad(self._picks, ((0, 0), (0, more)))
-        self._norms = np.pad(self._norms, ((0, 0), (0, more)))
+    @staticmethod
+    def target_bytes(spec, k, s):
+        """Bytes `OmpPath(targets, spec, k)` allocates per M x S target, Psi^H aside, in 16-byte
+        words: Q, R, Q^H F, the correlations, the residual, F and the pick record."""
+        m, k = spec.tx.num_elements, min(k, spec.tx.num_elements)
+        return 16 * (m * k + k * k + k * s + spec.codebook.size * s + 2 * m * s + k + 1)
 
     def _pick(self):
         """One pick of every running target."""
         run = np.flatnonzero(self._running)
         t = slice(None) if run.size == self._running.size else run    # a view when all run
         k = self._steps
-        if k == self._picks.shape[1]:
-            self._grow()
         corr = self._corr[t]                                             # Psi^H R, Pa x S x A
         picks = np.argmax(np.sum(corr.real ** 2 + corr.imag ** 2, axis=1), axis=1)
         cols = self._psi_h[picks].conj()                                 # Pa x M
@@ -286,9 +285,9 @@ class OmpPath:
     def at(self, k, p=0):
         """Target p's run stopped at `k` picks: (indices, G scaled so ||Psi(phi) G|| = 1,
         the residual norms ||F_opt - Psi(phi) G|| per iteration)."""
-        if not 1 <= k <= self._psi_h.shape[0]:
-            raise InvalidInputError(f"k must be in [1, {self._psi_h.shape[0]}], got {k}")
-        while self._count[p] < k and self._running[p]:
+        if not 1 <= k <= self._k:
+            raise InvalidInputError(f"k must be in [1, {self._k}], got {k}")
+        while self._count[p] < min(k, self._picks.shape[1]) and self._running[p]:
             self._pick()
         k = min(k, int(self._count[p]))
         qhf = self._qhf[p, :k]

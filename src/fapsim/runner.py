@@ -270,15 +270,11 @@ def _omp_bases(cfg):
 
 
 def _target_bytes(cfg):
-    """Bytes of one (trial, precoder group) target's state, in 16-byte words: under each OMP
-    basis spec its Q, R, Q^H F, correlations, residual, F and pick record, and every scheme's
-    precoder."""
-    m, s = cfg.channel.tx.num_elements, cfg.streams
-    words = len(cfg.schemes) * m * s
-    for spec, k in _omp_bases(cfg).items():
-        k = min(k, m)
-        words += m * k + k * k + k * s + spec.codebook.size * s + 2 * m * s + k + 1
-    return 16 * words
+    """Bytes of one (trial, precoder group) target's state: every scheme's precoder, and the
+    OMP state under each basis spec (`OmpPath.target_bytes`)."""
+    s = cfg.streams
+    return (16 * len(cfg.schemes) * cfg.channel.tx.num_elements * s
+            + sum(OmpPath.target_bytes(spec, k, s) for spec, k in _omp_bases(cfg).items()))
 
 
 def _chunk_targets(cfg):
@@ -351,16 +347,6 @@ def _ber_block(cfg, trials):
                 for i, link in enumerate(links):
                     errors[b, i, j] = link.bit_errors(snr, symbols, noise)
     return errors
-
-
-def _rate_trial(cfg, trial):
-    """One trial's rates (schemes x SNR points): the one-trial block."""
-    return _rate_block(cfg, [trial])[0]
-
-
-def _ber_trial(cfg, trial):
-    """One trial's bit errors (schemes x SNR points): the one-trial block."""
-    return _ber_block(cfg, [trial])[0]
 
 
 def _worker_count(workers, blocks):

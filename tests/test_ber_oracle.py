@@ -1,4 +1,4 @@
-"""One BER trial written straight from the paper's formulas, against `runner._ber_trial`.
+"""One BER trial written straight from the paper's formulas, against `runner._ber_block`.
 
 The reference reuses the straight-line H, F_opt and OMP of `test_rate_oracle`, restates the
 block draw of each (trial, SNR) from `substream(seed, trial, j)` (bits, then the noise's real
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fapsim.channel import substream
-from fapsim.runner import _ber_trial
+from fapsim.runner import _ber_block
 from test_rate_oracle import rate_configs, reference_trial
 
 DECISION_RTOL = 1e-9
@@ -46,5 +46,5 @@ def reference_ber_trial(cfg, trial):
 @given(cfg=rate_configs(symbols=st.integers(1, 64), min_paths=3), trial=st.integers(0, 1000))
 def test_ber_trial_matches_the_straight_line_reference(cfg, trial):
     expected = reference_ber_trial(cfg, trial)
-    got = _ber_trial(cfg, trial)
+    got = _ber_block(cfg, [trial])[0]
     assert np.array_equal(got, expected), (got, expected)

@@ -325,9 +325,9 @@ def assert_stack_runs_single_paths(spec, targets, k, same_picks, compared=None):
     stack."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        stack = OmpPath(targets, spec)
+        stack = OmpPath(targets, spec, k)
         for p in range(len(targets)) if compared is None else compared:
-            single = OmpPath(targets[p], spec)
+            single = OmpPath(targets[p], spec, k)
             got, expected = omp_or_error(stack.at, k, p), omp_or_error(single.at, k)
             state = (int(stack._count[p]), bool(stack._running[p]))
             assert state == (int(single._count[0]), bool(single._running[0]))
@@ -360,7 +360,7 @@ class TestOmpPath:
             f_opt = Precoder(f / np.linalg.norm(f))
         psi = dictionary(spec)
         picks, fits, norms, sure, whole = lstsq_omp(f_opt.matrix, psi, k)
-        path = OmpPath(f_opt, spec)
+        path = OmpPath(f_opt, spec, k)
         indices, _, history = path.at(k)
         assert indices[:sure] == tuple(picks[:sure])
         assert not whole or len(indices) == len(picks)
@@ -391,7 +391,7 @@ class TestOmpPath:
             if target == "atom+orth" and m > spec.codebook.size:
                 f = f + orthogonal_to_dictionary(spec, rng)
             f_opt = Precoder(f / np.linalg.norm(f))
-        path = OmpPath(f_opt, spec)
+        path = OmpPath(f_opt, spec, max(ks))
         for k in ks:
             got, expected = omp_or_error(path.at, k), omp_or_error(omp_approximate, f_opt, spec, k)
             if expected is DomainError:
@@ -454,7 +454,7 @@ class TestOmpPath:
         pick = OmpPath._pick
         monkeypatch.setattr(OmpPath, "_pick", counting)
         spec = spec_of(m=32, size=64)
-        path = OmpPath(random_precoder(np.random.default_rng(50), 32, 2), spec)
+        path = OmpPath(random_precoder(np.random.default_rng(50), 32, 2), spec, 5)
         assert picks == []
         path.at(3)
         path.at(1)
@@ -467,7 +467,7 @@ class TestOmpPath:
     def test_ties_go_to_the_lowest_index(self, gamma):
         # One antenna: every column is the same number, so every correlation ties exactly.
         spec = spec_of(m=1, size=8, gamma=gamma)
-        assert OmpPath(Precoder(np.array([[1j]])), spec).at(3)[0] == (0,)
+        assert OmpPath(Precoder(np.array([[1j]])), spec, 3).at(3)[0] == (0,)
 
     def test_a_pick_inside_the_span_stops_the_run(self):
         # At d/lambda = 1 / (sin c1 - sin c0) columns 0 and 1 coincide, and so do 2 and 3. Once
@@ -480,7 +480,7 @@ class TestOmpPath:
         target = psi[:, 0] + psi[:, 2]
         for seed in range(12):
             f = target[:, None] + orthogonal_to_dictionary(spec, np.random.default_rng(seed))
-            indices, g, history = OmpPath(Precoder(f / np.linalg.norm(f)), spec).at(4)
+            indices, g, history = OmpPath(Precoder(f / np.linalg.norm(f)), spec, 4).at(4)
             assert len(indices) == 2 and {i // 2 for i in indices} == {0, 1}
             fit = psi[:, list(indices)] @ g
             assert np.linalg.norm(fit[:, 0] - target / np.linalg.norm(target)) <= 1e-9
@@ -488,7 +488,7 @@ class TestOmpPath:
 
     def test_zero_residual_stop_serves_every_larger_k(self):
         spec = spec_of(m=16, size=8, gamma=1)
-        path = OmpPath(atom_precoder(spec, 2), spec)
+        path = OmpPath(atom_precoder(spec, 2), spec, 5)
         for k in (5, 3):
             assert_same_omp(path.at(k), path.at(1))
         assert path.at(5)[0] == (2,) and len(path.at(5)[2]) == 1
@@ -496,7 +496,7 @@ class TestOmpPath:
     def test_prefixes_of_one_run(self):
         rng = np.random.default_rng(48)
         spec = spec_of(m=32, size=64, gamma=2)
-        path = OmpPath(random_precoder(rng, 32, 3), spec)
+        path = OmpPath(random_precoder(rng, 32, 3), spec, 16)
         full = path.at(16)
         assert path.at(6)[0] == full[0][:6] and path.at(8)[0] == full[0][:8]
         assert path.at(6)[2] == full[2][:6] and path.at(8)[2] == full[2][:8]
@@ -504,25 +504,51 @@ class TestOmpPath:
     def test_returned_history_is_a_copy(self):
         spec = spec_of(m=24, size=16)
         f_opt = random_precoder(np.random.default_rng(51), 24, 2)
-        path = OmpPath(f_opt, spec)
+        path = OmpPath(f_opt, spec, 4)
         path.at(4)[2].append(-1.0)
         assert path.at(4)[2] == omp_approximate(f_opt, spec, 4)[2]
 
     def test_no_energy_is_the_same_domain_error(self):
         spec = spec_of(m=16, size=8)
         f_opt = Precoder(orthogonal_to_dictionary(spec, np.random.default_rng(49), s=2))
-        path = OmpPath(f_opt, spec)
+        path = OmpPath(f_opt, spec, 4)
         for read in (lambda: path.at(1), lambda: path.at(4), lambda: omp_approximate(f_opt, spec, 4)):
             with pytest.raises(DomainError, match="carries no energy"):
                 read()
 
     def test_k_out_of_range(self):
         spec = spec_of(size=8)
-        path = OmpPath(atom_precoder(spec, 0), spec)
+        path = OmpPath(atom_precoder(spec, 0), spec, 8)
         path.at(2)
         for k in (9, 0):
             with pytest.raises(InvalidInputError, match=rf"k must be in \[1, 8\], got {k}"):
                 path.at(k)
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_construction_k_out_of_range(self, k):
+        spec = spec_of(size=8)
+        with pytest.raises(InvalidInputError, match=rf"k must be in \[1, 8\], got {k}"):
+            OmpPath(atom_precoder(spec, 0), spec, k)
+
+    @pytest.mark.parametrize("path_k, k", [(1, 2), (3, 4), (3, 8)])
+    def test_k_above_the_path_k_is_refused(self, path_k, k):
+        spec = spec_of(m=16, size=8)
+        path = OmpPath(random_precoder(np.random.default_rng(52), 16, 2), spec, path_k)
+        path.at(path_k)
+        with pytest.raises(InvalidInputError, match=rf"k must be in \[1, {path_k}\], got {k}"):
+            path.at(k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_k_above_m_stops_at_m_picks(self, seed):
+        # M = 8 antennas, K = 12: the path holds 8 picks per target, and 8 picks span the array.
+        spec = spec_of(m=8, size=16)
+        targets = [random_precoder(np.random.default_rng(seed), 8, 1), atom_precoder(spec, 3)]
+        path = OmpPath(targets, spec, 12)
+        for p, f_opt in enumerate(targets):
+            got = path.at(12, p)
+            assert len(got[0]) <= 8 and path._count[p] <= 8
+            assert_same_omp(got, omp_approximate(f_opt, spec, 12))
+            assert_same_omp(got, OmpPath(f_opt, spec, 8).at(8))
 
 
 class TestBuildReport:

@@ -1,4 +1,4 @@
-"""One rate trial written straight from the paper's formulas, against `runner._rate_trial`.
+"""One rate trial written straight from the paper's formulas, against `runner._rate_block`.
 
 The reference below shares no code with the engine: it rebuilds H as the explicit per-path sum
 over the trial's path arrays, takes F_opt from `np.linalg.svd` with its own phase rule and
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.runner import (ExperimentConfig, MultilevelScheme, OptimalScheme, ProposedScheme,
-                           SparseScheme, _rate_trial)
+                           SparseScheme, _rate_block)
 
 RATE_RTOL = 1e-9
 # The engine's zero-residual stop (`feedback._ZERO_RESIDUAL`), restated.
@@ -181,6 +181,6 @@ def rate_configs(draw, symbols=st.just(1), min_paths=1):
 @given(cfg=rate_configs(), trial=st.integers(0, 1000))
 def test_rate_trial_matches_the_straight_line_reference(cfg, trial):
     expected = reference_rate_trial(cfg, trial)
-    got = _rate_trial(cfg, trial)
+    got = _rate_block(cfg, [trial])[0]
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= RATE_RTOL * np.abs(expected)), (got, expected)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import parse_csv, scheme_curve
+from test_rate_oracle import rate_configs
 
 from fapsim import benchmarks, cli, evaluation, feedback, runner
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
@@ -60,7 +61,7 @@ class TestTrialEngine:
             return optimal_precoder(h, num_streams, alloc)
 
         monkeypatch.setattr(runner, "optimal_precoder", counting)
-        runner._rate_trial(cfg, 0)
+        runner._rate_block(cfg, [0])
         assert len(calls) == 2          # F_opt of H, shared, and the multilevel H_hat's
 
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
@@ -71,9 +72,9 @@ class TestTrialEngine:
         specs, picks = [], []                  # per pick: (picks made, targets picking)
 
         class Counting(OmpPath):
-            def __init__(self, targets, spec, capacity):
+            def __init__(self, targets, spec, k):
                 specs.append(spec)
-                super().__init__(targets, spec, capacity)
+                super().__init__(targets, spec, k)
 
             def _pick(self):
                 picks.append((self._steps, int(self._running.sum())))
@@ -85,7 +86,7 @@ class TestTrialEngine:
         monkeypatch.setattr(runner, "OmpPath", Counting)
         monkeypatch.setattr(feedback, "omp_approximate", forbidden)
         monkeypatch.setattr(benchmarks, "omp_approximate", forbidden)
-        runner._rate_trial(cfg, 0)
+        runner._rate_block(cfg, [0])
         assert len(specs) == 1
         assert picks == [(j, groups) for j in range(16)]
         assert sum(n for _, n in picks) == 16 * groups          # 16 and 208 target-picks
@@ -117,7 +118,7 @@ class TestTrialEngine:
 
         monkeypatch.setattr(evaluation, "np", NumpyAsEvaluationSeesIt())
         monkeypatch.setattr(runner, "draw_qpsk", counting_draw)
-        runner._ber_trial(cfg, 0)
+        runner._ber_block(cfg, [0])
         assert svds == [(16, 4)] * 6 * groups                  # 6 and 78 link SVDs
         assert draws == [(4, 16, 1000)] * 13
 
@@ -125,7 +126,7 @@ class TestTrialEngine:
     def test_shared_draw_matches_per_scheme_draws(self, allocation):
         cfg = reference_experiment(trials=1, symbols_per_trial=300, allocation=allocation,
                                    snr_db_grid=(-20.0, -5.0, 10.0))
-        errors = runner._ber_trial(cfg, 0)
+        errors = runner._ber_block(cfg, [0])[0]
         ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
         for _, cols, _, precoders in next(runner._precoder_stage(cfg, [ch])):
             for j in cols:
@@ -138,7 +139,7 @@ class TestTrialEngine:
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_rate_trial_matches_per_snr_rates(self, allocation):
         cfg = small_experiment(allocation=allocation)
-        rates = runner._rate_trial(cfg, 5)
+        rates = runner._rate_block(cfg, [5])[0]
         ch = sample_channel(cfg.channel, substream(cfg.seed, 5))
         [groups] = runner._precoder_stage(cfg, [ch])
         # Unitary: one group for the whole grid; water-filling: one group per SNR point.
@@ -217,10 +218,13 @@ class TestTrialBlocks:
         assert runner._block_trials(cfg) >= 1
         assert targets * runner._target_bytes(cfg) <= runner.BLOCK_BYTES
 
-    def test_target_bytes_bound_the_omp_state(self):
+    @pytest.mark.parametrize("m", [32, 8])
+    def test_target_bytes_bound_the_omp_state(self, m):
         # The arrays an OmpPath holds per target (the shared, read-only Psi^H aside) stay within
-        # `_target_bytes`, after every K the schemes read.
-        cfg = small_experiment(schemes=(ProposedScheme(k=12, gamma=2, angle_codebook_size=64),))
+        # `_target_bytes`, after every K the schemes read; at M = 8 the path's K = 12 exceeds M.
+        cfg = small_experiment(channel=ChannelConfig(tx=ArrayGeometry(m), rx=ArrayGeometry(8),
+                                                     num_clusters=4, rays_per_cluster=3),
+                               schemes=(ProposedScheme(k=12, gamma=2, angle_codebook_size=64),))
         spec, k = cfg.schemes[0].omp_basis(cfg)
         ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
         targets = [optimal_precoder(ch.matrix, cfg.streams, PowerAllocation("unitary"))] * 5
@@ -229,6 +233,38 @@ class TestTrialBlocks:
         held = sum(a.nbytes for a in vars(path).values() if isinstance(a, np.ndarray)
                    and a.flags.writeable)
         assert held <= len(targets) * runner._target_bytes(cfg)
+
+
+def _rows_by_label(csv):
+    """A sweep CSV's data rows, as text, grouped by their scheme label in row order."""
+    rows = {}
+    for line in [ln for ln in csv.splitlines() if not ln.startswith("#")][1:]:
+        rows.setdefault(line.split(",", 1)[0], []).append(line)
+    return rows
+
+
+def assert_permuted_schemes_permute_the_rows(cfg, order):
+    """Metamorphic relation: the sweeps of `cfg` with its schemes in `order` give each scheme
+    the same rate and BER rows, bitwise, in the permuted order."""
+    permuted = dataclasses.replace(cfg, schemes=tuple(cfg.schemes[i] for i in order))
+    for sweep in (run_rate_sweep, run_ber_sweep):
+        got, expected = _rows_by_label(sweep(permuted)), _rows_by_label(sweep(cfg))
+        assert list(got) == [cfg.schemes[i].label for i in order]
+        assert got == expected
+
+
+class TestSchemeOrder:
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=rate_configs(symbols=st.integers(1, 32)), trials=st.integers(1, 5),
+           order=st.permutations(range(4)))
+    def test_permuted_schemes_permute_the_rows(self, cfg, trials, order):
+        assert_permuted_schemes_permute_the_rows(dataclasses.replace(cfg, trials=trials), order)
+
+    def test_reference_schemes_rotated(self):
+        # A rotation, not a reversal: a reversed list read through a reversed index would
+        # give each label its own row again.
+        assert_permuted_schemes_permute_the_rows(reference_experiment(trials=3),
+                                                 (1, 2, 3, 4, 5, 0))
 
 
 def _blas_threads(cfg, trials):
@@ -557,6 +593,6 @@ class TestSparseDelegation:
             f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
             f_rf, f_bb = sparse_precoder(f_opt, bench)
             expected = f_rf @ f_bb
-            omp = lambda spec, k: OmpPath(f_opt, spec).at(k)          # a fresh path per draw
+            omp = lambda spec, k: OmpPath(f_opt, spec, k).at(k)       # a fresh path per draw
             assert np.array_equal(scheme.precoder(ch, cfg, alloc, f_opt, omp),
                                   expected / np.linalg.norm(expected))
