@@ -251,7 +251,7 @@ def main(argv=None):
             raise InvalidInputError(f"--workers: must be >= 1, got {args.workers}")
         flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials))
                  if value is not None}
-        if getattr(args, "gammas", None):
+        if getattr(args, "gammas", None) is not None:
             try:
                 gammas = [int(g) for g in args.gammas.split(",")]
             except ValueError:

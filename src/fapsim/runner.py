@@ -1,12 +1,13 @@
 """Monte-Carlo experiment runner.
 
-Trials run in blocks whose size depends on the config alone. Each trial owns an
-independent random sub-stream derived from (seed, trial), workers map whole
-blocks, and per-trial values are reduced serially in trial order, so results
-are identical for any worker count. Within a block, every (trial, precoder
-group) target shares one lockstep OMP run per basis spec and one stacked rate
-SVD. All sweeps emit CSV text with the resolved configuration embedded in '#'
-comment lines.
+The engine's unit is the (trial, precoder group) target. Targets run in blocks
+whose size depends on the config alone, and a block's targets share one
+lockstep OMP run per basis spec and one stacked rate SVD. Each trial owns an
+independent random sub-stream derived from (seed, trial), so a trial whose
+groups straddle two blocks draws the same channel in each. Workers map whole
+blocks, and per-target values are reduced serially in target order, so results
+are identical for any worker count. All sweeps emit CSV text with the resolved
+configuration embedded in '#' comment lines.
 """
 
 import ctypes
@@ -31,9 +32,8 @@ from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, _log2
 from .precoding import PowerAllocation, optimal_precoder
 
 
-# Trials per block at the reference shapes. A block's (trial, precoder group) targets share
-# one lockstep OMP run per basis spec and one stacked rate SVD; `_block_trials` takes fewer
-# when their state would exceed BLOCK_BYTES.
+# A block holds the (trial, precoder group) targets of BLOCK_TRIALS trials at the reference
+# shapes; `_block_targets` takes fewer when their state would exceed BLOCK_BYTES.
 BLOCK_TRIALS = 16
 BLOCK_BYTES = 32 * 2 ** 20
 
@@ -277,80 +277,60 @@ def _target_bytes(cfg):
             + sum(OmpPath.target_bytes(spec, k, s) for spec, k in _omp_bases(cfg).items()))
 
 
-def _chunk_targets(cfg):
-    """Targets whose state fits in BLOCK_BYTES: one lockstep OMP run's width (at least 1)."""
-    return max(1, BLOCK_BYTES // _target_bytes(cfg))
+def _block_targets(cfg):
+    """(Trial, precoder group) targets per block: BLOCK_TRIALS trials' worth, fewer (at least
+    1) when their state would exceed BLOCK_BYTES. Target i is trial i // G in group i % G, for
+    G = len(_groups(cfg)). It depends on the config's shapes alone, never on the worker count."""
+    return max(1, min(BLOCK_TRIALS * len(_groups(cfg)), BLOCK_BYTES // _target_bytes(cfg)))
 
 
-def _block_trials(cfg):
-    """Trials per block: BLOCK_TRIALS, fewer when their targets would not fit in BLOCK_BYTES.
-    It depends on the config's shapes alone, never on the worker count."""
-    return max(1, min(BLOCK_TRIALS, _chunk_targets(cfg) // len(_groups(cfg))))
+def _precoder_stage(cfg, targets):
+    """Per target index of `targets`: (trial, channel, SNR indices, linear SNRs, every
+    scheme's precoder).
 
-
-def _precoder_stage(cfg, channels):
-    """Every scheme's precoder for each (trial, precoder group) target of a block.
-
-    Yields chunks of at most `_chunk_targets(cfg)` targets, trial-major: lists of
-    (trial offset in the block, SNR indices, linear SNRs, precoders). A chunk runs one
-    lockstep `OmpPath` per BasisSpec over the F_opt of all its targets.
+    Each distinct trial's channel is drawn once, from its own sub-stream. One lockstep
+    `OmpPath` per BasisSpec runs over the F_opt of every target, and is freed on return.
     """
-    targets = [(b, group) for b in range(len(channels)) for group in _groups(cfg)]
-    size, bases = _chunk_targets(cfg), _omp_bases(cfg)
-    for lo in range(0, len(targets), size):
-        chunk = targets[lo:lo + size]
-        f_opts = [optimal_precoder(channels[b].matrix, cfg.streams, alloc)
-                  for b, (_, _, alloc) in chunk]
-        paths = {spec: OmpPath(f_opts, spec, k) for spec, k in bases.items()}
-        done = [(b, cols, snrs, [s.precoder(channels[b], cfg, alloc, f_opt,
-                                            lambda spec, k, p=p: paths[spec].at(k, p))
-                                 for s in cfg.schemes])
-                for p, ((b, (cols, snrs, alloc)), f_opt) in enumerate(zip(chunk, f_opts))]
-        del paths                          # free the OMP state while the caller evaluates
-        yield done
+    groups = _groups(cfg)
+    picked = [(i // len(groups), *groups[i % len(groups)]) for i in targets]
+    channels = {t: sample_channel(cfg.channel, substream(cfg.seed, t))
+                for t in dict.fromkeys(t for t, _, _, _ in picked)}
+    f_opts = [optimal_precoder(channels[t].matrix, cfg.streams, alloc) for t, _, _, alloc in picked]
+    paths = {spec: OmpPath(f_opts, spec, k) for spec, k in _omp_bases(cfg).items()}
+    return [(t, channels[t], cols, snrs,
+             [s.precoder(channels[t], cfg, alloc, f_opt, lambda spec, k, p=p: paths[spec].at(k, p))
+              for s in cfg.schemes])
+            for p, ((t, cols, snrs, alloc), f_opt) in enumerate(zip(picked, f_opts))]
 
 
-def _channels(cfg, trials):
-    """Each trial's channel, drawn from its own sub-stream."""
-    return [sample_channel(cfg.channel, substream(cfg.seed, t)) for t in trials]
+def _rate_block(cfg, block):
+    """Rates per target of `block`, schemes x its SNR points: one stacked SVD of H F."""
+    stage, snr = _precoder_stage(cfg, block), _snr_linear(cfg)
+    for ch in dict.fromkeys(ch for _, ch, _, _, _ in stage):  # each drawn H once; every F is
+        check_channel(ch.matrix, snr)                          # a unit-norm precoder that fits it
+    hf = np.stack([ch.matrix @ np.array(f) for _, ch, _, _, f in stage])     # P x I x N x S
+    snrs = np.array([snrs for _, _, _, snrs, _ in stage])[:, None]           # P x 1 x C
+    return list(link_rates(link_gains(hf)[:, :, None], snrs))               # P x I x C
 
 
-def _rate_block(cfg, trials):
-    """Rates, trials x schemes x SNR points: one stacked SVD of H F per chunk of targets."""
-    channels, snr = _channels(cfg, trials), _snr_linear(cfg)
-    for ch in channels:                    # every F is a unit-norm precoder of the right shape
-        check_channel(ch.matrix, snr)
-    out = np.empty((len(trials), len(cfg.schemes), len(cfg.snr_db_grid)))
-    for chunk in _precoder_stage(cfg, channels):
-        hf = np.stack([channels[b].matrix @ np.array(precoders)                # P x I x N x S
-                       for b, _, _, precoders in chunk])
-        snrs = np.array([snrs for _, _, snrs, _ in chunk])[:, None]              # P x 1 x C
-        rates = link_rates(link_gains(hf)[:, :, None], snrs)                    # P x I x C
-        for (b, cols, _, _), rate in zip(chunk, rates):
-            out[b][:, cols] = rate
+def _ber_block(cfg, block):
+    """Bit errors per target of `block`, schemes x its SNR points."""
+    out = []
+    for t, ch, cols, snrs, precoders in _precoder_stage(cfg, block):
+        links = [MmseLink(ch.matrix, f) for f in precoders]   # one SVD of H F per scheme and group
+        errors = np.empty((len(links), len(cols)), dtype=np.int64)
+        for c, (j, snr) in enumerate(zip(cols, snrs)):
+            # One symbol/noise block per (trial, snr), shared by every scheme: each scheme
+            # sees the same symbols and noise, pairing the comparison.
+            symbols, noise = draw_qpsk(substream(cfg.seed, t, j), cfg.streams,
+                                       ch.matrix.shape[0], cfg.symbols_per_trial)
+            errors[:, c] = [link.bit_errors(snr, symbols, noise) for link in links]
+        out.append(errors)
     return out
 
 
-def _ber_block(cfg, trials):
-    """Bit errors, trials x schemes x SNR points."""
-    channels = _channels(cfg, trials)
-    errors = np.zeros((len(trials), len(cfg.schemes), len(cfg.snr_db_grid)), dtype=np.int64)
-    for chunk in _precoder_stage(cfg, channels):
-        for b, cols, snrs, precoders in chunk:
-            h = channels[b].matrix
-            links = [MmseLink(h, f) for f in precoders]   # one SVD of H F per scheme and group
-            for j, snr in zip(cols, snrs):
-                # One symbol/noise block per (trial, snr), shared by every scheme: each
-                # scheme sees the same symbols and noise, pairing the comparison.
-                symbols, noise = draw_qpsk(substream(cfg.seed, trials[b], j), cfg.streams,
-                                           h.shape[0], cfg.symbols_per_trial)
-                for i, link in enumerate(links):
-                    errors[b, i, j] = link.bit_errors(snr, symbols, noise)
-    return errors
-
-
 def _worker_count(workers, blocks):
-    """Pool size: never more processes than blocks of trials or than the machine's CPUs."""
+    """Pool size: never more processes than blocks of targets or than the machine's CPUs."""
     return max(1, min(workers, blocks, os.cpu_count() or 1))
 
 
@@ -368,11 +348,11 @@ def _one_blas_thread():
             set_threads(1)
 
 
-def _map_trials(fn, cfg, workers):
-    """`fn(cfg, trials)` over consecutive blocks of `_block_trials(cfg)` trials, each
-    returning one result per trial; the per-trial results in trial order."""
-    size = _block_trials(cfg)
-    blocks = [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
+def _map_targets(fn, cfg, workers):
+    """`fn(cfg, block)` over consecutive ranges of `_block_targets(cfg)` target indices, each
+    returning one result per target; the per-target results in target order."""
+    size, count = _block_targets(cfg), cfg.trials * len(_groups(cfg))
+    blocks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
     workers = _worker_count(workers, len(blocks))
     if workers <= 1:
         results = [fn(cfg, block) for block in blocks]
@@ -421,10 +401,12 @@ def _sweep_csv(cfg, title, metric_columns, cells):
 
 def run_rate_sweep(cfg, workers=1):
     """Mean achievable rate per (scheme, SNR) over independent channel draws."""
-    per_trial = np.stack(_map_trials(_rate_block, cfg, workers))   # trials x schemes x snrs
+    # A trial's groups hold its SNR points in order, so its targets side by side are its row.
+    per_trial = np.hstack(_map_targets(_rate_block, cfg, workers)).reshape(
+        len(cfg.schemes), cfg.trials, -1)                           # schemes x trials x snrs
 
     def cells(i, j):
-        values = per_trial[:, i, j]
+        values = per_trial[i, :, j]
         stderr = float(np.std(values, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
         return float(np.mean(values)), stderr
     return _sweep_csv(cfg, "rate sweep", ["mean_rate", "stderr"], cells)
@@ -432,7 +414,8 @@ def run_rate_sweep(cfg, workers=1):
 
 def run_ber_sweep(cfg, workers=1):
     """Uncoded QPSK BER per (scheme, SNR): bit errors over all trials, of 2 S T trials bits."""
-    errors = sum(_map_trials(_ber_block, cfg, workers))        # integer sums, order-independent
+    errors = np.hstack(_map_targets(_ber_block, cfg, workers)).reshape(
+        len(cfg.schemes), cfg.trials, -1).sum(axis=1)             # integer sums, order-independent
     sent = 2 * cfg.streams * cfg.symbols_per_trial * cfg.trials
 
     def cells(i, j):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fapsim.channel import substream
-from fapsim.runner import _ber_block
+from fapsim.runner import _ber_block, _groups
 from test_rate_oracle import rate_configs, reference_trial
 
 DECISION_RTOL = 1e-9
@@ -46,5 +46,6 @@ def reference_ber_trial(cfg, trial):
 @given(cfg=rate_configs(symbols=st.integers(1, 64), min_paths=3), trial=st.integers(0, 1000))
 def test_ber_trial_matches_the_straight_line_reference(cfg, trial):
     expected = reference_ber_trial(cfg, trial)
-    got = _ber_block(cfg, [trial])[0]
+    groups = len(_groups(cfg))             # a trial's targets, one per precoder group
+    got = np.hstack(_ber_block(cfg, range(trial * groups, (trial + 1) * groups)))
     assert np.array_equal(got, expected), (got, expected)

@@ -365,6 +365,8 @@ HOSTILE = [
     ("beam-pattern", TINY, ["--gammas", "2,2"], "beam_pattern.gammas: entries must be unique"),
     ("beam-pattern", dict(TINY, beam_pattern={"gammas": [1, 1]}), [],
      "beam_pattern.gammas: entries must be unique"),
+    # An empty flag value is parsed, not dropped in favour of the config's gammas.
+    ("beam-pattern", TINY, ["--gammas", ""], "--gammas"),
 ]
 
 

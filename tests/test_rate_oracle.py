@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.runner import (ExperimentConfig, MultilevelScheme, OptimalScheme, ProposedScheme,
-                           SparseScheme, _rate_block)
+                           SparseScheme, _groups, _rate_block)
 
 RATE_RTOL = 1e-9
 # The engine's zero-residual stop (`feedback._ZERO_RESIDUAL`), restated.
@@ -181,6 +181,7 @@ def rate_configs(draw, symbols=st.just(1), min_paths=1):
 @given(cfg=rate_configs(), trial=st.integers(0, 1000))
 def test_rate_trial_matches_the_straight_line_reference(cfg, trial):
     expected = reference_rate_trial(cfg, trial)
-    got = _rate_block(cfg, [trial])[0]
+    groups = len(_groups(cfg))             # a trial's targets, one per precoder group
+    got = np.hstack(_rate_block(cfg, range(trial * groups, (trial + 1) * groups)))
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= RATE_RTOL * np.abs(expected)), (got, expected)

@@ -51,6 +51,12 @@ def reference_experiment(**overrides):
     return dataclasses.replace(cfg, **overrides)
 
 
+def trial_targets(cfg, t):
+    """The engine's target indices of trial t: one per precoder group."""
+    groups = len(runner._groups(cfg))
+    return range(t * groups, (t + 1) * groups)
+
+
 class TestTrialEngine:
     def test_one_optimal_precoder_per_channel(self, monkeypatch):
         cfg = reference_experiment(trials=1)
@@ -61,7 +67,7 @@ class TestTrialEngine:
             return optimal_precoder(h, num_streams, alloc)
 
         monkeypatch.setattr(runner, "optimal_precoder", counting)
-        runner._rate_block(cfg, [0])
+        runner._rate_block(cfg, trial_targets(cfg, 0))
         assert len(calls) == 2          # F_opt of H, shared, and the multilevel H_hat's
 
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
@@ -86,7 +92,7 @@ class TestTrialEngine:
         monkeypatch.setattr(runner, "OmpPath", Counting)
         monkeypatch.setattr(feedback, "omp_approximate", forbidden)
         monkeypatch.setattr(benchmarks, "omp_approximate", forbidden)
-        runner._rate_block(cfg, [0])
+        runner._rate_block(cfg, trial_targets(cfg, 0))
         assert len(specs) == 1
         assert picks == [(j, groups) for j in range(16)]
         assert sum(n for _, n in picks) == 16 * groups          # 16 and 208 target-picks
@@ -118,7 +124,7 @@ class TestTrialEngine:
 
         monkeypatch.setattr(evaluation, "np", NumpyAsEvaluationSeesIt())
         monkeypatch.setattr(runner, "draw_qpsk", counting_draw)
-        runner._ber_block(cfg, [0])
+        runner._ber_block(cfg, trial_targets(cfg, 0))
         assert svds == [(16, 4)] * 6 * groups                  # 6 and 78 link SVDs
         assert draws == [(4, 16, 1000)] * 13
 
@@ -126,9 +132,9 @@ class TestTrialEngine:
     def test_shared_draw_matches_per_scheme_draws(self, allocation):
         cfg = reference_experiment(trials=1, symbols_per_trial=300, allocation=allocation,
                                    snr_db_grid=(-20.0, -5.0, 10.0))
-        errors = runner._ber_block(cfg, [0])[0]
+        errors = np.hstack(runner._ber_block(cfg, trial_targets(cfg, 0)))
         ch = sample_channel(cfg.channel, substream(cfg.seed, 0))
-        for _, cols, _, precoders in next(runner._precoder_stage(cfg, [ch])):
+        for _, _, cols, _, precoders in runner._precoder_stage(cfg, trial_targets(cfg, 0)):
             for j in cols:
                 snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
                 for i, f in enumerate(precoders):
@@ -139,13 +145,14 @@ class TestTrialEngine:
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_rate_trial_matches_per_snr_rates(self, allocation):
         cfg = small_experiment(allocation=allocation)
-        rates = runner._rate_block(cfg, [5])[0]
+        rates = np.hstack(runner._rate_block(cfg, trial_targets(cfg, 5)))
         ch = sample_channel(cfg.channel, substream(cfg.seed, 5))
-        [groups] = runner._precoder_stage(cfg, [ch])
+        groups = runner._precoder_stage(cfg, trial_targets(cfg, 5))
         # Unitary: one group for the whole grid; water-filling: one group per SNR point.
         assert len(groups) == (1 if allocation == "unitary" else len(cfg.snr_db_grid))
-        assert sorted(j for _, cols, _, _ in groups for j in cols) == list(range(len(cfg.snr_db_grid)))
-        for _, cols, snrs, precoders in groups:
+        assert sorted(j for _, _, cols, _, _ in groups for j in cols) == list(range(len(cfg.snr_db_grid)))
+        for t, _, cols, snrs, precoders in groups:
+            assert t == 5
             assert list(snrs) == [10.0 ** (cfg.snr_db_grid[j] / 10.0) for j in cols]
             for j in cols:
                 snr = 10.0 ** (cfg.snr_db_grid[j] / 10.0)
@@ -173,27 +180,35 @@ def _quantized_experiment(**overrides):
 
 
 class TestTrialBlocks:
-    @pytest.mark.parametrize("make_cfg", [
-        lambda: small_experiment(),
-        lambda: small_experiment(allocation="water_filling"),
-        lambda: _quantized_experiment(trials=5),
+    @pytest.mark.parametrize("make_cfg, budget", [
+        (lambda: small_experiment(), None),
+        (lambda: small_experiment(allocation="water_filling"), 2),
+        (lambda: _quantized_experiment(trials=5), None),
     ], ids=["unitary", "water_filling", "quantized"])
-    def test_block_size_does_not_move_the_sweeps(self, monkeypatch, make_cfg):
-        # Blocks of 1 and 3 trials (a partial last block) against the default: rates within
-        # 1e-12 relative, everything else (BER counts included) byte-identical.
-        cfg, default = make_cfg(), runner.BLOCK_TRIALS
-        outputs = {}
-        for size in (1, 3, default):
-            monkeypatch.setattr(runner, "BLOCK_TRIALS", size)
-            assert runner._block_trials(cfg) == size
-            outputs[size] = run_rate_sweep(cfg), run_ber_sweep(cfg)
-        rate, ber = outputs[default]
-        for size in (1, 3):
-            assert outputs[size][1] == ber
-            got, expected = outputs[size][0].splitlines(), rate.splitlines()
+    def test_block_size_does_not_move_the_sweeps(self, monkeypatch, make_cfg, budget):
+        # Blocks of 1 and 3 trials (a partial last block) and, where `budget` is set, blocks
+        # that BLOCK_BYTES bounds to that many targets (fewer than one trial's groups), against
+        # the default: rates within 1e-12 relative, everything else (BER counts included)
+        # byte-identical.
+        cfg = make_cfg()
+        groups = len(runner._groups(cfg))
+        blockings = [(size, runner.BLOCK_BYTES, size * groups)
+                     for size in (runner.BLOCK_TRIALS, 1, 3)]
+        if budget:
+            blockings.append((runner.BLOCK_TRIALS, budget * runner._target_bytes(cfg), budget))
+        outputs = []
+        for trials, budget_bytes, targets in blockings:
+            monkeypatch.setattr(runner, "BLOCK_TRIALS", trials)
+            monkeypatch.setattr(runner, "BLOCK_BYTES", budget_bytes)
+            assert runner._block_targets(cfg) == targets
+            outputs.append((run_rate_sweep(cfg), run_ber_sweep(cfg)))
+        rate, ber = outputs[0]
+        for got_rate, got_ber in outputs[1:]:
+            assert got_ber == ber
+            got, expected = got_rate.splitlines(), rate.splitlines()
             assert len(got) == len(expected)
             assert [ln for ln in got if ln[0] == "#"] == [ln for ln in expected if ln[0] == "#"]
-            table, reference = parse_csv(outputs[size][0]), parse_csv(rate)
+            table, reference = parse_csv(got_rate), parse_csv(rate)
             assert table.keys() == reference.keys()
             for column, cells in reference.items():
                 if column in ("mean_rate", "stderr"):
@@ -213,10 +228,8 @@ class TestTrialBlocks:
             schemes=(OptimalScheme(), ProposedScheme(k=top["k"], gamma=2,
                                                      angle_codebook_size=top["angle_codebook_size"]),
                      SparseScheme(q=top["k"], angle_codebook_size=top["angle_codebook_size"])))
-        groups = len(runner._groups(cfg))
-        targets = min(runner._block_trials(cfg) * groups, runner._chunk_targets(cfg))
-        assert runner._block_trials(cfg) >= 1
-        assert targets * runner._target_bytes(cfg) <= runner.BLOCK_BYTES
+        assert runner._block_targets(cfg) >= 1
+        assert runner._block_targets(cfg) * runner._target_bytes(cfg) <= runner.BLOCK_BYTES
 
     @pytest.mark.parametrize("m", [32, 8])
     def test_target_bytes_bound_the_omp_state(self, m):
@@ -267,21 +280,98 @@ class TestSchemeOrder:
                                                  (1, 2, 3, 4, 5, 0))
 
 
-def _blas_threads(cfg, trials):
-    """Per trial, the thread count of numpy's bundled OpenBLAS in this process; None where it
+def _rows_by_cell(csv):
+    """A sweep CSV's data rows, as text, keyed on their (scheme label, snr_db) as printed."""
+    return {tuple(ln.split(",", 2)[:2]): ln
+            for ln in [ln for ln in csv.splitlines() if not ln.startswith("#")][1:]}
+
+
+def assert_scheme_subset_keeps_the_rows(cfg, keep):
+    """Metamorphic relation: a sweep of the schemes `keep` (indices, in order) gives each of
+    them the full sweep's BER rows, bitwise, and its rates within 1e-12 relative."""
+    subset = dataclasses.replace(cfg, schemes=tuple(cfg.schemes[i] for i in keep))
+    full, got = _rows_by_cell(run_ber_sweep(cfg)), _rows_by_cell(run_ber_sweep(subset))
+    assert len(got) == len(keep) * len(cfg.snr_db_grid)
+    assert all(full[cell] == row for cell, row in got.items())
+    full, got = parse_csv(run_rate_sweep(cfg)), parse_csv(run_rate_sweep(subset))
+    rows = {cell: i for i, cell in enumerate(zip(full["scheme"], full["snr_db"]))}
+    picked = [rows[cell] for cell in zip(got["scheme"], got["snr_db"])]
+    assert len(picked) == len(keep) * len(cfg.snr_db_grid)
+    for column, cells in full.items():
+        expected = [cells[i] for i in picked]
+        if column in ("mean_rate", "stderr"):
+            expected = np.array(expected, float)
+            assert np.all(np.abs(np.array(got[column], float) - expected) <= 1e-12 * np.abs(expected))
+        else:
+            assert got[column] == expected
+
+
+def assert_snr_subset_keeps_the_cells(cfg, cols):
+    """Metamorphic relation: a sweep over the SNR points `cols` (indices, in order) gives the
+    full sweep's rate rows there, bitwise, under unitary allocation; and its BER rows when
+    `cols` is a prefix of the grid, since each BER block is drawn from its SNR index."""
+    sub = dataclasses.replace(cfg, snr_db_grid=tuple(cfg.snr_db_grid[j] for j in cols))
+    sweeps = ([run_rate_sweep] if cfg.allocation == "unitary" else []) \
+        + ([run_ber_sweep] if list(cols) == list(range(len(cols))) else [])
+    for sweep in sweeps:
+        full, got = _rows_by_cell(sweep(cfg)), _rows_by_cell(sweep(sub))
+        assert len(got) == len(cfg.schemes) * len(cols)
+        assert all(full[cell] == row for cell, row in got.items())
+
+
+class TestSweepSubsets:
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=rate_configs(symbols=st.integers(1, 32)), trials=st.integers(1, 4),
+           keep=st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
+    def test_scheme_subset_keeps_the_rows(self, cfg, trials, keep):
+        assert_scheme_subset_keeps_the_rows(dataclasses.replace(cfg, trials=trials),
+                                            [i for i, kept in enumerate(keep) if kept])
+
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=rate_configs(symbols=st.integers(1, 32)), trials=st.integers(1, 4),
+           grid=st.lists(st.sampled_from([-20.0, -10.0, -5.0, 0.0, 5.0, 7.5, 10.0, 20.0]),
+                         min_size=2, max_size=5, unique=True),
+           data=st.data())
+    def test_unitary_snr_subgrid_keeps_the_rate_cells(self, cfg, trials, grid, data):
+        cols = data.draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid))
+                         .filter(any))
+        cfg = dataclasses.replace(cfg, trials=trials, snr_db_grid=tuple(grid), allocation="unitary")
+        assert_snr_subset_keeps_the_cells(cfg, [j for j, kept in enumerate(cols) if kept])
+
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=rate_configs(symbols=st.integers(1, 32)), trials=st.integers(1, 4),
+           grid=st.lists(st.sampled_from([-20.0, -10.0, -5.0, 0.0, 5.0, 7.5, 10.0, 20.0]),
+                         min_size=2, max_size=5, unique=True),
+           data=st.data())
+    def test_snr_prefix_keeps_the_ber_cells(self, cfg, trials, grid, data):
+        n = data.draw(st.integers(1, len(grid) - 1))
+        cfg = dataclasses.replace(cfg, trials=trials, snr_db_grid=tuple(grid))
+        assert_snr_subset_keeps_the_cells(cfg, range(n))
+
+    def test_reference_subsets(self):
+        # The reference schemes share one basis spec; without K = 16 its path runs 8 picks, not
+        # 16. The sub-grid skips points; the prefix keeps the first three.
+        cfg = reference_experiment(trials=5)
+        assert_scheme_subset_keeps_the_rows(cfg, [0, 2, 4])
+        assert_snr_subset_keeps_the_cells(cfg, [1, 4, 12])
+        assert_snr_subset_keeps_the_cells(cfg, [0, 1, 2])
+
+
+def _blas_threads(cfg, targets):
+    """Per target, the thread count of numpy's bundled OpenBLAS in this process; None where it
     is absent."""
     numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(numpy_libs, "*openblas*")):
         get_threads = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
         if get_threads is not None:
-            return [get_threads()] * len(trials)
-    return [None] * len(trials)
+            return [get_threads()] * len(targets)
+    return [None] * len(targets)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(runner, "BLOCK_TRIALS", 1)          # four blocks, so the pool runs
-    counts = runner._map_trials(_blas_threads, small_experiment(trials=4), workers=2)
+    counts = runner._map_targets(_blas_threads, small_experiment(trials=4), workers=2)
     if counts[0] is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
     assert counts == [1] * 4
