@@ -87,32 +87,50 @@ def draw_qpsk(rng, num_streams, num_rx, num_symbols):
 
 
 class MmseLink:
-    """The link y = sqrt(P) H F s + z, factored once for joint LMMSE detection at any SNR P.
+    """The links y = sqrt(P) H F s + z of a stack of precoders F (I x M x S, or one M x S),
+    factored once for joint LMMSE detection at any SNR P.
 
     With H F = U diag(sigma) V^H, the estimator P F^H H^H (P H F F^H H^H + I)^{-1} y (unit
     noise variance) is V diag(sigma / (sigma^2 + 1/P)) U^H y: one SVD serves every SNR, and no
     rank of H F and no SNR makes it singular. It checks only that H and F fit and that a block
-    fits the link; its caller checks that H, F and P are finite, F of unit norm and P positive.
+    fits the links; its caller checks that H, F and P are finite, F of unit norm and P positive.
     """
 
     def __init__(self, h, f):
         h, f = np.asarray(h, dtype=np.complex128), np.asarray(f, dtype=np.complex128)
-        if h.shape[1] != f.shape[0]:
+        if f.ndim not in (2, 3) or h.shape[1] != f.shape[-2]:
             raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
-        self.hf = h @ f
-        u, self.sigma, vh = np.linalg.svd(self.hf, full_matrices=False)
-        self.uh, self.v = u.conj().T, vh.conj().T
+        self.hf = (h @ f).reshape(-1, h.shape[0], f.shape[-1])               # I x N x S
+        u, self.sigma, self.vh = np.linalg.svd(self.hf, full_matrices=False)
+        self.uh, self.v = u.conj().transpose(0, 2, 1), self.vh.conj().transpose(0, 2, 1)
 
     def bit_errors(self, snr_linear, symbols, noise):
-        """Bit errors of `draw_qpsk`'s symbols sent at SNR P: each sign of the estimate, real and
-        imaginary, against the sign of the symbol sent (negative for a 1 bit)."""
-        n, s = self.hf.shape
+        """Bit errors per precoder of `draw_qpsk`'s symbols sent at SNR P: each sign of the
+        estimate, real and imaginary, against the sign of the symbol sent (negative for a 1 bit).
+        As U^H H F = Sigma V^H, the estimate is V diag(w sigma sqrt(P)) V^H s + V diag(w) U^H z,
+        w = sigma / (sigma^2 + 1/P). A precoder with an entry within `delta` of zero, a bound on
+        its distance from the U^H y form (||z||_F >= ||z_t||), is counted in that form instead."""
+        i, n, s = self.hf.shape
         if symbols.shape[0] != s or noise.shape != (n, symbols.shape[1]):
             raise InvalidInputError(f"symbols {symbols.shape} and noise {noise.shape} do not fit "
                                     f"{s} streams and {n} receive antennas")
         p, symbols = float(snr_linear), np.ascontiguousarray(symbols)   # .view interleaves re, im
-        y = np.sqrt(p) * (self.hf @ symbols) + noise
-        est = (self.v * (self.sigma / (self.sigma ** 2 + 1.0 / p))) @ (self.uh @ y)
+        w = self.sigma / (self.sigma ** 2 + 1.0 / p)
+        vw = self.v * w[:, None]
+        est = (((vw * (np.sqrt(p) * self.sigma)[:, None]) @ self.vh).reshape(-1, s) @ symbols
+               + (vw @ self.uh).reshape(-1, n) @ noise).view(np.float64).reshape(i, -1)
+        errors = np.count_nonzero((est < 0) != (symbols.view(np.float64) < 0).ravel(), axis=1)
+        delta = (8 * (n + s + 8) * np.finfo(np.float64).eps * np.sqrt(s) * w.max(axis=1)
+                 * (np.sqrt(p) * self.sigma[:, 0] * np.sqrt(s) + np.sqrt(np.vdot(noise, noise).real)))
+        for k in np.flatnonzero(~(np.abs(est, out=est).min(axis=1, initial=np.inf) > delta)):
+            errors[k] = self.exact_bit_errors(k, p, symbols, noise)
+        return errors
+
+    def exact_bit_errors(self, k, p, symbols, noise):
+        """Bit errors of precoder k at SNR p in the U^H y form, the reference arithmetic of
+        `bit_errors`, which passes `symbols` C-ordered."""
+        y = np.sqrt(p) * (self.hf[k] @ symbols) + noise
+        est = (self.v[k] * (self.sigma[k] / (self.sigma[k] ** 2 + 1.0 / p))) @ (self.uh[k] @ y)
         return int(np.count_nonzero((est.view(np.float64) < 0) != (symbols.view(np.float64) < 0)))
 
 
@@ -126,7 +144,7 @@ def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
     if snr.ndim != 0:
         raise InvalidInputError("snr_linear must be a scalar")
     symbols, noise = draw_qpsk(rng, f.shape[1], h.shape[0], num_symbols)
-    return MmseLink(h, f).bit_errors(snr, symbols, noise), 2 * symbols.size
+    return int(MmseLink(h, f).bit_errors(snr, symbols, noise)[0]), 2 * symbols.size
 
 
 def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):

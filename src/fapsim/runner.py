@@ -288,13 +288,15 @@ def _precoder_stage(cfg, targets):
     """Per target index of `targets`: (trial, channel, SNR indices, linear SNRs, every
     scheme's precoder).
 
-    Each distinct trial's channel is drawn once, from its own sub-stream. One lockstep
-    `OmpPath` per BasisSpec runs over the F_opt of every target, and is freed on return.
+    Each distinct trial's channel is drawn once, from its own sub-stream, and checked. One
+    lockstep `OmpPath` per BasisSpec runs over the F_opt of every target, freed on return.
     """
-    groups = _groups(cfg)
+    groups, snr = _groups(cfg), _snr_linear(cfg)
     picked = [(i // len(groups), *groups[i % len(groups)]) for i in targets]
     channels = {t: sample_channel(cfg.channel, substream(cfg.seed, t))
                 for t in dict.fromkeys(t for t, _, _, _ in picked)}
+    for ch in channels.values():
+        check_channel(ch.matrix, snr)
     f_opts = [optimal_precoder(channels[t].matrix, cfg.streams, alloc) for t, _, _, alloc in picked]
     paths = {spec: OmpPath(f_opts, spec, k) for spec, k in _omp_bases(cfg).items()}
     return [(t, channels[t], cols, snrs,
@@ -305,27 +307,22 @@ def _precoder_stage(cfg, targets):
 
 def _rate_block(cfg, block):
     """Rates per target of `block`, schemes x its SNR points: one stacked SVD of H F."""
-    stage, snr = _precoder_stage(cfg, block), _snr_linear(cfg)
-    for ch in dict.fromkeys(ch for _, ch, _, _, _ in stage):  # each drawn H once; every F is
-        check_channel(ch.matrix, snr)                          # a unit-norm precoder that fits it
+    stage = _precoder_stage(cfg, block)
     hf = np.stack([ch.matrix @ np.array(f) for _, ch, _, _, f in stage])     # P x I x N x S
     snrs = np.array([snrs for _, _, _, snrs, _ in stage])[:, None]           # P x 1 x C
     return list(link_rates(link_gains(hf)[:, :, None], snrs))               # P x I x C
 
 
 def _ber_block(cfg, block):
-    """Bit errors per target of `block`, schemes x its SNR points."""
+    """Bit errors per target of `block`, schemes x its SNR points: one stacked link per target,
+    and one symbol/noise block per (trial, SNR) shared by every scheme, pairing the comparison."""
     out = []
     for t, ch, cols, snrs, precoders in _precoder_stage(cfg, block):
-        links = [MmseLink(ch.matrix, f) for f in precoders]   # one SVD of H F per scheme and group
-        errors = np.empty((len(links), len(cols)), dtype=np.int64)
-        for c, (j, snr) in enumerate(zip(cols, snrs)):
-            # One symbol/noise block per (trial, snr), shared by every scheme: each scheme
-            # sees the same symbols and noise, pairing the comparison.
-            symbols, noise = draw_qpsk(substream(cfg.seed, t, j), cfg.streams,
-                                       ch.matrix.shape[0], cfg.symbols_per_trial)
-            errors[:, c] = [link.bit_errors(snr, symbols, noise) for link in links]
-        out.append(errors)
+        link = MmseLink(ch.matrix, np.array(precoders))
+        out.append(np.column_stack([
+            link.bit_errors(snr, *draw_qpsk(substream(cfg.seed, t, j), cfg.streams,
+                                            ch.matrix.shape[0], cfg.symbols_per_trial))
+            for j, snr in zip(cols, snrs)]))
     return out
 
 
@@ -335,17 +332,21 @@ def _worker_count(workers, blocks):
 
 
 def _one_blas_thread():
-    """Pool initializer: pin the OpenBLAS that numpy's wheel bundles to one thread in this
-    worker, so that workers and BLAS threads do not compete for the same cores. A no-op where
-    that library or its set-threads symbol is absent."""
+    """Pin the OpenBLAS that numpy's wheel bundles to one thread in this process, so that
+    workers and BLAS threads do not compete for the same cores, and return a callable that
+    restores its count. A no-op where that library or its thread symbols are absent."""
     numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(numpy_libs, "*openblas*")):
         try:
-            set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+            lib = ctypes.CDLL(path)
         except OSError:
             continue
-        if set_threads is not None:
-            set_threads(1)
+        get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
+        if get is not None and set_ is not None:
+            before = get()
+            set_(1)
+            return lambda: set_(before)
+    return lambda: None
 
 
 def _map_targets(fn, cfg, workers):
@@ -355,7 +356,11 @@ def _map_targets(fn, cfg, workers):
     blocks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
     workers = _worker_count(workers, len(blocks))
     if workers <= 1:
-        results = [fn(cfg, block) for block in blocks]
+        restore = _one_blas_thread()
+        try:
+            results = [fn(cfg, block) for block in blocks]
+        finally:
+            restore()
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             results = list(pool.map(fn, [cfg] * len(blocks), blocks))

@@ -283,24 +283,42 @@ def single_call_detector(h, f, snr_linear, bits, noise):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8),
        data=st.data(), t=st.integers(1, 64),
        degenerate=st.sampled_from([None, None, "zero_f_column", "singular_h"]),
-       snrs_db=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4))
-def test_split_detector_is_the_single_call_detector(seed, n, m, data, t, degenerate, snrs_db):
-    # One factor per link, reused at every SNR, and one symbol block shared by every SNR give the
-    # bit-error counts of the single-call detector, also on a rank-deficient F and a singular H.
+       snrs_db=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4),
+       stack=st.integers(0, 3))
+def test_split_detector_is_the_single_call_detector(seed, n, m, data, t, degenerate, snrs_db,
+                                                    stack):
+    # One factor per stack of links, reused at every SNR, and one symbol block shared by every
+    # SNR and precoder give each precoder the bit-error counts of the single-call detector, also
+    # on a rank-deficient F and a singular H. stack = 0 passes one M x S precoder (I = 1).
     s = data.draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
-    h, f = random_channel(rng, n, m), unit_precoder(rng, m, s)
+    h, fs = random_channel(rng, n, m), [unit_precoder(rng, m, s) for _ in range(max(stack, 1))]
     if degenerate == "zero_f_column":
-        f[:, rng.integers(s)] = 0.0
+        fs[-1][:, rng.integers(s)] = 0.0
     elif degenerate == "singular_h":
         h = np.outer(h[:, 0], h[0])                 # rank 1
     bits, symbols, noise = expression_block(rng, s, n, t)
-    link = MmseLink(h, f)
+    link = MmseLink(h, np.array(fs) if stack else fs[0])
     if data.draw(st.booleans()):                    # the same symbols in a strided layout
         symbols = np.asfortranarray(symbols)
     for snr_db in snrs_db:
         snr = 10.0 ** (snr_db / 10.0)
-        assert link.bit_errors(snr, symbols, noise) == single_call_detector(h, f, snr, bits, noise)
+        assert link.bit_errors(snr, symbols, noise).tolist() == [
+            single_call_detector(h, f, snr, bits, noise) for f in fs]
+
+
+@pytest.mark.parametrize("seed, n, m, s, t", [(6, 7, 2, 3, 45), (11, 5, 1, 5, 42),
+                                                (19, 8, 2, 3, 18)])
+def test_stacked_detector_on_rank_deficient_links(seed, n, m, s, t):
+    # M < S: H F is rank-deficient, and at these SNRs the Sigma V^H step alone miscounts these
+    # blocks (by 2 to 9 bits). Their precoders take the certified fallback to the U^H y step.
+    rng = np.random.default_rng(seed)
+    h, f = random_channel(rng, n, m), unit_precoder(rng, m, s)
+    bits, symbols, noise = expression_block(rng, s, n, t)
+    link = MmseLink(h, np.array([f, f[::-1]]))
+    for snr in 10.0 ** (np.array([250.0, 278.0, 300.0]) / 10.0):
+        assert link.bit_errors(snr, symbols, noise).tolist() == [
+            single_call_detector(h, g, snr, bits, noise) for g in (f, f[::-1])]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

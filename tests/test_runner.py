@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import parse_csv, scheme_curve
+from test_evaluation import expression_block, single_call_detector
 from test_rate_oracle import rate_configs
 
 from fapsim import benchmarks, cli, evaluation, feedback, runner
@@ -57,6 +58,17 @@ def trial_targets(cfg, t):
     return range(t * groups, (t + 1) * groups)
 
 
+def count_exact_steps(monkeypatch):
+    """The (precoder, SNR) of each call of the detector's fallback step, as it is made."""
+    calls, exact = [], evaluation.MmseLink.exact_bit_errors
+
+    def counting(link, k, p, symbols, noise):
+        calls.append((k, p))
+        return exact(link, k, p, symbols, noise)
+    monkeypatch.setattr(evaluation.MmseLink, "exact_bit_errors", counting)
+    return calls
+
+
 class TestTrialEngine:
     def test_one_optimal_precoder_per_channel(self, monkeypatch):
         cfg = reference_experiment(trials=1)
@@ -99,8 +111,9 @@ class TestTrialEngine:
 
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
     def test_one_link_factor_per_scheme_and_group(self, monkeypatch, allocation, groups):
-        # The detector's SVD of H F runs once per (scheme, precoder group), not once per SNR,
-        # and the symbol block is drawn once per SNR, not once per scheme.
+        # The detector's SVD of H F runs once per (scheme, precoder group), batched over the
+        # schemes, not once per SNR, and the symbol block is drawn once per SNR, not once per
+        # scheme.
         cfg = reference_experiment(trials=1, allocation=allocation)
         svds, draws = [], []
 
@@ -125,7 +138,7 @@ class TestTrialEngine:
         monkeypatch.setattr(evaluation, "np", NumpyAsEvaluationSeesIt())
         monkeypatch.setattr(runner, "draw_qpsk", counting_draw)
         runner._ber_block(cfg, trial_targets(cfg, 0))
-        assert svds == [(16, 4)] * 6 * groups                  # 6 and 78 link SVDs
+        assert svds == [(6, 16, 4)] * groups                   # 6 and 78 link SVDs
         assert draws == [(4, 16, 1000)] * 13
 
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
@@ -141,6 +154,50 @@ class TestTrialEngine:
                     expected = ber_qpsk_mmse(ch.matrix, f, snr, cfg.symbols_per_trial,
                                              substream(cfg.seed, 0, j))
                     assert (errors[i, j], 2 * cfg.streams * cfg.symbols_per_trial) == expected
+
+    @pytest.mark.parametrize("block", ["_rate_block", "_ber_block"])
+    def test_each_drawn_channel_is_checked_once(self, monkeypatch, block):
+        # The precoder stage is both sweeps' trust boundary for H: each distinct trial's H is
+        # checked once, at every SNR of the config, and a huge H is refused before any link.
+        cfg = small_experiment(trials=2, allocation="water_filling")
+        checked = []
+
+        def counting(h, snr):
+            checked.append(len(snr))
+            return evaluation.check_channel(h, snr)
+        monkeypatch.setattr(runner, "check_channel", counting)
+        getattr(runner, block)(cfg, range(2 * len(cfg.snr_db_grid)))    # 2 trials, 6 targets
+        assert checked == [len(cfg.snr_db_grid)] * 2
+
+        def huge(channel, rng):
+            ch = sample_channel(channel, rng)
+            return dataclasses.replace(ch, matrix=1e200 * ch.matrix)
+        monkeypatch.setattr(runner, "sample_channel", huge)
+        with pytest.raises(InvalidInputError, match=r"snr \* \|\|H\|\|\^2 must be finite"):
+            getattr(runner, block)(cfg, range(1))
+
+    def test_rank_deficient_cells_are_the_single_call_detector(self, monkeypatch):
+        # K < S makes each proposed H F rank-deficient, so at 250-300 dB the stacked Sigma V^H
+        # step miscounts; every (scheme, SNR) cell is the single-call detector's through the
+        # certified fallback to the U^H y step, which these blocks take.
+        cfg = reference_experiment(trials=3, snr_db_grid=(250.0, 260.0, 270.0, 280.0, 290.0, 300.0),
+                                   schemes=(ProposedScheme(k=2), ProposedScheme(k=3)))
+        fallbacks = count_exact_steps(monkeypatch)
+        for t in range(cfg.trials):
+            errors = np.hstack(runner._ber_block(cfg, trial_targets(cfg, t)))
+            (_, ch, cols, snrs, precoders), = runner._precoder_stage(cfg, trial_targets(cfg, t))
+            for j, snr in zip(cols, snrs):
+                bits, _, noise = expression_block(substream(cfg.seed, t, j), cfg.streams,
+                                                  ch.matrix.shape[0], cfg.symbols_per_trial)
+                assert errors[:, j].tolist() == [
+                    single_call_detector(ch.matrix, f, snr, bits, noise) for f in precoders]
+        assert fallbacks
+
+    def test_reference_sweep_takes_no_fallback(self, monkeypatch):
+        # A bound too loose for the reference links would cost the stacked step's speed unseen.
+        fallbacks = count_exact_steps(monkeypatch)
+        run_ber_sweep(reference_experiment(trials=6))
+        assert fallbacks == []
 
     @pytest.mark.parametrize("allocation", ["unitary", "water_filling"])
     def test_rate_trial_matches_per_snr_rates(self, allocation):
@@ -357,24 +414,44 @@ class TestSweepSubsets:
         assert_snr_subset_keeps_the_cells(cfg, [0, 1, 2])
 
 
-def _blas_threads(cfg, targets):
-    """Per target, the thread count of numpy's bundled OpenBLAS in this process; None where it
-    is absent."""
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS; None where it is absent."""
     numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(numpy_libs, "*openblas*")):
-        get_threads = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
-        if get_threads is not None:
-            return [get_threads()] * len(targets)
-    return [None] * len(targets)
+        lib = ctypes.CDLL(path)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get_threads is not None and set_threads is not None:
+            return get_threads, set_threads
+    return None
+
+
+def _blas_threads(cfg, targets):
+    """Per target, the thread count of numpy's bundled OpenBLAS in this process."""
+    return [_openblas_threads()[0]()] * len(targets)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
+    # Blocks run at one OpenBLAS thread at every worker count, in process too; there, the
+    # caller's count is restored when the sweep returns.
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get_threads, set_threads = threads
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(runner, "BLOCK_TRIALS", 1)          # four blocks, so the pool runs
-    counts = runner._map_targets(_blas_threads, small_experiment(trials=4), workers=2)
-    if counts[0] is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    assert counts == [1] * 4
+    before = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("numpy's bundled OpenBLAS does not take 2 threads here")
+        for workers in (1, 2):
+            assert runner._map_targets(_blas_threads, small_experiment(trials=4), workers) == [1] * 4
+            assert get_threads() == 2
+        run_ber_sweep(small_experiment(trials=2), workers=1)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 class TestRateSweep:
