@@ -282,19 +282,22 @@ def single_call_detector(h, f, snr_linear, bits, noise):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8),
        data=st.data(), t=st.integers(1, 64),
-       degenerate=st.sampled_from([None, None, "zero_f_column", "singular_h"]),
+       degenerate=st.sampled_from([None, None, "zero_f_column", "rank_one_f", "singular_h"]),
        snrs_db=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4),
        stack=st.integers(0, 3))
 def test_split_detector_is_the_single_call_detector(seed, n, m, data, t, degenerate, snrs_db,
                                                     stack):
     # One factor per stack of links, reused at every SNR, and one symbol block shared by every
     # SNR and precoder give each precoder the bit-error counts of the single-call detector, also
-    # on a rank-deficient F and a singular H. stack = 0 passes one M x S precoder (I = 1).
+    # on a rank-deficient F and a singular H, where at high SNR only the fallback to the U^H y
+    # step keeps them equal. stack = 0 passes one M x S precoder (I = 1).
     s = data.draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
     h, fs = random_channel(rng, n, m), [unit_precoder(rng, m, s) for _ in range(max(stack, 1))]
     if degenerate == "zero_f_column":
         fs[-1][:, rng.integers(s)] = 0.0
+    elif degenerate == "rank_one_f":                # every stream on one beam
+        fs[-1] = unit_precoder(rng, m, 1) * (rng.standard_normal(s) / np.sqrt(s))
     elif degenerate == "singular_h":
         h = np.outer(h[:, 0], h[0])                 # rank 1
     bits, symbols, noise = expression_block(rng, s, n, t)
