@@ -5,7 +5,7 @@ Psi's columns are (multi-beam) transmit array responses at angles drawn from
 a shared discrete codebook. Orthogonal matching pursuit picks the K best
 angles; each pick extends a QR factorization of the picked columns by one
 Gram-Schmidt step, and G is solved from its triangular factor. OMP is greedy,
-so one run (`OmpPath`), sized for the largest K, yields every K as a
+so one run (`OmpPath`), made once to the largest K, yields every K as a
 prefix; one run carries a stack of targets in lockstep. A `FeedbackReport`
 carries the K angle indices and the (optionally quantized) K x S combining
 matrix, and holds the `BasisSpec` and `ComplexCodebook` it was made under: its
@@ -191,27 +191,22 @@ def dictionary(spec):
     returned array is read-only; column selections `dictionary(spec)[:, idx]`
     are bitwise equal to `basis_matrix(spec, centers[idx])`.
     """
-    return _cached_dictionary(spec)
+    return _cached_basis(spec)[0]
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_dictionary(spec):
+def _cached_basis(spec):
+    """Read-only Psi and contiguous Psi^H: one entry per spec, for `dictionary` and `OmpPath`."""
     psi = basis_matrix(spec, spec.codebook.centers)
-    psi.setflags(write=False)
-    return psi
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_adjoint(spec):
-    """Psi^H of `dictionary(spec)`, contiguous and read-only, shared by every `OmpPath`."""
-    psi_h = np.ascontiguousarray(dictionary(spec).conj().T)
-    psi_h.setflags(write=False)
-    return psi_h
+    psi_h = np.ascontiguousarray(psi.conj().T)
+    for a in (psi, psi_h):
+        a.setflags(write=False)
+    return psi, psi_h
 
 
 class OmpPath:
-    """Greedy runs for F_hat = Psi(phi) G of a stack of targets in lockstep, sized once for the
-    largest K and extended only as far as `at` asks.
+    """Greedy runs for F_hat = Psi(phi) G of a stack of targets in lockstep, run once, at
+    construction, to the largest K; `at` only reads them.
 
     Per pick, every running target takes the dictionary column most correlated with its
     residual R (ties to the lowest index): one argmax over an atoms x targets score. Classical
@@ -220,15 +215,16 @@ class OmpPath:
     Q^H F a row v^H F. The residual F - Q (Q^H F) loses v (v^H F), so its correlations Psi^H R
     lose (Psi^H v)(v^H F): one product with the dictionary per pick, not a new correlation.
     `at(k, p)` solves R_k G = (Q^H F)_k for target p. The picks do not depend on K, so one run
-    serves every K, asked in any order. A zero residual or a column with no norm left outside
+    serves every K, read in any order. A zero residual or a column with no norm left outside
     Q's span (as a column picked before) stops a target: it is frozen there, and larger Ks get
     its stopped state.
     """
 
     def __init__(self, targets, spec, k):
         """`targets`: one Precoder, or a sequence of Precoders of one shape; `k`, in [1, A]: the
-        most picks `at` is asked for. A target stops at min(k, M) picks (M span the array)."""
-        self._psi_h, self._k = _cached_adjoint(spec), k         # A x M, the path's K
+        most picks `at` is asked for. Every target picks until it stops, at min(k, M) picks at
+        the latest (M span the array)."""
+        self._psi_h, self._k = _cached_basis(spec)[1], k        # A x M, the path's K
         if not 1 <= k <= self._psi_h.shape[0]:
             raise InvalidInputError(f"k must be in [1, {self._psi_h.shape[0]}], got {k}")
         f = np.stack([t.matrix for t in ([targets] if isinstance(targets, Precoder) else targets)])
@@ -244,6 +240,8 @@ class OmpPath:
         self._count = np.zeros(p, int)                # picks made per target
         self._running = np.ones(p, bool)              # every running target has made _steps
         self._steps = 0
+        while self._steps < cap and self._running.any():
+            self._pick()
 
     @staticmethod
     def target_bytes(spec, k, s):
@@ -287,8 +285,6 @@ class OmpPath:
         the residual norms ||F_opt - Psi(phi) G|| per iteration)."""
         if not 1 <= k <= self._k:
             raise InvalidInputError(f"k must be in [1, {self._k}], got {k}")
-        while self._count[p] < min(k, self._picks.shape[1]) and self._running[p]:
-            self._pick()
         k = min(k, int(self._count[p]))
         qhf = self._qhf[p, :k]
         scale = float(np.linalg.norm(qhf))                   # ||Psi(phi) G|| = ||Q (Q^H F)_k||

@@ -71,26 +71,8 @@ class OptimalScheme:
         return f_opt.matrix
 
 
-@dataclass(frozen=True)
-class ProposedScheme:
-    """Greedy basis selection: K fed-back angles and a K x S combining matrix."""
-
-    k: int
-    gamma: int = 1
-    angle_codebook_size: int = 256
-    coeff_codebook: ComplexCodebook = field(default_factory=ComplexCodebook.ideal)
-
-    @property
-    def label(self):
-        return (f"proposed_k{self.k}_g{self.gamma}_cb{self.angle_codebook_size}"
-                + _coeff_suffix(self.coeff_codebook))
-
-    def validate(self, cfg, where):
-        _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
-        if not 1 <= self.k <= self.angle_codebook_size:
-            raise InvalidInputError(f"{where}.k: must be in [1, angle_codebook_size]")
-        if not (isinstance(self.gamma, (int, np.integer)) and self.gamma >= 1):
-            raise InvalidInputError(f"{where}.gamma: must be an integer >= 1, got {self.gamma!r}")
+class _ReportScheme:
+    """`proposed` and `sparse`: a K-angle report read off their spec's `OmpPath`, then rebuilt."""
 
     def _spec(self, cfg):
         return BasisSpec(codebook=AngleCodebook(cfg.channel.tx_sector, self.angle_codebook_size),
@@ -111,11 +93,35 @@ class ProposedScheme:
 
 
 @dataclass(frozen=True)
-class SparseScheme:
-    """Q RF-chain benchmark: the proposed engine at K = Q, gamma = 1, ideal amplitudes."""
+class ProposedScheme(_ReportScheme):
+    """Greedy basis selection: K fed-back angles and a K x S combining matrix."""
+
+    k: int
+    gamma: int = 1
+    angle_codebook_size: int = 256
+    coeff_codebook: ComplexCodebook = field(default_factory=ComplexCodebook.ideal)
+
+    @property
+    def label(self):
+        return (f"proposed_k{self.k}_g{self.gamma}_cb{self.angle_codebook_size}"
+                + _coeff_suffix(self.coeff_codebook))
+
+    def validate(self, cfg, where):
+        _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
+        if not 1 <= self.k <= self.angle_codebook_size:
+            raise InvalidInputError(f"{where}.k: must be in [1, angle_codebook_size]")
+        if not (isinstance(self.gamma, (int, np.integer)) and self.gamma >= 1):
+            raise InvalidInputError(f"{where}.gamma: must be an integer >= 1, got {self.gamma!r}")
+
+
+@dataclass(frozen=True)
+class SparseScheme(_ReportScheme):
+    """Q RF-chain benchmark: the proposed report at K = Q, gamma = 1, ideal amplitudes."""
 
     q: int
     angle_codebook_size: int = 256
+    k = property(lambda self: self.q)
+    gamma, coeff_codebook = 1, ComplexCodebook.ideal()      # not fields: the config has neither
 
     @property
     def label(self):
@@ -127,18 +133,6 @@ class SparseScheme:
             raise InvalidInputError(f"{where}.q: must be >= streams")
         if self.q > self.angle_codebook_size:
             raise InvalidInputError(f"{where}.q: must be <= angle_codebook_size")
-
-    def _proposed(self):
-        return ProposedScheme(k=self.q, gamma=1, angle_codebook_size=self.angle_codebook_size)
-
-    def overhead(self, cfg):
-        return self._proposed().overhead(cfg)
-
-    def omp_basis(self, cfg):
-        return self._proposed().omp_basis(cfg)
-
-    def precoder(self, ch, cfg, alloc, f_opt, omp):
-        return self._proposed().precoder(ch, cfg, alloc, f_opt, omp)
 
 
 @dataclass(frozen=True)

@@ -444,24 +444,31 @@ class TestOmpPath:
         stack = assert_stack_runs_single_paths(spec, targets, 4, same_atoms)
         assert not stack._running.any() and stack._count.max() == 2
 
-    def test_extends_only_as_far_as_asked(self, monkeypatch):
+    @pytest.mark.parametrize("order", [(3, 1, 3, 5), (5, 1, 3), (1, 2, 3, 4, 5)])
+    def test_construction_makes_every_pick_and_at_none(self, monkeypatch, order):
+        # A random target runs to the path's K = 5; an atom target (a dictionary column in its
+        # first stream, zeros beside it) stops at a zero residual after one pick. Alone, the
+        # atom stops the whole run there.
         picks = []                                         # picks already made, at each pick
 
         def counting(path):
-            picks.append(int(path._count[0]))
+            picks.append(path._steps)
             pick(path)
 
         pick = OmpPath._pick
         monkeypatch.setattr(OmpPath, "_pick", counting)
         spec = spec_of(m=32, size=64)
-        path = OmpPath(random_precoder(np.random.default_rng(50), 32, 2), spec, 5)
-        assert picks == []
-        path.at(3)
-        path.at(1)
-        path.at(3)
-        assert picks == [0, 1, 2]
-        path.at(5)
-        assert picks == [0, 1, 2, 3, 4]
+        atom = np.zeros((32, 2), complex)
+        atom[:, 0] = dictionary(spec)[:, 7]
+        targets = [random_precoder(np.random.default_rng(50), 32, 2), Precoder(atom)]
+        for stack, made, counts in ((targets, [0, 1, 2, 3, 4], [5, 1]), (targets[1:], [0], [1])):
+            picks.clear()
+            path = OmpPath(stack, spec, 5)
+            assert picks == made and path._count.tolist() == counts
+            for k in order:
+                for p in range(len(stack)):
+                    path.at(k, p)
+            assert picks == made
 
     @pytest.mark.parametrize("gamma", [1, 2])
     def test_ties_go_to_the_lowest_index(self, gamma):

@@ -1,13 +1,20 @@
 """One rate trial written straight from the paper's formulas, against `runner._rate_block`.
 
 The reference below shares no code with the engine: it rebuilds H as the explicit per-path sum
-over the trial's path arrays, takes F_opt from `np.linalg.svd` with its own phase rule and
-water level, runs OMP with an explicit residual and `np.linalg.pinv`, and reads each rate off
-`slogdet`. Only the random draw itself (`sample_channel`'s path arrays) comes from the library.
+over the trial's path arrays, takes F_opt from `np.linalg.svd` with the engine's phase rule
+(restated) and its own water level, runs OMP with an explicit residual and `np.linalg.pinv`, and
+reads each rate off `slogdet`. Only the random draw itself (`sample_channel`'s path arrays) comes
+from the library.
+
+Quantized amplitudes (the `proposed` G and the multilevel path gains) go through the reference's
+own uniform polar grid: magnitude cells of max |value| / L, phase cells of 2 pi / P from -pi, each
+value sent as its cell's center.
 
 The comparison is exact up to rounding, so examples whose discrete choices rounding could flip
 are discarded: an OMP correlation tie within 1e-12, a residual norm near the zero-residual stop,
-or an F_opt (of H or of the multilevel estimate) whose top-S subspace has no clear gap.
+an F_opt (of H or of the multilevel estimate) whose top-S subspace or phase pivot is not clear,
+a quantized value within 1e-9 of a polar cell edge, or a multilevel estimate whose quantized
+paths cancel.
 """
 
 import numpy as np
@@ -15,12 +22,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
+from fapsim.feedback import ComplexCodebook
 from fapsim.runner import (ExperimentConfig, MultilevelScheme, OptimalScheme, ProposedScheme,
                            SparseScheme, _groups, _rate_block)
 
 RATE_RTOL = 1e-9
-# The engine's zero-residual stop (`feedback._ZERO_RESIDUAL`), restated.
-ZERO_RESIDUAL = 1e-12
+# The engine's zero-residual stop (`feedback._ZERO_RESIDUAL`) and phase pivot tolerance
+# (`precoding.PIVOT_RTOL`), restated.
+ZERO_RESIDUAL = PIVOT_RTOL = 1e-12
+# How close, in cell widths, a quantized value may come to a polar cell edge.
+EDGE_TOL = 1e-9
 
 
 def response(m, spacing, angle):
@@ -65,7 +76,13 @@ def optimal(h, s, allocation, snr, vectors=False):
         assume(np.all(-np.diff(gains[:s]) > 1e-3 * gains[0]))
         top = np.sort(np.abs(v), axis=0)
         assume(v.shape[0] == 1 or np.all(top[-1] - top[-2] > 1e-9))
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(s)]
+    # Polar cells are not invariant to a column's phase, so the pivot is the engine's
+    # (`precoding.PIVOT_RTOL`, restated): the lowest index within 1e-12 of the largest modulus.
+    # An entry between a rounding tie (1e-14) and a clear gap (1e-9) could go either way.
+    mags = np.abs(v)
+    top = np.max(mags, axis=0)
+    assume(not np.any((mags < (1.0 - 1e-14) * top) & (mags > (1.0 - 1e-9) * top)))
+    pivot = v[np.argmax(mags >= (1.0 - PIVOT_RTOL) * top, axis=0), np.arange(s)]
     v = v * (np.conj(pivot) / np.abs(pivot))
     power = np.full(s, 1.0 / s) if allocation == "unitary" else water_level(sigma[:s], snr)
     return v * np.sqrt(power)
@@ -86,8 +103,33 @@ def dictionary(cfg, size, gamma):
                      for phi in codebook_centers(sector, size)], axis=1)
 
 
-def omp(f, psi, k):
-    """Greedy K-column fit of F, renormalized: pick, re-fit by pinv, recompute the residual."""
+def polar_grid(values, cc):
+    """Each value at the center of its uniform polar cell, over magnitudes [0, max |value|];
+    an ideal codebook passes the values through.
+
+    Discards a value within EDGE_TOL of a cell edge, as rounding could move it across.
+    Magnitude edges are counted in cell widths. Magnitudes clip into [0, L) cells: the
+    largest-magnitude entry, whose |value| / cell width is L itself, goes to the top cell on
+    both sides, so only the inner edges 1 .. L - 1 count. A phase edge is a ray from 0 at a
+    multiple of 2 pi / P (the cells wrap at +-pi), so its distance, the arc to it in radians
+    times |value| / max |value|, shrinks near 0: a value near 0 is near every phase edge.
+    """
+    if cc.mode == "ideal":
+        return values
+    levels, phases = cc.magnitude_levels, cc.phase_levels
+    width, arc = np.max(np.abs(values)) / levels, 2.0 * np.pi / phases
+    mag, phase = np.abs(values) / width, (np.angle(values) + np.pi) / arc
+    inner = (np.round(mag) >= 1) & (np.round(mag) <= levels - 1)
+    assume(not np.any(inner & (np.abs(mag - np.round(mag)) <= EDGE_TOL)))
+    assume(np.all(np.abs(phase - np.round(phase)) * arc * mag / levels > EDGE_TOL))
+    cell_mag = np.minimum(np.floor(mag), levels - 1) + 0.5
+    cell_phase = np.minimum(np.floor(phase), phases - 1) + 0.5
+    return cell_mag * width * np.exp(1j * (cell_phase * arc - np.pi))
+
+
+def omp(f, psi, k, cc=ComplexCodebook.ideal()):
+    """Greedy K-column fit of F, renormalized: pick, re-fit by pinv, recompute the residual;
+    then the fit's G (scaled so ||Psi G|| = 1) on `cc`'s polar grid."""
     picks, r = [], f
     for _ in range(k):
         corr = np.sum(np.abs(psi.conj().T @ r) ** 2, axis=1)
@@ -103,18 +145,26 @@ def omp(f, psi, k):
         assume(not 1e-3 * ZERO_RESIDUAL < norm < 1e3 * ZERO_RESIDUAL)
         if norm <= ZERO_RESIDUAL:
             break
-    return fit / np.linalg.norm(fit)
+    f_hat = psi[:, picks] @ polar_grid(np.linalg.pinv(psi[:, picks]) @ f / np.linalg.norm(fit), cc)
+    return f_hat / np.linalg.norm(f_hat)
 
 
-def multilevel_estimate(cfg, ch, k, size):
-    """H rebuilt from the K strongest paths, angles snapped to the nearest codebook center."""
+def multilevel_estimate(cfg, ch, k, size, cc):
+    """H rebuilt from the K strongest paths, angles snapped to the nearest codebook center and
+    gains on `cc`'s polar grid."""
     strongest = np.argsort(-np.abs(ch.gains), kind="stable")[:k]
     snap = {}
     for name, angles, sector in (("aod", ch.aod, cfg.channel.tx_sector),
                                  ("aoa", ch.aoa, cfg.channel.rx_sector)):
         centers = codebook_centers(sector, size)
         snap[name] = [centers[np.argmin(np.abs(a - centers))] for a in angles[strongest]]
-    return channel(cfg, ch.gains[strongest], snap["aod"], snap["aoa"], ch.gains.size)
+    gains = polar_grid(ch.gains[strongest], cc)
+    h_hat = channel(cfg, gains, snap["aod"], snap["aoa"], ch.gains.size)
+    # Coarse cells cancel: paths snapped to one beam pair with opposite grid gains leave an
+    # estimate of rounding noise, whose F_opt is rounding's choice.
+    bound = np.sqrt(cfg.channel.tx.num_elements * cfg.channel.rx.num_elements / ch.gains.size)
+    assume(np.linalg.norm(h_hat) > 1e-3 * bound * np.sum(np.abs(gains)))
+    return h_hat
 
 
 def rate(h, f, snr):
@@ -134,11 +184,13 @@ def reference_trial(cfg, trial, vectors=False):
             if isinstance(scheme, OptimalScheme):
                 f = f_opt
             elif isinstance(scheme, ProposedScheme):
-                f = omp(f_opt, dictionary(cfg, scheme.angle_codebook_size, scheme.gamma), scheme.k)
+                f = omp(f_opt, dictionary(cfg, scheme.angle_codebook_size, scheme.gamma), scheme.k,
+                        scheme.coeff_codebook)
             elif isinstance(scheme, SparseScheme):
                 f = omp(f_opt, dictionary(cfg, scheme.angle_codebook_size, 1), scheme.q)
             else:
-                h_hat = multilevel_estimate(cfg, ch, scheme.k, scheme.angle_codebook_size)
+                h_hat = multilevel_estimate(cfg, ch, scheme.k, scheme.angle_codebook_size,
+                                            scheme.coeff_codebook)
                 f = optimal(h_hat, cfg.streams, cfg.allocation, snr, vectors)
             precoders.append(f)
         points.append((snr, precoders))
@@ -152,20 +204,24 @@ def reference_rate_trial(cfg, trial):
 
 @st.composite
 def rate_configs(draw, symbols=st.just(1), min_paths=1):
-    """Small configs with every scheme type; the channel and the multilevel estimate keep at
-    least `min_paths` (at most 3) paths."""
+    """Small configs with every scheme type, `proposed` and `multilevel` with ideal or polar
+    amplitudes; the channel and the multilevel estimate keep at least `min_paths` (at most 3)
+    paths."""
     m, n = draw(st.integers(1, 32)), draw(st.integers(1, 8))
     streams = draw(st.integers(1, min(3, m, n)))
     clusters = draw(st.integers(1, 3))
     rays = draw(st.integers(-(-min_paths // clusters), 3))
     size = draw(st.sampled_from([8, 16, 32, 64]))
     spacing = draw(st.sampled_from([0.5, 0.3, 1.0]))
+    amplitudes = st.one_of(st.just(ComplexCodebook.ideal()),
+                           st.builds(ComplexCodebook.uniform_polar, st.sampled_from([1, 2, 4, 16]),
+                                     st.sampled_from([1, 2, 8, 16])))
     schemes = (OptimalScheme(),
                ProposedScheme(k=draw(st.integers(1, 8)), gamma=draw(st.sampled_from([1, 2])),
-                              angle_codebook_size=size),
+                              angle_codebook_size=size, coeff_codebook=draw(amplitudes)),
                SparseScheme(q=draw(st.integers(streams, 8)), angle_codebook_size=size),
                MultilevelScheme(k=draw(st.integers(min_paths, min(8, clusters * rays))),
-                                angle_codebook_size=size))
+                                angle_codebook_size=size, coeff_codebook=draw(amplitudes)))
     return ExperimentConfig(
         channel=ChannelConfig(tx=ArrayGeometry(m, spacing), rx=ArrayGeometry(n, spacing),
                               num_clusters=clusters, rays_per_cluster=rays,

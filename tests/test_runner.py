@@ -69,6 +69,23 @@ def count_exact_steps(monkeypatch):
     return calls
 
 
+def assert_cells_are_the_single_call_detector(monkeypatch, cfg):
+    """Every (scheme, SNR) cell of `_ber_block`, per trial and precoder group, is the
+    single-call detector's count. Returns the (precoder, SNR) of each fallback step, and the
+    stack index of each precoder with a zero column, both in the engine's order."""
+    fallbacks, zero_columns = count_exact_steps(monkeypatch), []
+    for t in range(cfg.trials):
+        errors = np.hstack(runner._ber_block(cfg, trial_targets(cfg, t)))
+        for _, ch, cols, snrs, precoders in runner._precoder_stage(cfg, trial_targets(cfg, t)):
+            zero_columns += [i for i, f in enumerate(precoders) if not np.all(np.any(f, axis=0))]
+            for j, snr in zip(cols, snrs):
+                bits, _, noise = expression_block(substream(cfg.seed, t, j), cfg.streams,
+                                                  ch.matrix.shape[0], cfg.symbols_per_trial)
+                assert errors[:, j].tolist() == [
+                    single_call_detector(ch.matrix, f, snr, bits, noise) for f in precoders]
+    return fallbacks, zero_columns
+
+
 class TestTrialEngine:
     def test_one_optimal_precoder_per_channel(self, monkeypatch):
         cfg = reference_experiment(trials=1)
@@ -182,16 +199,17 @@ class TestTrialEngine:
         # certified fallback to the U^H y step, which these blocks take.
         cfg = reference_experiment(trials=3, snr_db_grid=(250.0, 260.0, 270.0, 280.0, 290.0, 300.0),
                                    schemes=(ProposedScheme(k=2), ProposedScheme(k=3)))
-        fallbacks = count_exact_steps(monkeypatch)
-        for t in range(cfg.trials):
-            errors = np.hstack(runner._ber_block(cfg, trial_targets(cfg, t)))
-            (_, ch, cols, snrs, precoders), = runner._precoder_stage(cfg, trial_targets(cfg, t))
-            for j, snr in zip(cols, snrs):
-                bits, _, noise = expression_block(substream(cfg.seed, t, j), cfg.streams,
-                                                  ch.matrix.shape[0], cfg.symbols_per_trial)
-                assert errors[:, j].tolist() == [
-                    single_call_detector(ch.matrix, f, snr, bits, noise) for f in precoders]
+        fallbacks, _ = assert_cells_are_the_single_call_detector(monkeypatch, cfg)
         assert fallbacks
+
+    def test_zero_power_cells_are_the_single_call_detector(self, monkeypatch):
+        # At -20 to -15 dB water-filling leaves some streams no power: a zero precoder column
+        # gives estimate entries of exactly 0, inside the certificate, so each such precoder
+        # takes one fallback step, to the same count.
+        cfg = reference_experiment(trials=3, allocation="water_filling",
+                                   snr_db_grid=(-20.0, -17.5, -15.0))
+        fallbacks, zero_columns = assert_cells_are_the_single_call_detector(monkeypatch, cfg)
+        assert fallbacks and [i for i, _ in fallbacks] == zero_columns
 
     def test_reference_sweep_takes_no_fallback(self, monkeypatch):
         # A bound too loose for the reference links would cost the stacked step's speed unseen.
@@ -412,6 +430,28 @@ class TestSweepSubsets:
         assert_scheme_subset_keeps_the_rows(cfg, [0, 2, 4])
         assert_snr_subset_keeps_the_cells(cfg, [1, 4, 12])
         assert_snr_subset_keeps_the_cells(cfg, [0, 1, 2])
+
+    @pytest.mark.parametrize("block, allocation, n, m, budget", [
+        ("_rate_block", "unitary", 5, 23, None),
+        ("_rate_block", "water_filling", 5, 23, None),
+        ("_ber_block", "unitary", 3, 7, None),
+        ("_ber_block", "water_filling", 3, 7, None),
+        ("_ber_block", "water_filling", 3, 7, 5),
+    ], ids=["rate", "rate-wf", "ber", "ber-wf", "ber-wf-straddled"])
+    def test_trial_prefix_keeps_the_targets(self, monkeypatch, block, allocation, n, m, budget):
+        # Metamorphic relation: the per-target results of an n-trial sweep are, bitwise, the first
+        # n G of an m-trial sweep's. Blocks hold 16 trials' targets, so the n-trial sweep's one
+        # block ends where the m-trial sweep's first block goes on. With `budget`, BLOCK_BYTES
+        # cuts blocks of that many targets, which straddle the 13-group trials.
+        cfg = reference_experiment(allocation=allocation)
+        if budget:
+            monkeypatch.setattr(runner, "BLOCK_BYTES", budget * runner._target_bytes(cfg))
+        short, long = (runner._map_targets(getattr(runner, block),
+                                           dataclasses.replace(cfg, trials=t), 1) for t in (n, m))
+        groups = len(runner._groups(cfg))
+        assert (len(short), len(long)) == (n * groups, m * groups)
+        for got, expected in zip(short, long):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def _openblas_threads():
@@ -763,3 +803,11 @@ class TestSparseDelegation:
             omp = lambda spec, k: OmpPath(f_opt, spec, k).at(k)       # a fresh path per draw
             assert np.array_equal(scheme.precoder(ch, cfg, alloc, f_opt, omp),
                                   expected / np.linalg.norm(expected))
+
+    def test_fields_are_the_config_keys(self):
+        # K = Q, gamma = 1 and the ideal codebook are class attributes, not fields, so a sparse
+        # config node and the `# config:` JSON still hold `q` and `angle_codebook_size` alone.
+        assert [f.name for f in dataclasses.fields(SparseScheme)] == ["q", "angle_codebook_size"]
+        scheme = SparseScheme(q=8, angle_codebook_size=64)
+        assert dataclasses.asdict(scheme) == {"q": 8, "angle_codebook_size": 64}
+        assert (scheme.k, scheme.gamma, scheme.coeff_codebook) == (8, 1, ComplexCodebook.ideal())
