@@ -3,9 +3,11 @@
 The rate and BER sweeps at the stored trial counts must pass `gate.check_sweep` against
 perfbench/reference/, and the stored link round trips (report, wire bytes, rebuild, hybrid
 realization, rate) must pass `inproc.check_roundtrip` and `inproc.check_against_reference`.
+The small-trial sweeps of three more configs must pass the same gate against tests/data/.
 The gate's tolerances, not a byte comparison, decide: BLAS builds may move the last bits.
 """
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -13,8 +15,19 @@ from pathlib import Path
 
 import pytest
 
+from fapsim import cli, runner
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_MODULES = ("gate", "inproc", "run", "tracer")
+DATA = Path(__file__).resolve().parent / "data"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# Sweep -> trial count of the stored references, regenerated from the repo root with
+#   fapsim rate --config CONFIG --trials 20 --out tests/data/NAME-rate.csv
+#   fapsim ber --config CONFIG --trials 6 --out tests/data/NAME-ber.csv
+# for CONFIG tests/data/water_filling.yaml, configs/quantized.yaml and tests/data/k_above_m.yaml.
+DATA_TRIALS = {"rate": 20, "ber": 6}
+DATA_CONFIGS = {"water_filling": DATA / "water_filling.yaml", "quantized": CONFIGS / "quantized.yaml",
+                "k_above_m": DATA / "k_above_m.yaml"}
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +62,15 @@ def test_reference_link_round_trips_pass_the_gate(bench):
     for index, ref in enumerate(record["ops"]):
         rt = inproc.roundtrip(ctx, run.REF_SEED, index)
         assert inproc.check_roundtrip(rt) + inproc.check_against_reference(rt, ref) == [], index
+
+
+@pytest.mark.parametrize("command", sorted(DATA_TRIALS))
+@pytest.mark.parametrize("name", sorted(DATA_CONFIGS))
+def test_stored_sweep_passes_the_gate(bench, name, command):
+    # The `# config:` line holds every scheme's label, so the comparison pins the labels too.
+    gate, trials = bench[0], DATA_TRIALS[command]
+    cfg = dataclasses.replace(cli.build_experiment_config(cli.load_config(DATA_CONFIGS[name])),
+                              trials=trials)
+    csv = {"rate": runner.run_rate_sweep, "ber": runner.run_ber_sweep}[command](cfg)
+    reference = (DATA / f"{name}-{command}.csv").read_text(encoding="utf-8")
+    assert gate.check_sweep(csv, reference, cfg.seed, trials, against_reference=True) == []
