@@ -1,13 +1,13 @@
 """Monte-Carlo experiment runner.
 
-The engine's unit is the (trial, precoder group) target. Targets run in blocks
-whose size depends on the config alone, and a block's targets share one
-lockstep OMP run per basis spec and one stacked rate SVD. Each trial owns an
-independent random sub-stream derived from (seed, trial), so a trial whose
-groups straddle two blocks draws the same channel in each. Workers map whole
-blocks, and per-target values are reduced serially in target order, so results
-are identical for any worker count. All sweeps emit CSV text with the resolved
-configuration embedded in '#' comment lines.
+The engine's unit is the (trial, precoder group) target. Targets run in blocks whose
+size depends on the config alone, and a block's targets share one lockstep OMP run per
+basis spec, one `precoders` call per scheme and one stacked rate SVD. Each trial owns an
+independent random sub-stream derived from (seed, trial), so a trial whose groups
+straddle two blocks draws the same channel in each. Workers map whole blocks, and
+per-target values are reduced serially in target order, so results are identical for any
+worker count. All sweeps emit CSV text with the resolved configuration embedded in '#'
+comment lines.
 """
 
 import ctypes
@@ -16,6 +16,7 @@ import glob
 import json
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,40 +39,47 @@ BLOCK_TRIALS = 16
 BLOCK_BYTES = 32 * 2 ** 20
 
 
-def _coeff_suffix(cc):
-    """Label suffix naming a quantized coefficient codebook; empty when ideal."""
-    if cc.mode == "ideal":
-        return ""
-    return f"_m{cc.magnitude_levels}p{cc.phase_levels}"
+class _Scheme:
+    """A scheme class is its whole definition: a frozen dataclass whose fields are the keys of
+    its config node, keyed on its `type` in SCHEMES. It defines `overhead(cfg)`, the nominal
+    (angle_bits, amplitude_bits), and `precoders(cfg, stage)`, its unit-norm P x M x S stack for
+    a block's P targets (`_Stage`). It may define `validate(cfg, where)`, naming a failing field
+    `where.<field>`, and `omp_basis(cfg)`, the (BasisSpec, K) it reads off that spec's `OmpPath`.
+    """
 
-
-# A scheme class is its whole definition: `label`; `validate(cfg, where)`, which
-# names the failing field as `where.<field>`; `overhead(cfg)`, the nominal
-# (angle_bits, amplitude_bits); `omp_basis(cfg)`, the (BasisSpec, K) it reads off OMP, or
-# None; and `precoder(ch, cfg, alloc, f_opt, omp)`, its unit-norm M x S matrix on one draw
-# given the shared optimal precoder `f_opt` and `omp(spec, k)`, the K-pick fit of `f_opt`
-# read off the one `OmpPath` per BasisSpec that every scheme of the block reads.
-
-@dataclass(frozen=True)
-class OptimalScheme:
-    """Upper bound: optimal precoder from exact CSI, no feedback constraint."""
-
-    label = "optimal"
+    _label_keys = {"k": "k", "q": "q", "gamma": "g", "angle_codebook_size": "cb"}   # short names
 
     def validate(self, cfg, where):
         pass
 
-    def overhead(self, cfg):
-        return 0, 0
-
     def omp_basis(self, cfg):
         return None
 
-    def precoder(self, ch, cfg, alloc, f_opt, omp):
-        return f_opt.matrix
+    @property
+    def label(self):
+        """Its type, each field as short name and value, and `_m{M}p{P}` for quantized amplitudes."""
+        parts = [next(kind for kind, cls in SCHEMES.items() if cls is type(self))]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, ComplexCodebook):
+                parts.append(f"{self._label_keys[f.name]}{value}")
+            elif value.mode != "ideal":
+                parts.append(f"m{value.magnitude_levels}p{value.phase_levels}")
+        return "_".join(parts)
 
 
-class _ReportScheme:
+@dataclass(frozen=True)
+class OptimalScheme(_Scheme):
+    """Upper bound: optimal precoder from exact CSI, no feedback constraint."""
+
+    def overhead(self, cfg):
+        return 0, 0
+
+    def precoders(self, cfg, stage):
+        return stage.f_opt
+
+
+class _ReportScheme(_Scheme):
     """`proposed` and `sparse`: a K-angle report read off their spec's `OmpPath`, then rebuilt."""
 
     def _spec(self, cfg):
@@ -84,12 +92,13 @@ class _ReportScheme:
     def omp_basis(self, cfg):
         return self._spec(cfg), self.k
 
-    def precoder(self, ch, cfg, alloc, f_opt, omp):
-        spec, cc = self._spec(cfg), self.coeff_codebook
-        report = pack_report(*omp(spec, self.k)[:2], spec, cc)
+    def precoders(self, cfg, stage):
+        spec, cc, path = self._spec(cfg), self.coeff_codebook, stage.paths[self._spec(cfg)]
+        reports = [pack_report(*path.at(self.k, p)[:2], spec, cc) for p in range(len(stage.targets))]
         if cc.mode != "ideal":             # the transmitter rebuilds F_hat from the wire bytes alone
-            report = deserialize_report(serialize_report(report, spec, cc), spec, cc, cfg.streams)
-        return reconstruct_precoder(report, spec).matrix
+            reports = [deserialize_report(serialize_report(r, spec, cc), spec, cc, cfg.streams)
+                       for r in reports]
+        return [reconstruct_precoder(r, spec).matrix for r in reports]
 
 
 @dataclass(frozen=True)
@@ -100,11 +109,6 @@ class ProposedScheme(_ReportScheme):
     gamma: int = 1
     angle_codebook_size: int = 256
     coeff_codebook: ComplexCodebook = field(default_factory=ComplexCodebook.ideal)
-
-    @property
-    def label(self):
-        return (f"proposed_k{self.k}_g{self.gamma}_cb{self.angle_codebook_size}"
-                + _coeff_suffix(self.coeff_codebook))
 
     def validate(self, cfg, where):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
@@ -123,10 +127,6 @@ class SparseScheme(_ReportScheme):
     k = property(lambda self: self.q)
     gamma, coeff_codebook = 1, ComplexCodebook.ideal()      # not fields: the config has neither
 
-    @property
-    def label(self):
-        return f"sparse_q{self.q}_cb{self.angle_codebook_size}"
-
     def validate(self, cfg, where):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
         if self.q < cfg.streams:
@@ -136,16 +136,12 @@ class SparseScheme(_ReportScheme):
 
 
 @dataclass(frozen=True)
-class MultilevelScheme:
+class MultilevelScheme(_Scheme):
     """Quantized-CSI benchmark: the K strongest paths fed back, F_opt of the rebuilt channel."""
 
     k: int
     angle_codebook_size: int = 256
     coeff_codebook: ComplexCodebook = field(default_factory=ComplexCodebook.ideal)
-
-    @property
-    def label(self):
-        return f"multilevel_k{self.k}_cb{self.angle_codebook_size}" + _coeff_suffix(self.coeff_codebook)
 
     def validate(self, cfg, where):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
@@ -156,13 +152,10 @@ class MultilevelScheme:
         return overhead_bits("multilevel_csi", k=self.k, angle_codebook_size=self.angle_codebook_size,
                              coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
 
-    def omp_basis(self, cfg):
-        return None
-
-    def precoder(self, ch, cfg, alloc, f_opt, omp):
-        h_hat = multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
-                                        self.coeff_codebook)
-        return optimal_precoder(h_hat, cfg.streams, alloc).matrix
+    def precoders(self, cfg, stage):
+        h_hat = {t: multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
+                                            self.coeff_codebook) for t, ch in stage.channels.items()}
+        return [optimal_precoder(h_hat[t], cfg.streams, alloc).matrix for t, alloc in stage.targets]
 
 
 # Scheme classes keyed on the config file's `type`.
@@ -278,12 +271,17 @@ def _block_targets(cfg):
     return max(1, min(BLOCK_TRIALS * len(_groups(cfg)), BLOCK_BYTES // _target_bytes(cfg)))
 
 
+_Stage = namedtuple("_Stage", "targets channels f_opt paths")
+
+
 def _precoder_stage(cfg, targets):
-    """Per target index of `targets`: (trial, channel, SNR indices, linear SNRs, every
-    scheme's precoder).
+    """Per target index of `targets`: (trial, channel, SNR indices, linear SNRs, the I x M x S
+    stack of every scheme's precoder).
 
     Each distinct trial's channel is drawn once, from its own sub-stream, and checked. One
-    lockstep `OmpPath` per BasisSpec runs over the F_opt of every target, freed on return.
+    lockstep `OmpPath` per BasisSpec runs over the F_opt of every target, freed on return. Each
+    scheme's `precoders` runs once, on the block's `_Stage`: per target its (trial,
+    PowerAllocation), the channels by trial, the P x M x S F_opt stack and those paths by spec.
     """
     groups, snr = _groups(cfg), _snr_linear(cfg)
     picked = [(i // len(groups), *groups[i % len(groups)]) for i in targets]
@@ -292,17 +290,19 @@ def _precoder_stage(cfg, targets):
     for ch in channels.values():
         check_channel(ch.matrix, snr)
     f_opts = [optimal_precoder(channels[t].matrix, cfg.streams, alloc) for t, _, _, alloc in picked]
-    paths = {spec: OmpPath(f_opts, spec, k) for spec, k in _omp_bases(cfg).items()}
-    return [(t, channels[t], cols, snrs,
-             [s.precoder(channels[t], cfg, alloc, f_opt, lambda spec, k, p=p: paths[spec].at(k, p))
-              for s in cfg.schemes])
-            for p, ((t, cols, snrs, alloc), f_opt) in enumerate(zip(picked, f_opts))]
+    stage = _Stage([(t, alloc) for t, _, _, alloc in picked], channels,
+                   np.stack([f.matrix for f in f_opts]),
+                   {spec: OmpPath(f_opts, spec, k) for spec, k in _omp_bases(cfg).items()})
+    out = np.empty((len(picked), len(cfg.schemes), *stage.f_opt.shape[1:]), complex)
+    for i, s in enumerate(cfg.schemes):
+        out[:, i] = s.precoders(cfg, stage)
+    return [(t, channels[t], cols, snrs, f) for (t, cols, snrs, _), f in zip(picked, out)]
 
 
 def _rate_block(cfg, block):
     """Rates per target of `block`, schemes x its SNR points: one stacked SVD of H F."""
     stage = _precoder_stage(cfg, block)
-    hf = np.stack([ch.matrix @ np.array(f) for _, ch, _, _, f in stage])     # P x I x N x S
+    hf = np.stack([ch.matrix @ f for _, ch, _, _, f in stage])               # P x I x N x S
     snrs = np.array([snrs for _, _, _, snrs, _ in stage])[:, None]           # P x 1 x C
     return list(link_rates(link_gains(hf)[:, :, None], snrs))               # P x I x C
 
@@ -312,7 +312,7 @@ def _ber_block(cfg, block):
     and one symbol/noise block per (trial, SNR) shared by every scheme, pairing the comparison."""
     out = []
     for t, ch, cols, snrs, precoders in _precoder_stage(cfg, block):
-        link = MmseLink(ch.matrix, np.array(precoders))
+        link = MmseLink(ch.matrix, precoders)
         out.append(np.column_stack([
             link.bit_errors(snr, *draw_qpsk(substream(cfg.seed, t, j), cfg.streams,
                                             ch.matrix.shape[0], cfg.symbols_per_trial))

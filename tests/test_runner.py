@@ -99,6 +99,26 @@ class TestTrialEngine:
         runner._rate_block(cfg, trial_targets(cfg, 0))
         assert len(calls) == 2          # F_opt of H, shared, and the multilevel H_hat's
 
+    def test_each_scheme_builds_a_block_in_one_call(self, monkeypatch):
+        # Two water-filling trials in one block are 26 targets: each scheme's `precoders` runs
+        # once over all of them, and `multilevel` estimates each trial's channel once.
+        cfg = reference_experiment(trials=2, allocation="water_filling")
+        calls, estimates = [], []
+        for cls in SCHEMES.values():
+            def counting(scheme, cfg, stage, build=cls.precoders):
+                calls.append((scheme.label, len(stage.targets)))
+                return build(scheme, cfg, stage)
+            monkeypatch.setattr(cls, "precoders", counting)
+
+        def estimate(ch, *args):
+            estimates.append(ch)
+            return benchmarks.multilevel_csi_feedback(ch, *args)
+        monkeypatch.setattr(runner, "multilevel_csi_feedback", estimate)
+        assert runner._block_targets(cfg) >= 26
+        runner._rate_block(cfg, range(26))
+        assert calls == [(s.label, 26) for s in cfg.schemes]
+        assert len(estimates) == 2
+
     @pytest.mark.parametrize("allocation, groups", [("unitary", 1), ("water_filling", 13)])
     def test_one_omp_path_per_spec_and_group(self, monkeypatch, allocation, groups):
         # The reference schemes' K = 6, 8, 16 and Q = 8 share one spec: one path per block,
@@ -783,6 +803,51 @@ class TestOneBitFormula:
         assert len(blob) == 12 + math.ceil(sum(expected) / 8)
 
 
+def hand_written_label(scheme):
+    """A scheme's label in the four formats each scheme class once spelled out for itself."""
+    cc = getattr(scheme, "coeff_codebook", ComplexCodebook.ideal())
+    coeff = "" if cc.mode == "ideal" else f"_m{cc.magnitude_levels}p{cc.phase_levels}"
+    if isinstance(scheme, OptimalScheme):
+        return "optimal"
+    if isinstance(scheme, ProposedScheme):
+        return f"proposed_k{scheme.k}_g{scheme.gamma}_cb{scheme.angle_codebook_size}" + coeff
+    if isinstance(scheme, SparseScheme):
+        return f"sparse_q{scheme.q}_cb{scheme.angle_codebook_size}"
+    return f"multilevel_k{scheme.k}_cb{scheme.angle_codebook_size}" + coeff
+
+
+class TestLabels:
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(sorted(SCHEMES)), k=st.integers(1, 128), gamma=st.integers(1, 64),
+           size_bits=st.integers(0, 12), levels=st.tuples(st.integers(0, 16), st.integers(0, 16)),
+           quantized=st.booleans(), integer=st.sampled_from([int, np.int64, np.int32, np.uint16]))
+    def test_label_is_the_hand_written_format(self, kind, k, gamma, size_bits, levels, quantized,
+                                              integer):
+        size = integer(2 ** size_bits)
+        cc = (ComplexCodebook.uniform_polar(*(2 ** b for b in levels)) if quantized
+              else ComplexCodebook.ideal())
+        scheme = {
+            "optimal": lambda: OptimalScheme(),
+            "proposed": lambda: ProposedScheme(k=integer(k), gamma=integer(gamma),
+                                               angle_codebook_size=size, coeff_codebook=cc),
+            "sparse": lambda: SparseScheme(q=integer(k), angle_codebook_size=size),
+            "multilevel": lambda: MultilevelScheme(k=integer(k), angle_codebook_size=size,
+                                                   coeff_codebook=cc),
+        }[kind]()
+        assert scheme.label == hand_written_label(scheme)
+        assert scheme.label.split("_")[0] == kind
+
+    def test_sparse_class_attributes_stay_out_of_its_label(self):
+        # K, gamma and the ideal codebook are class attributes of SparseScheme, not fields.
+        assert SparseScheme(q=8).label == "sparse_q8_cb256"
+
+    def test_numpy_integer_fields_give_the_same_label(self):
+        assert ProposedScheme(k=np.int64(4), gamma=np.int32(2)).label == "proposed_k4_g2_cb256"
+        with pytest.raises(InvalidInputError, match="labels"):
+            small_experiment(schemes=(ProposedScheme(k=4, angle_codebook_size=64),
+                                      ProposedScheme(k=np.int64(4), angle_codebook_size=64)))
+
+
 class TestSparseDelegation:
     def test_precoder_bitwise_equals_sparse_benchmark(self):
         # SparseScheme runs the proposed engine at K = Q, gamma = 1; that is
@@ -800,8 +865,10 @@ class TestSparseDelegation:
             f_opt = optimal_precoder(ch.matrix, cfg.streams, alloc)
             f_rf, f_bb = sparse_precoder(f_opt, bench)
             expected = f_rf @ f_bb
-            omp = lambda spec, k: OmpPath(f_opt, spec, k).at(k)       # a fresh path per draw
-            assert np.array_equal(scheme.precoder(ch, cfg, alloc, f_opt, omp),
+            spec, k = scheme.omp_basis(cfg)
+            stage = runner._Stage([(trial, alloc)], {trial: ch}, f_opt.matrix[None],
+                                  {spec: OmpPath(f_opt, spec, k)})     # one target per draw
+            assert np.array_equal(scheme.precoders(cfg, stage)[0],
                                   expected / np.linalg.norm(expected))
 
     def test_fields_are_the_config_keys(self):
