@@ -1,13 +1,13 @@
 """Monte-Carlo experiment runner.
 
-The engine's unit is the (trial, precoder group) target. Targets run in blocks whose
-size depends on the config alone, and a block's targets share one lockstep OMP run per
-basis spec, one `precoders` call per scheme and one stacked rate SVD. Each trial owns an
-independent random sub-stream derived from (seed, trial), so a trial whose groups
-straddle two blocks draws the same channel in each. Workers map whole blocks, and
-per-target values are reduced serially in target order, so results are identical for any
-worker count. All sweeps emit CSV text with the resolved configuration embedded in '#'
-comment lines.
+The engine's unit is the (trial, precoder group) target. Targets run in blocks
+whose size depends on the config alone, and a block's targets share one
+lockstep OMP run per basis spec, one call per scheme and one stacked rate SVD.
+Each trial owns an independent random sub-stream derived from (seed, trial), so
+a trial whose groups straddle two blocks draws the same channel in each. Workers
+map whole blocks, and per-target values are reduced serially in target order, so
+results are identical for any worker count. All sweeps emit CSV text with the
+resolved configuration embedded in '#' comment lines.
 """
 
 import ctypes
@@ -93,8 +93,9 @@ class _ReportScheme(_Scheme):
         return self._spec(cfg), self.k
 
     def precoders(self, cfg, stage):
-        spec, cc, path = self._spec(cfg), self.coeff_codebook, stage.paths[self._spec(cfg)]
-        reports = [pack_report(*path.at(self.k, p)[:2], spec, cc) for p in range(len(stage.targets))]
+        spec, cc = self._spec(cfg), self.coeff_codebook
+        reports = [pack_report(*stage.paths[spec].at(self.k, p)[:2], spec, cc)
+                   for p in range(len(stage.targets))]
         if cc.mode != "ideal":             # the transmitter rebuilds F_hat from the wire bytes alone
             reports = [deserialize_report(serialize_report(r, spec, cc), spec, cc, cfg.streams)
                        for r in reports]
@@ -278,10 +279,9 @@ def _precoder_stage(cfg, targets):
     """Per target index of `targets`: (trial, channel, SNR indices, linear SNRs, the I x M x S
     stack of every scheme's precoder).
 
-    Each distinct trial's channel is drawn once, from its own sub-stream, and checked. One
-    lockstep `OmpPath` per BasisSpec runs over the F_opt of every target, freed on return. Each
-    scheme's `precoders` runs once, on the block's `_Stage`: per target its (trial,
-    PowerAllocation), the channels by trial, the P x M x S F_opt stack and those paths by spec.
+    Each distinct trial's channel is drawn once, from its own sub-stream, and checked. Each
+    scheme's `precoders` runs once on the block's `_Stage`: (trial, PowerAllocation) per target,
+    channels by trial, the P x M x S F_opt stack and one lockstep `OmpPath` per BasisSpec.
     """
     groups, snr = _groups(cfg), _snr_linear(cfg)
     picked = [(i // len(groups), *groups[i % len(groups)]) for i in targets]

@@ -105,9 +105,9 @@ class TestTrialEngine:
         cfg = reference_experiment(trials=2, allocation="water_filling")
         calls, estimates = [], []
         for cls in SCHEMES.values():
-            def counting(scheme, cfg, stage, build=cls.precoders):
+            def counting(scheme, run_cfg, stage, build=cls.precoders):
                 calls.append((scheme.label, len(stage.targets)))
-                return build(scheme, cfg, stage)
+                return build(scheme, run_cfg, stage)
             monkeypatch.setattr(cls, "precoders", counting)
 
         def estimate(ch, *args):
@@ -834,15 +834,10 @@ class TestLabels:
             "multilevel": lambda: MultilevelScheme(k=integer(k), angle_codebook_size=size,
                                                    coeff_codebook=cc),
         }[kind]()
+        # SparseScheme's K, gamma and ideal codebook are class attributes, so not in its label.
         assert scheme.label == hand_written_label(scheme)
-        assert scheme.label.split("_")[0] == kind
 
-    def test_sparse_class_attributes_stay_out_of_its_label(self):
-        # K, gamma and the ideal codebook are class attributes of SparseScheme, not fields.
-        assert SparseScheme(q=8).label == "sparse_q8_cb256"
-
-    def test_numpy_integer_fields_give_the_same_label(self):
-        assert ProposedScheme(k=np.int64(4), gamma=np.int32(2)).label == "proposed_k4_g2_cb256"
+    def test_numpy_integer_fields_make_a_duplicate_label(self):
         with pytest.raises(InvalidInputError, match="labels"):
             small_experiment(schemes=(ProposedScheme(k=4, angle_codebook_size=64),
                                       ProposedScheme(k=np.int64(4), angle_codebook_size=64)))
