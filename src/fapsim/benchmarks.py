@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayGeometry, channel_from_paths
-from .errors import InvalidInputError
 from .feedback import AngleCodebook, BasisSpec, dictionary, omp_approximate, quantize_angles
+from .numerics import _count
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ def sparse_precoder(f_opt, cfg):
     at the selected codebook angles, and F_bb is the least-squares combining
     matrix with ||F_rf @ F_bb||_F = 1. Q must lie in [S, codebook size].
     """
-    if cfg.num_rf_chains < f_opt.num_streams:
-        raise InvalidInputError("num_rf_chains must be >= the number of streams")
+    _count(cfg.num_rf_chains, "num_rf_chains", f_opt.num_streams)
     spec = BasisSpec(codebook=cfg.codebook, tx=cfg.tx, gamma=1)
     indices, g, _ = omp_approximate(f_opt, spec, cfg.num_rf_chains)
     f_rf = dictionary(spec)[:, list(indices)]
@@ -54,8 +53,7 @@ def multilevel_csi_feedback(ch, channel, k, angle_codebook_size, coeff_codebook)
     superposition.
     """
     total = ch.gains.size
-    if not 1 <= k <= total:
-        raise InvalidInputError(f"k must be in [1, {total}], got {k}")
+    k = _count(k, "k", 1, total)
     order = np.argsort(-np.abs(ch.gains), kind="stable")[:k]
     gains, _ = coeff_codebook.quantize(ch.gains[order])
     aod_cb = AngleCodebook(channel.tx_sector, angle_codebook_size)

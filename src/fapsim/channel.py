@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .numerics import _count, _positive
 
 # Laplacian scale of the intra-cluster ray offsets (std ~1.24 deg). Narrow
 # enough that a 16-term basis expansion tracks the optimal precoder closely;
@@ -29,10 +30,9 @@ class ArrayGeometry:
     spacing_over_wavelength: float = 0.5
 
     def __post_init__(self):
-        if self.num_elements < 1:
-            raise InvalidInputError("num_elements must be >= 1")
-        if not (self.spacing_over_wavelength > 0 and np.isfinite(self.spacing_over_wavelength)):
-            raise InvalidInputError("spacing_over_wavelength must be positive and finite")
+        object.__setattr__(self, "num_elements", _count(self.num_elements, "num_elements"))
+        object.__setattr__(self, "spacing_over_wavelength",
+                           _positive(self.spacing_over_wavelength, "spacing_over_wavelength"))
 
 
 def _check_sector(sector, name):
@@ -53,12 +53,9 @@ class ChannelConfig:
     angular_spread: float = DEFAULT_ANGULAR_SPREAD
 
     def __post_init__(self):
-        if self.num_clusters < 1:
-            raise InvalidInputError("num_clusters must be >= 1")
-        if self.rays_per_cluster < 1:
-            raise InvalidInputError("rays_per_cluster must be >= 1")
-        if not (self.angular_spread > 0 and np.isfinite(self.angular_spread)):
-            raise InvalidInputError("angular_spread must be positive and finite")
+        object.__setattr__(self, "num_clusters", _count(self.num_clusters, "num_clusters"))
+        object.__setattr__(self, "rays_per_cluster", _count(self.rays_per_cluster, "rays_per_cluster"))
+        object.__setattr__(self, "angular_spread", _positive(self.angular_spread, "angular_spread"))
         _check_sector(self.tx_sector, "tx_sector")
         _check_sector(self.rx_sector, "rx_sector")
 

@@ -74,8 +74,7 @@ def draw_qpsk(rng, num_streams, num_rx, num_symbols):
     uniform bits b0, b1; noise is N x T circularly-symmetric CN(0, 1). The draw order is fixed
     (bits, then noise), so one generator state gives the same block to every precoder.
     """
-    if not (isinstance(num_symbols, (int, np.integer)) and num_symbols >= 1):
-        raise InvalidInputError(f"num_symbols must be an integer >= 1, got {num_symbols!r}")
+    numerics._count(num_symbols, "num_symbols")
     bits = rng.integers(0, 2, size=(2, num_streams, num_symbols))
     symbols = np.empty(bits.shape[1:], dtype=np.complex128)          # mapped in place
     symbols.real, symbols.imag = 1 - 2 * bits[0], 1 - 2 * bits[1]
@@ -155,11 +154,9 @@ def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):
     grid points at a time, so memory is bounded by M x block, not M x grid.
     A gain sums h_m conj(psi_m) without BLAS, so no block size or thread count moves it.
     """
-    if grid_size < BEAM_PATTERN_MIN_GRID:
-        raise InvalidInputError(f"grid_size must be >= {BEAM_PATTERN_MIN_GRID}")
+    numerics._count(grid_size, "grid_size", BEAM_PATTERN_MIN_GRID)
     cb = spec.codebook
-    if not 0 <= center_index < cb.size:
-        raise InvalidInputError(f"center_index must be in [0, {cb.size}), got {center_index}")
+    numerics._count(center_index, "center_index", 0, cb.size - 1)
     conj_psi = basis_matrix(spec, np.array([cb.centers[center_index]]))[:, 0].conj()
     lo, hi = cb.sector
     grid = np.linspace(lo, hi, grid_size)

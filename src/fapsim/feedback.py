@@ -21,17 +21,12 @@ import numpy as np
 
 from .channel import ArrayGeometry, _check_sector, _steering_matrix
 from .errors import DomainError, InvalidInputError
+from .numerics import _count, _log2_exact
 from .precoding import Precoder
 
 # Residuals at or below this norm are treated as exact recoveries; the
 # greedy argmax is meaningless on a numerically zero residual.
 _ZERO_RESIDUAL = 1e-12
-
-
-def _log2_exact(n, name):
-    if n < 1 or (n & (n - 1)) != 0:
-        raise InvalidInputError(f"{name} must be a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class AngleCodebook:
     def __post_init__(self):
         # A float tuple, so equal codebooks are equal and hashable (the dictionary cache key).
         object.__setattr__(self, "sector", _check_sector(self.sector, "sector"))
-        _log2_exact(self.size, "codebook size")
+        object.__setattr__(self, "size", 1 << _log2_exact(self.size, "codebook size"))
 
     @property
     def resolution(self):
@@ -58,7 +53,7 @@ class AngleCodebook:
 
     @property
     def index_bits(self):
-        return _log2_exact(self.size, "codebook size")
+        return self.size.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -70,8 +65,7 @@ class BasisSpec:
     gamma: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, (int, np.integer)) and self.gamma >= 1):
-            raise InvalidInputError(f"gamma must be an integer >= 1, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", _count(self.gamma, "gamma"))
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,8 @@ class ComplexCodebook:
         if self.mode not in ("ideal", "uniform_polar"):
             raise InvalidInputError(f"unknown complex codebook mode {self.mode!r}")
         if self.mode == "uniform_polar":
-            _log2_exact(self.magnitude_levels, "magnitude_levels")
-            _log2_exact(self.phase_levels, "phase_levels")
+            for name in ("magnitude_levels", "phase_levels"):
+                object.__setattr__(self, name, 1 << _log2_exact(getattr(self, name), name))
 
     @classmethod
     def ideal(cls):
@@ -102,7 +96,7 @@ class ComplexCodebook:
         # Ideal amplitude feedback is excluded from the bit accounting.
         if self.mode == "ideal":
             return 0
-        return _log2_exact(self.magnitude_levels * self.phase_levels, "complex codebook size")
+        return (self.magnitude_levels * self.phase_levels).bit_length() - 1
 
     def quantize(self, values):
         """(grid values, grid magnitude range = largest |value|); ideal gives (values, None)."""
@@ -224,9 +218,8 @@ class OmpPath:
         """`targets`: one Precoder, or a sequence of Precoders of one shape; `k`, in [1, A]: the
         most picks `at` is asked for. Every target picks until it stops, at min(k, M) picks at
         the latest (M span the array)."""
-        self._psi_h, self._k = _cached_basis(spec)[1], k        # A x M, the path's K
-        if not 1 <= k <= self._psi_h.shape[0]:
-            raise InvalidInputError(f"k must be in [1, {self._psi_h.shape[0]}], got {k}")
+        self._psi_h = _cached_basis(spec)[1]                       # A x M
+        self._k = k = _count(k, "k", 1, self._psi_h.shape[0])      # the path's K
         f = np.stack([t.matrix for t in ([targets] if isinstance(targets, Precoder) else targets)])
         p, m, s = f.shape
         cap = min(k, m)
@@ -283,9 +276,7 @@ class OmpPath:
     def at(self, k, p=0):
         """Target p's run stopped at `k` picks: (indices, G scaled so ||Psi(phi) G|| = 1,
         the residual norms ||F_opt - Psi(phi) G|| per iteration)."""
-        if not 1 <= k <= self._k:
-            raise InvalidInputError(f"k must be in [1, {self._k}], got {k}")
-        k = min(k, int(self._count[p]))
+        k = min(_count(k, "k", 1, self._k), int(self._count[p]))
         qhf = self._qhf[p, :k]
         scale = float(np.linalg.norm(qhf))                   # ||Psi(phi) G|| = ||Q (Q^H F)_k||
         if scale <= _ZERO_RESIDUAL:
@@ -365,8 +356,8 @@ def overhead_bits(scheme, *, m=None, n=None, s=None, q=None, k=None,
     for name in _SCHEME_PARAMS[scheme]:
         if have[name] is None:
             raise InvalidInputError(f"scheme {scheme!r} requires parameter {name!r}")
-        if have[name] < 1:
-            raise InvalidInputError(f"parameter {name!r} must be >= 1")
+        have[name] = _count(have[name], name)
+    m, n, s, q, k = (have[key] for key in "mnsqk")
 
     cbits = _log2_exact(coeff_codebook_size, "coeff_codebook_size")
     if scheme in ("direct_H", "direct_F"):
@@ -449,8 +440,7 @@ def deserialize_report(data, spec, cc, num_streams):
     k, gamma, flags, scale = _HEADER.unpack_from(data)
     if flags != _FLAG_QUANTIZED:
         raise InvalidInputError(f"report flags must be {_FLAG_QUANTIZED:#04x}, got {flags:#04x}")
-    if num_streams < 1:
-        raise InvalidInputError(f"num_streams must be >= 1, got {num_streams}")
+    num_streams = _count(num_streams, "num_streams")
     if gamma != spec.gamma:
         raise InvalidInputError(f"report header gamma {gamma} does not match spec gamma {spec.gamma}")
     widths = [spec.codebook.index_bits] * k + [cc.bits_per_value] * (k * num_streams)

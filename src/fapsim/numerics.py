@@ -1,9 +1,10 @@
-"""Complex dense linear algebra backbone.
+"""Complex dense linear algebra backbone, and the package's input rules.
 
 Thin, validated wrappers around LAPACK (via numpy.linalg) so the rest of the
 package shares one set of conventions: economy SVD with descending singular
 values, minimum-norm least squares, and a Cholesky-based log-determinant in
-base 2.
+base 2. The rules `_as_matrix`, `_count` and `_positive` check what callers
+pass in, and name the field.
 """
 
 import numpy as np
@@ -11,6 +12,31 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 
 HERMITIAN_RTOL = 1e-9
+
+
+def _count(value, name, low=1, high=None):
+    """`value` as an int: an integer (numpy integers too, never a bool) in [low, high]."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}" if high is None
+                            else f"{name} must be in [{low}, {high}], got {value!r}")
+
+
+def _positive(value, name):
+    """`value` as a float: a positive, finite real (numpy scalars too, never a bool or an array)."""
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and 0 < value < np.inf):
+        return float(value)
+    raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _log2_exact(n, name):
+    """log2 of `n`, a count that is a power of two."""
+    n = _count(n, name)
+    if n & (n - 1):
+        raise InvalidInputError(f"{name} must be a power of two, got {n}")
+    return n.bit_length() - 1
 
 
 def _as_matrix(a, name):

@@ -27,8 +27,7 @@ class PowerAllocation:
     def __post_init__(self):
         if self.mode not in ("unitary", "water_filling"):
             raise InvalidInputError(f"unknown allocation mode {self.mode!r}")
-        if not (self.total_power > 0 and np.isfinite(self.total_power)):
-            raise InvalidInputError("total_power must be positive and finite")
+        object.__setattr__(self, "total_power", numerics._positive(self.total_power, "total_power"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +55,7 @@ def water_fill(sigma, snr):
         raise InvalidInputError("sigma must be a non-empty 1-D vector")
     if np.any(sigma < 0) or not np.all(np.isfinite(sigma)):
         raise InvalidInputError("sigma must be finite and non-negative")
-    if not (snr > 0 and np.isfinite(snr)):
-        raise InvalidInputError("snr must be positive and finite")
+    numerics._positive(snr, "snr")
     if not np.any(sigma > 0):
         raise DegenerateChannelError("all singular values are zero")
 
@@ -90,11 +88,9 @@ def optimal_precoder(h, num_streams, alloc):
     output deterministic. Under water-filling, `water_fill` sets each stream's power; one
     below the water level gets a zero column.
     """
+    h = numerics._as_matrix(h, "h")
+    num_streams = numerics._count(num_streams, "num_streams", 1, min(h.shape))
     u, s, v = numerics.svd(h)
-    if num_streams < 1 or num_streams > min(h.shape):
-        raise InvalidInputError(
-            f"num_streams must be in [1, {min(h.shape)}] for a {h.shape} channel"
-        )
     if s[0] <= 0:
         raise DegenerateChannelError("channel matrix is zero")
 

@@ -27,9 +27,10 @@ from .channel import ChannelConfig, _check_sector, sample_channel, substream
 from .errors import InvalidInputError
 from .evaluation import (BEAM_PATTERN_MIN_GRID, MmseLink, beam_pattern, check_channel, draw_qpsk,
                          link_gains, link_rates)
-from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, _log2_exact,
-                       deserialize_report, overhead_bits, pack_report, proposed_bits,
-                       reconstruct_precoder, serialize_report)
+from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, deserialize_report,
+                       overhead_bits, pack_report, proposed_bits, reconstruct_precoder,
+                       serialize_report)
+from .numerics import _count, _log2_exact
 from .precoding import PowerAllocation, optimal_precoder
 
 
@@ -44,7 +45,7 @@ class _Scheme:
     its config node, keyed on its `type` in SCHEMES. It defines `overhead(cfg)`, the nominal
     (angle_bits, amplitude_bits), and `precoders(cfg, stage)`, its unit-norm P x M x S stack for
     a block's P targets (`_Stage`). It may define `validate(cfg, where)`, naming a failing field
-    `where.<field>`, and `omp_basis(cfg)`, the (BasisSpec, K) it reads off that spec's `OmpPath`.
+    `where.<field>` and storing K or Q as an int, and `omp_basis(cfg)`, its OMP (BasisSpec, K).
     """
 
     _label_keys = {"k": "k", "q": "q", "gamma": "g", "angle_codebook_size": "cb"}   # short names
@@ -113,10 +114,8 @@ class ProposedScheme(_ReportScheme):
 
     def validate(self, cfg, where):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
-        if not 1 <= self.k <= self.angle_codebook_size:
-            raise InvalidInputError(f"{where}.k: must be in [1, angle_codebook_size]")
-        if not (isinstance(self.gamma, (int, np.integer)) and self.gamma >= 1):
-            raise InvalidInputError(f"{where}.gamma: must be an integer >= 1, got {self.gamma!r}")
+        object.__setattr__(self, "k", _count(self.k, f"{where}.k", 1, self.angle_codebook_size))
+        _count(self.gamma, f"{where}.gamma")
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,7 @@ class SparseScheme(_ReportScheme):
 
     def validate(self, cfg, where):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
-        if self.q < cfg.streams:
-            raise InvalidInputError(f"{where}.q: must be >= streams")
-        if self.q > self.angle_codebook_size:
-            raise InvalidInputError(f"{where}.q: must be <= angle_codebook_size")
+        object.__setattr__(self, "q", _count(self.q, f"{where}.q", cfg.streams, self.angle_codebook_size))
 
 
 @dataclass(frozen=True)
@@ -146,8 +142,7 @@ class MultilevelScheme(_Scheme):
 
     def validate(self, cfg, where):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
-        if not 1 <= self.k <= cfg.channel.num_paths:
-            raise InvalidInputError(f"{where}.k: must be in [1, clusters*rays_per_cluster]")
+        object.__setattr__(self, "k", _count(self.k, f"{where}.k", 1, cfg.channel.num_paths))
 
     def overhead(self, cfg):
         return overhead_bits("multilevel_csi", k=self.k, angle_codebook_size=self.angle_codebook_size,
@@ -179,12 +174,12 @@ class BeamPatternConfig:
     def __post_init__(self):
         _check_sector(self.sector, "beam_pattern.sector")
         _log2_exact(self.codebook_size, "beam_pattern.codebook_size")
-        if not 0 <= self.center_index < self.codebook_size:
-            raise InvalidInputError("beam_pattern.center_index: must be in [0, codebook_size)")
-        if self.grid_size < BEAM_PATTERN_MIN_GRID:
-            raise InvalidInputError(f"beam_pattern.grid_size: must be >= {BEAM_PATTERN_MIN_GRID}")
-        if not self.gammas or not all(isinstance(g, (int, np.integer)) and g >= 1 for g in self.gammas):
-            raise InvalidInputError(f"beam_pattern.gammas: must be integers >= 1, got {self.gammas}")
+        _count(self.center_index, "beam_pattern.center_index", 0, self.codebook_size - 1)
+        _count(self.grid_size, "beam_pattern.grid_size", BEAM_PATTERN_MIN_GRID)
+        if not self.gammas:
+            raise InvalidInputError("beam_pattern.gammas: must be non-empty")
+        for i, gamma in enumerate(self.gammas):
+            _count(gamma, f"beam_pattern.gammas[{i}]")
         if len(set(self.gammas)) != len(self.gammas):
             raise InvalidInputError("beam_pattern.gammas: entries must be unique")
 
@@ -202,21 +197,17 @@ class ExperimentConfig:
     beam_pattern: BeamPatternConfig = field(default_factory=BeamPatternConfig)
 
     def __post_init__(self):
-        if self.streams < 1 or self.streams > min(self.channel.tx.num_elements,
-                                                  self.channel.rx.num_elements):
-            raise InvalidInputError("streams: must be in [1, min(tx, rx antennas)]")
+        object.__setattr__(self, "streams", _count(self.streams, "streams", 1, min(
+            self.channel.tx.num_elements, self.channel.rx.num_elements)))
         if len(self.snr_db_grid) == 0:
             raise InvalidInputError("snr_db_grid: must be non-empty")
         for i, snr_db in enumerate(self.snr_db_grid):
             if not (math.isfinite(snr_db) and 0.0 < _db_to_linear(snr_db) < math.inf):
                 raise InvalidInputError(
                     f"snr_db[{i}]: must be finite with a positive, finite linear value, got {snr_db}")
-        if self.trials < 1:
-            raise InvalidInputError("trials: must be >= 1")
-        if self.symbols_per_trial < 1:
-            raise InvalidInputError("symbols_per_trial: must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed: must be >= 0")
+        object.__setattr__(self, "trials", _count(self.trials, "trials"))
+        object.__setattr__(self, "symbols_per_trial", _count(self.symbols_per_trial, "symbols_per_trial"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if self.allocation not in ("unitary", "water_filling"):
             raise InvalidInputError("allocation: must be 'unitary' or 'water_filling'")
         if len(self.schemes) == 0:

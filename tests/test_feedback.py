@@ -816,7 +816,8 @@ class TestSerialization:
         rng = np.random.default_rng(61)
         spec, cc = spec_of(m=24, size=16), ComplexCodebook.uniform_polar(4, 4)
         blob = serialize_report(build_report(random_precoder(rng, 24, 2), spec, 4, cc), spec, cc)
-        with pytest.raises(InvalidInputError, match="num_streams must be >= 1"):
+        with pytest.raises(InvalidInputError,
+                           match=f"num_streams must be an integer >= 1, got {num_streams}$"):
             deserialize_report(blob, spec, cc, num_streams)
 
     def test_mode_flag_mismatch(self):

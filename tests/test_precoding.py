@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fapsim import numerics
 from fapsim.channel import ArrayGeometry, channel_from_paths
 from fapsim.errors import DegenerateChannelError, InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
@@ -177,6 +178,21 @@ class TestOptimalPrecoder:
     def test_too_many_streams(self):
         with pytest.raises(InvalidInputError):
             optimal_precoder(np.eye(3), 4, UNITARY)
+
+    def test_stream_count_is_checked_before_the_svd(self, monkeypatch):
+        def no_svd(a):
+            raise AssertionError("the SVD ran before num_streams was checked")
+        monkeypatch.setattr(numerics, "svd", no_svd)
+        for bad in (0, 4, 2.0, True, None):
+            with pytest.raises(InvalidInputError, match=rf"num_streams must be in \[1, 3\], got {bad}"):
+                optimal_precoder(np.eye(3), bad, UNITARY)
+
+    @pytest.mark.parametrize("integer", [np.int8, np.uint16, np.int64])
+    def test_numpy_stream_count_is_the_python_int(self, integer):
+        # 1 / sqrt(S) of an int8 S would be a float16 stream power.
+        h = np.random.default_rng(3).standard_normal((4, 6))
+        assert np.array_equal(optimal_precoder(h, integer(3), UNITARY).matrix,
+                              optimal_precoder(h, 3, UNITARY).matrix)
 
     def test_zero_channel(self):
         with pytest.raises(DegenerateChannelError):

@@ -690,7 +690,8 @@ class TestConfigValidation:
 
     def test_non_integer_gamma_rejected(self):
         # gamma = 2.5 would build 3 beams scaled by 1/sqrt(2.5) under a `g2.5` label.
-        with pytest.raises(InvalidInputError, match=r"schemes\[1\]\.gamma: must be an integer"):
+        with pytest.raises(InvalidInputError,
+                           match=r"schemes\[1\]\.gamma must be an integer >= 1, got 2\.5"):
             small_experiment(schemes=(OptimalScheme(), ProposedScheme(k=4, gamma=2.5,
                                                                       angle_codebook_size=64)))
 
@@ -737,8 +738,80 @@ class TestConfigValidation:
             small_experiment(snr_db_grid=grid)
 
     def test_negative_seed(self):
-        with pytest.raises(InvalidInputError, match="seed: must be >= 0"):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0, got -1"):
             small_experiment(seed=-1)
+
+
+def _channel(**fields):
+    base = dict(tx=ArrayGeometry(8), rx=ArrayGeometry(4), num_clusters=4, rays_per_cluster=3)
+    return ChannelConfig(**{**base, **fields})
+
+
+# Every count (a valid int) and positive-real (a valid float, exact in float16) field of the
+# library's config types: (the field as its error names it, a valid value, the object built with
+# a given value). A scheme's fields are checked when an experiment holds it. The other fields
+# leave every relation slack, so that an error names the field under test.
+SCALAR_FIELDS = [
+    ("num_elements", 8, lambda v: ArrayGeometry(v)),
+    ("spacing_over_wavelength", 0.5, lambda v: ArrayGeometry(8, v)),
+    ("num_clusters", 4, lambda v: _channel(num_clusters=v)),
+    ("rays_per_cluster", 3, lambda v: _channel(rays_per_cluster=v)),
+    ("angular_spread", 2.0 ** -6, lambda v: _channel(angular_spread=v)),
+    ("codebook size", 64, lambda v: AngleCodebook((-1.0, 1.0), v)),
+    ("gamma", 2, lambda v: BasisSpec(AngleCodebook((-1.0, 1.0), 64), ArrayGeometry(8), v)),
+    ("magnitude_levels", 16, lambda v: ComplexCodebook.uniform_polar(v, 16)),
+    ("phase_levels", 16, lambda v: ComplexCodebook.uniform_polar(16, v)),
+    ("total_power", 10.0, lambda v: PowerAllocation("water_filling", total_power=v)),
+    ("schemes[0].k", 8, lambda v: small_experiment(schemes=(ProposedScheme(k=v),))),
+    ("schemes[0].gamma", 2, lambda v: small_experiment(schemes=(ProposedScheme(k=4, gamma=v),))),
+    ("schemes[0].angle_codebook_size", 64,
+     lambda v: small_experiment(schemes=(ProposedScheme(k=1, angle_codebook_size=v),))),
+    ("schemes[0].q", 8, lambda v: small_experiment(schemes=(SparseScheme(q=v),))),
+    ("schemes[0].angle_codebook_size", 64,
+     lambda v: small_experiment(streams=1, schemes=(SparseScheme(q=1, angle_codebook_size=v),))),
+    ("schemes[0].k", 8, lambda v: small_experiment(schemes=(MultilevelScheme(k=v),))),
+    ("schemes[0].angle_codebook_size", 64,
+     lambda v: small_experiment(schemes=(MultilevelScheme(k=1, angle_codebook_size=v),))),
+    ("beam_pattern.codebook_size", 32, lambda v: BeamPatternConfig(codebook_size=v, center_index=0)),
+    ("beam_pattern.center_index", 8, lambda v: BeamPatternConfig(center_index=v)),
+    ("beam_pattern.grid_size", 64, lambda v: BeamPatternConfig(grid_size=v)),
+    ("beam_pattern.gammas[0]", 8, lambda v: BeamPatternConfig(gammas=(v,))),
+    ("streams", 2, lambda v: small_experiment(streams=v, schemes=(OptimalScheme(),))),
+    ("trials", 8, lambda v: small_experiment(trials=v)),
+    ("symbols_per_trial", 8, lambda v: small_experiment(symbols_per_trial=v)),
+    ("seed", 8, lambda v: small_experiment(seed=v)),
+]
+HOSTILE_SCALARS = [True, False, None, "8", 8.0, 8.5, math.nan, math.inf, -math.inf, -1, 0,
+                   np.array([8, 8]), np.float64(8.0), np.bool_(True)]
+NUMPY_SCALARS = [np.int8, np.int32, np.int64, np.uint16, np.uint64, np.float16, np.float32,
+                 np.float64]
+
+
+def _render(built):
+    """An experiment config's overhead table (its labels and bit counts); other types as built."""
+    return run_overhead_table(built) if isinstance(built, ExperimentConfig) else built
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=st.one_of(st.sampled_from(HOSTILE_SCALARS), st.integers(-2, 300), st.integers(),
+                      st.floats()),
+       numpy_type=st.sampled_from(NUMPY_SCALARS))
+def test_library_scalar_fields_refuse_by_name(value, numpy_type):
+    # The library API's counterpart of the CLI fuzz: each field either takes the value or raises
+    # InvalidInputError naming it, never a bare TypeError, AttributeError or IndexError. A count
+    # takes only integers and a positive real only reals, never a bool. The field's valid value
+    # as a numpy scalar of its kind is taken, and gives what the Python value gives.
+    for name, valid, build in SCALAR_FIELDS:
+        count = isinstance(valid, int)
+        try:
+            _render(build(value))
+        except InvalidInputError as exc:
+            assert name in str(exc), (name, value, exc)
+        else:
+            kind = (int, np.integer) if count else (int, float, np.integer, np.floating)
+            assert isinstance(value, kind) and not isinstance(value, bool), (name, value)
+        if count == issubclass(numpy_type, np.integer):
+            assert _render(build(numpy_type(valid))) == _render(build(valid)), (name, numpy_type)
 
 
 _COEFF_CODEBOOKS = st.one_of(
@@ -841,6 +914,30 @@ class TestLabels:
         with pytest.raises(InvalidInputError, match="labels"):
             small_experiment(schemes=(ProposedScheme(k=4, angle_codebook_size=64),
                                       ProposedScheme(k=np.int64(4), angle_codebook_size=64)))
+
+    def test_numpy_integer_fields_give_the_same_bytes(self):
+        # The reference schemes, two of them on a 16 x 16 polar codebook, with every integer
+        # field and codebook level an np.int64: the same labels, bits, rates and bit errors.
+        def numpy_fields(scheme):
+            values = {}
+            for f in dataclasses.fields(scheme):
+                v = getattr(scheme, f.name)
+                if not isinstance(v, ComplexCodebook):
+                    values[f.name] = np.int64(v)
+                elif v.mode != "ideal":
+                    values[f.name] = ComplexCodebook.uniform_polar(np.int64(v.magnitude_levels),
+                                                                   np.int64(v.phase_levels))
+            return dataclasses.replace(scheme, **values)
+
+        cc = ComplexCodebook.uniform_polar(16, 16)
+        opt, k6, k8, k16, sparse, multilevel = reference_experiment().schemes
+        schemes = (opt, k6, k8, dataclasses.replace(k16, gamma=2, coeff_codebook=cc), sparse,
+                   dataclasses.replace(multilevel, coeff_codebook=cc))
+        python = reference_experiment(trials=3, schemes=schemes)
+        numpy = reference_experiment(trials=3, schemes=tuple(numpy_fields(s) for s in schemes))
+        assert run_overhead_table(numpy) == run_overhead_table(python)
+        for sweep in (run_rate_sweep, run_ber_sweep):
+            assert sweep(numpy) == sweep(python)
 
 
 class TestSparseDelegation:
