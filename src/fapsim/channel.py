@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import _count, _positive
+from .numerics import _count, _positive, _reals
 
 # Laplacian scale of the intra-cluster ray offsets (std ~1.24 deg). Narrow
 # enough that a 16-term basis expansion tracks the optimal precoder closely;
@@ -36,10 +36,10 @@ class ArrayGeometry:
 
 
 def _check_sector(sector, name):
-    lo, hi = float(sector[0]), float(sector[1])
+    lo, hi = _reals(sector, name, 2)
     if not (-np.pi <= lo < hi <= np.pi):
         raise InvalidInputError(f"{name} must satisfy -pi <= lo < hi <= pi, got ({lo}, {hi})")
-    return lo, hi
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class ChannelConfig:
         object.__setattr__(self, "num_clusters", _count(self.num_clusters, "num_clusters"))
         object.__setattr__(self, "rays_per_cluster", _count(self.rays_per_cluster, "rays_per_cluster"))
         object.__setattr__(self, "angular_spread", _positive(self.angular_spread, "angular_spread"))
-        _check_sector(self.tx_sector, "tx_sector")
-        _check_sector(self.rx_sector, "rx_sector")
+        object.__setattr__(self, "tx_sector", _check_sector(self.tx_sector, "tx_sector"))
+        object.__setattr__(self, "rx_sector", _check_sector(self.rx_sector, "rx_sector"))
 
     @property
     def num_paths(self):

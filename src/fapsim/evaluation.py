@@ -74,7 +74,8 @@ def draw_qpsk(rng, num_streams, num_rx, num_symbols):
     uniform bits b0, b1; noise is N x T circularly-symmetric CN(0, 1). The draw order is fixed
     (bits, then noise), so one generator state gives the same block to every precoder.
     """
-    numerics._count(num_symbols, "num_symbols")
+    for value, name in ((num_streams, "num_streams"), (num_rx, "num_rx"), (num_symbols, "num_symbols")):
+        numerics._count(value, name)
     bits = rng.integers(0, 2, size=(2, num_streams, num_symbols))
     symbols = np.empty(bits.shape[1:], dtype=np.complex128)          # mapped in place
     symbols.real, symbols.imag = 1 - 2 * bits[0], 1 - 2 * bits[1]
@@ -158,8 +159,7 @@ def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):
     cb = spec.codebook
     numerics._count(center_index, "center_index", 0, cb.size - 1)
     conj_psi = basis_matrix(spec, np.array([cb.centers[center_index]]))[:, 0].conj()
-    lo, hi = cb.sector
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(*cb.sector, grid_size)
     blocks = (grid[i:i + BEAM_PATTERN_BLOCK] for i in range(0, grid_size, BEAM_PATTERN_BLOCK))
     gain = np.concatenate([np.abs(np.multiply(_steering_matrix(spec.tx, b).T, conj_psi, order="C")
                                   .sum(axis=1)) ** 2 for b in blocks])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ArrayGeometry, _check_sector, _steering_matrix
 from .errors import DomainError, InvalidInputError
-from .numerics import _count, _log2_exact
+from .numerics import _count, _is_real, _log2_exact
 from .precoding import Precoder
 
 # Residuals at or below this norm are treated as exact recoveries; the
@@ -134,9 +134,9 @@ class FeedbackReport:
         if len(idx) == 0 or min(idx) < 0 or max(idx) >= size:
             raise InvalidInputError(f"angle indices must be non-empty and in [0, {size})")
         scale, polar = self.magnitude_scale, self.coeff_codebook.mode != "ideal"
-        if (scale is not None) != polar or polar and not 0 < scale < np.inf:
+        if (scale is not None) != polar or polar and not (_is_real(scale) and 0 < scale < np.inf):
             raise InvalidInputError(f"magnitude scale must be {'positive and finite' if polar else 'None'}"
-                                    f" under a {self.coeff_codebook.mode} codebook, got {scale}")
+                                    f" under a {self.coeff_codebook.mode} codebook, got {scale!r}")
 
     k = property(lambda self: len(self.angle_indices))
     gamma = property(lambda self: self.spec.gamma)

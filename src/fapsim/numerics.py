@@ -3,8 +3,8 @@
 Thin, validated wrappers around LAPACK (via numpy.linalg) so the rest of the
 package shares one set of conventions: economy SVD with descending singular
 values, minimum-norm least squares, and a Cholesky-based log-determinant in
-base 2. The rules `_as_matrix`, `_count` and `_positive` check what callers
-pass in, and name the field.
+base 2. The rules `_as_matrix`, `_count`, `_positive` and `_reals` check what
+callers pass in, and name the field.
 """
 
 import numpy as np
@@ -23,12 +23,25 @@ def _count(value, name, low=1, high=None):
                             else f"{name} must be in [{low}, {high}], got {value!r}")
 
 
+def _is_real(value):
+    """A real scalar, Python or numpy, never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _positive(value, name):
     """`value` as a float: a positive, finite real (numpy scalars too, never a bool or an array)."""
-    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and 0 < value < np.inf):
+    if _is_real(value) and 0 < value < np.inf:
         return float(value)
     raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _reals(values, name, size=None):
+    """`values` as a tuple: a list, tuple, range or 1-D numpy array of `size` (default: 1+) reals."""
+    if ((isinstance(values, (list, tuple, range)) or isinstance(values, np.ndarray) and values.ndim == 1)
+            and 0 < len(values) == (size or len(values)) and all(map(_is_real, values))):
+        return tuple(values)
+    raise InvalidInputError(f"{name} must be a list, tuple, range or 1-D array of {size or 'one or more'} "
+                            f"reals, got {values!r}")
 
 
 def _log2_exact(n, name):

@@ -30,7 +30,7 @@ from .evaluation import (BEAM_PATTERN_MIN_GRID, MmseLink, beam_pattern, check_ch
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, deserialize_report,
                        overhead_bits, pack_report, proposed_bits, reconstruct_precoder,
                        serialize_report)
-from .numerics import _count, _log2_exact
+from .numerics import _count, _log2_exact, _reals
 from .precoding import PowerAllocation, optimal_precoder
 
 
@@ -172,16 +172,14 @@ class BeamPatternConfig:
     gammas: tuple = (1, 2, 4)
 
     def __post_init__(self):
-        _check_sector(self.sector, "beam_pattern.sector")
+        object.__setattr__(self, "sector", _check_sector(self.sector, "beam_pattern.sector"))
         _log2_exact(self.codebook_size, "beam_pattern.codebook_size")
         _count(self.center_index, "beam_pattern.center_index", 0, self.codebook_size - 1)
         _count(self.grid_size, "beam_pattern.grid_size", BEAM_PATTERN_MIN_GRID)
-        if not self.gammas:
-            raise InvalidInputError("beam_pattern.gammas: must be non-empty")
         for i, gamma in enumerate(self.gammas):
             _count(gamma, f"beam_pattern.gammas[{i}]")
-        if len(set(self.gammas)) != len(self.gammas):
-            raise InvalidInputError("beam_pattern.gammas: entries must be unique")
+        if not 0 < len(set(self.gammas)) == len(self.gammas):
+            raise InvalidInputError("beam_pattern.gammas: entries must be unique, with at least one")
 
 
 @dataclass(frozen=True)
@@ -199,10 +197,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "streams", _count(self.streams, "streams", 1, min(
             self.channel.tx.num_elements, self.channel.rx.num_elements)))
-        if len(self.snr_db_grid) == 0:
-            raise InvalidInputError("snr_db_grid: must be non-empty")
+        object.__setattr__(self, "snr_db_grid", _reals(self.snr_db_grid, "snr_db_grid"))
         for i, snr_db in enumerate(self.snr_db_grid):
-            if not (math.isfinite(snr_db) and 0.0 < _db_to_linear(snr_db) < math.inf):
+            if not 0.0 < _db_to_linear(snr_db) < math.inf:
                 raise InvalidInputError(
                     f"snr_db[{i}]: must be finite with a positive, finite linear value, got {snr_db}")
         object.__setattr__(self, "trials", _count(self.trials, "trials"))
@@ -210,8 +207,9 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if self.allocation not in ("unitary", "water_filling"):
             raise InvalidInputError("allocation: must be 'unitary' or 'water_filling'")
-        if len(self.schemes) == 0:
-            raise InvalidInputError("schemes: must be non-empty")
+        object.__setattr__(self, "schemes", tuple(self.schemes) if np.iterable(self.schemes) else ())
+        if len(self.schemes) == 0 or not all(isinstance(s, _Scheme) for s in self.schemes):
+            raise InvalidInputError("schemes: must be a non-empty sequence of scheme objects")
         for i, scheme in enumerate(self.schemes):
             scheme.validate(self, f"schemes[{i}]")
         labels = [s.label for s in self.schemes]
@@ -221,7 +219,7 @@ class ExperimentConfig:
 
 def _db_to_linear(snr_db):
     try:
-        return 10.0 ** (snr_db / 10.0)
+        return 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         return math.inf
 
@@ -339,7 +337,7 @@ def _map_targets(fn, cfg, workers):
     returning one result per target; the per-target results in target order."""
     size, count = _block_targets(cfg), cfg.trials * len(_groups(cfg))
     blocks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
-    workers = _worker_count(workers, len(blocks))
+    workers = _worker_count(_count(workers, "workers"), len(blocks))
     if workers <= 1:
         restore = _one_blas_thread()
         try:
@@ -353,28 +351,16 @@ def _map_targets(fn, cfg, workers):
 
 
 def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+    return str(np.asarray(value).tolist())      # the Python str, int or float numpy reads it as
 
 
 def _csv(cfg, title, columns, rows):
     blob = dataclasses.asdict(cfg)
     for scheme, node in zip(cfg.schemes, blob["schemes"]):
         node["label"] = scheme.label
-    lines = [f"# fapsim {title}"]
-    lines.append("# config: " + json.dumps(blob, sort_keys=True, default=_json_default))
-    lines.append(f"# seed: {cfg.seed}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    config = json.dumps(blob, sort_keys=True, default=lambda obj: obj.tolist())   # numpy values too
+    return "\n".join([f"# fapsim {title}", f"# config: {config}", f"# seed: {cfg.seed}",
+                      ",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
 def _sweep_csv(cfg, title, metric_columns, cells):
@@ -397,8 +383,8 @@ def run_rate_sweep(cfg, workers=1):
 
     def cells(i, j):
         values = per_trial[i, :, j]
-        stderr = float(np.std(values, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-        return float(np.mean(values)), stderr
+        stderr = np.std(values, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
+        return np.mean(values), stderr
     return _sweep_csv(cfg, "rate sweep", ["mean_rate", "stderr"], cells)
 
 
@@ -410,7 +396,7 @@ def run_ber_sweep(cfg, workers=1):
 
     def cells(i, j):
         ber = int(errors[i, j]) / sent
-        return ber, float(np.sqrt(ber * (1.0 - ber) / sent)), errors[i, j], sent
+        return ber, np.sqrt(ber * (1.0 - ber) / sent), errors[i, j], sent
     return _sweep_csv(cfg, "ber sweep", ["ber", "stderr", "bit_errors", "bits_sent"], cells)
 
 

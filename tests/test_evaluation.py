@@ -195,6 +195,17 @@ class TestBerQpskMmse:
             with pytest.raises(InvalidInputError, match="num_symbols"):
                 ber_qpsk_mmse(np.eye(2), np.eye(2) / np.sqrt(2), 1.0, count, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape, field", [
+        ((2.5, 4, 10), "num_streams"), ((2, 4.0, 10), "num_rx"), ((True, 4, 10), "num_streams"),
+        ((0, 4, 10), "num_streams"), ((2, -1, 10), "num_rx"), ((2, 4, None), "num_symbols"),
+    ])
+    def test_draw_qpsk_shapes_are_counts(self, shape, field):
+        # Each raised a bare TypeError from `rng.integers` or `np.empty`, or drew an empty block.
+        with pytest.raises(InvalidInputError, match=rf"{field} must be an integer >= 1, got "):
+            draw_qpsk(np.random.default_rng(0), *shape)
+        symbols, noise = draw_qpsk(np.random.default_rng(0), np.int64(2), np.uint8(4), np.int32(10))
+        assert symbols.shape == (2, 10) and noise.shape == (4, 10)
+
     def test_draw_then_detect_is_ber_qpsk_mmse(self):
         rng = np.random.default_rng(69)
         h = random_channel(rng, 4, 8)

@@ -773,6 +773,18 @@ class TestSerialization:
         assert FeedbackReport((1,), np.ones((1, 1)), spec, polar, magnitude_scale=1.0).k == 1
         assert FeedbackReport((1,), np.ones((1, 1)), spec, IDEAL).magnitude_scale is None
 
+    def test_magnitude_scale_is_a_real_never_a_bool(self):
+        # True and np.True_ constructed and crossed the wire as 1.0; a string raised a bare
+        # TypeError from its comparison with 0.
+        spec, polar = spec_of(m=8, size=16), ComplexCodebook.uniform_polar(4, 4)
+        for scale in (True, np.True_, "1.0", np.array([1.0]), 1j):
+            with pytest.raises(InvalidInputError, match="magnitude scale must be .* under a uniform_polar"):
+                FeedbackReport((1,), np.ones((1, 1)), spec, polar, magnitude_scale=scale)
+        for scale in (2, np.float32(0.5), np.int64(3)):
+            report = FeedbackReport((1,), np.full((1, 1), 0.1), spec, polar, magnitude_scale=scale)
+            decoded = deserialize_report(serialize_report(report, spec, polar), spec, polar, 1)
+            assert decoded.magnitude_scale == scale
+
     def test_report_serialized_under_another_codebook_or_spec_is_refused(self):
         # A 16x16 report sent as 8x4 words would decode to a different combining matrix.
         rng = np.random.default_rng(59)

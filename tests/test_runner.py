@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,15 @@ class TestTrialEngine:
     def test_worker_count_clamp(self, monkeypatch, workers, trials, cpus, expected):
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         assert runner._worker_count(workers, trials) == expected
+
+    @pytest.mark.parametrize("workers", ["2", None, 2.0, True, 0, -3])
+    def test_workers_must_be_a_count(self, workers):
+        # "2" and None raised a bare TypeError from `min`; 0 and -3 silently ran one worker.
+        cfg = small_experiment(trials=2)
+        for sweep in (run_rate_sweep, run_ber_sweep):
+            with pytest.raises(InvalidInputError, match="workers must be an integer >= 1, got "):
+                sweep(cfg, workers=workers)
+        assert run_rate_sweep(cfg, workers=np.int64(2)) == run_rate_sweep(cfg)
 
 
 QUANTIZED_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "quantized.yaml")
@@ -682,6 +692,8 @@ class TestConfigValidation:
         (dict(gammas=(0,)), "beam_pattern.gammas"),
         (dict(gammas=(1, 2.5)), "beam_pattern.gammas"),
         (dict(gammas=()), "beam_pattern.gammas"),
+        (dict(gammas=np.array([], int)), "beam_pattern.gammas"),
+        (dict(gammas=np.array([2, 2])), "beam_pattern.gammas"),
     ])
     def test_beam_pattern_config_names_field(self, kwargs, field):
         # A library-built config fails where the CLI's would, naming the field.
@@ -814,6 +826,67 @@ def test_library_scalar_fields_refuse_by_name(value, numpy_type):
             assert _render(build(numpy_type(valid))) == _render(build(valid)), (name, numpy_type)
 
 
+def _python(x):
+    return x.item() if isinstance(x, np.generic) else x
+
+
+# Every sequence-of-reals field of the library's config types: (a pattern of the field as its
+# errors name it, its length or None for one or more, the object built with a given value).
+SEQUENCE_FIELDS = [
+    ("tx_sector", 2, lambda v: _channel(tx_sector=v)),
+    ("rx_sector", 2, lambda v: _channel(rx_sector=v)),
+    ("sector", 2, lambda v: AngleCodebook(v, 64)),
+    ("beam_pattern.sector", 2, lambda v: BeamPatternConfig(sector=v)),
+    (r"snr_db(_grid|\[\d+\])", None, lambda v: small_experiment(snr_db_grid=v, trials=1)),
+]
+HOSTILE_ENTRIES = [True, False, np.bool_(True), None, "0.5", [0.5], 1j, math.nan, math.inf,
+                   np.float16(-0.5), np.float32(0.25), np.int64(-1), np.uint8(1)]
+# A value built from drawn entries, afresh for each field (a generator is read once).
+CONTAINERS = {
+    "list": list, "tuple": tuple, "generator": lambda e: (x for x in e),
+    "object array": lambda e: np.array(e + [None], dtype=object)[:-1],   # 1-D, even of lists
+    "float array": lambda e: np.deg2rad(np.linspace(-10, 10, len(e))),
+    "bool array": lambda e: np.ones(len(e), bool), "str array": lambda e: np.array(["0.5"] * len(e)),
+    "2-D array": lambda e: np.zeros((1, len(e))), "0-d array": lambda e: np.array(0.5),
+    "range": lambda e: range(-len(e) // 2, len(e) // 2), "scalar": lambda e: 0.5, "None": lambda e: None,
+}
+SCHEME_ENTRIES = [OptimalScheme(), ProposedScheme(k=4, angle_codebook_size=64), None, "optimal", 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(container=st.sampled_from(sorted(CONTAINERS)),
+       entries=st.lists(st.one_of(st.sampled_from(HOSTILE_ENTRIES), st.integers(-4, 4),
+                                  st.floats(-4, 4)), max_size=4),
+       schemes=st.lists(st.sampled_from(SCHEME_ENTRIES), max_size=3))
+def test_library_sequence_fields_refuse_by_name(container, entries, schemes):
+    # The sequence fields' counterpart of `test_library_scalar_fields_refuse_by_name`: a sector
+    # or SNR grid is taken only as a list, tuple, range or 1-D array of reals (of two for a
+    # sector), never of bools, and gives what the same Python numbers give; the schemes are
+    # taken from any iterable of scheme objects, stored as a tuple. Anything else raises
+    # InvalidInputError naming the field, never a bare TypeError or ValueError.
+    wrap = CONTAINERS[container]
+    for name, size, build in SEQUENCE_FIELDS:
+        value = wrap(list(entries))
+        try:
+            built = build(value)
+        except InvalidInputError as exc:
+            assert re.search(name, str(exc)), (name, value, exc)
+            continue
+        taken = (list(value) if isinstance(value, (list, tuple, range))
+                 else value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1 else [])
+        assert 0 < len(taken) == (size or len(taken)), (name, value)
+        assert all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+                   for x in taken), (name, value)
+        assert built == build(tuple(map(_python, taken))), (name, value)
+    try:
+        built = small_experiment(schemes=wrap(list(schemes)))
+    except InvalidInputError as exc:
+        assert "schemes" in str(exc), (schemes, exc)
+    else:
+        assert isinstance(built.schemes, tuple) and len(set(built.schemes)) == len(schemes) > 0
+        assert all(isinstance(s, runner._Scheme) for s in built.schemes), schemes
+
+
 _COEFF_CODEBOOKS = st.one_of(
     st.just(ComplexCodebook.ideal()),
     st.builds(ComplexCodebook.uniform_polar, st.sampled_from([1, 2, 4, 8, 16]),
@@ -938,6 +1011,27 @@ class TestLabels:
         assert run_overhead_table(numpy) == run_overhead_table(python)
         for sweep in (run_rate_sweep, run_ber_sweep):
             assert sweep(numpy) == sweep(python)
+
+    def test_numpy_built_reference_config_gives_the_same_bytes(self):
+        # The reference config as a numpy user writes it: the SNR grid from np.arange, the
+        # sectors from np.deg2rad, array gammas and np.int64 sizes. Every CSV, its `# config:`
+        # line included, equals the CLI's; the sweep CSV raised a TypeError after the sweep.
+        cli_cfg = reference_experiment()
+        twin = ExperimentConfig(
+            channel=ChannelConfig(tx=ArrayGeometry(np.int64(128)), rx=ArrayGeometry(np.int64(16)),
+                                  num_clusters=np.int64(12), rays_per_cluster=np.int64(20),
+                                  tx_sector=np.deg2rad([-45, 45]), rx_sector=np.deg2rad([-180, 180]),
+                                  angular_spread=np.deg2rad(0.875)),
+            streams=np.int64(4), schemes=list(cli_cfg.schemes), snr_db_grid=np.arange(-20, 10.1, 2.5),
+            trials=np.int64(200), symbols_per_trial=np.int64(1000), seed=np.int64(20250809),
+            beam_pattern=BeamPatternConfig(sector=np.deg2rad([-30, 30]), codebook_size=np.int64(16),
+                                           center_index=np.int64(8), grid_size=np.int64(2048),
+                                           gammas=np.array([1, 2, 4])))
+        assert run_overhead_table(twin) == run_overhead_table(cli_cfg)
+        assert run_beam_pattern(twin) == run_beam_pattern(cli_cfg)
+        for sweep, trials in ((run_rate_sweep, 3), (run_ber_sweep, 2)):
+            assert (sweep(dataclasses.replace(twin, trials=trials))
+                    == sweep(dataclasses.replace(cli_cfg, trials=trials)))
 
 
 class TestSparseDelegation:
