@@ -53,6 +53,9 @@ class ChannelConfig:
     angular_spread: float = DEFAULT_ANGULAR_SPREAD
 
     def __post_init__(self):
+        for name in ("tx", "rx"):
+            if not isinstance(getattr(self, name), ArrayGeometry):
+                raise InvalidInputError(f"{name} must be an ArrayGeometry, got {getattr(self, name)!r}")
         object.__setattr__(self, "num_clusters", _count(self.num_clusters, "num_clusters"))
         object.__setattr__(self, "rays_per_cluster", _count(self.rays_per_cluster, "rays_per_cluster"))
         object.__setattr__(self, "angular_spread", _positive(self.angular_spread, "angular_spread"))

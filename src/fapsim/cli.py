@@ -13,7 +13,6 @@ import re
 import sys
 
 import numpy as np
-import yaml
 
 from .channel import ArrayGeometry, ChannelConfig, _check_sector
 from .errors import DomainError, InvalidInputError
@@ -92,10 +91,11 @@ def load_config(path=None):
     """Built-in defaults, optionally merged with a YAML file."""
     user = {}
     if path is not None:
+        import yaml                    # only here: a run without --config never loads PyYAML
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 user = yaml.safe_load(fh)
-        except (OSError, UnicodeError) as exc:
+        except (OSError, UnicodeError, yaml.YAMLError) as exc:
             raise InvalidInputError(f"--config: {exc}") from None
     if not isinstance(user, (dict, type(None))):
         raise InvalidInputError("config: top level must be a mapping")
@@ -276,7 +276,7 @@ def main(argv=None):
                 raise InvalidInputError(f"--out: {exc}") from None
         else:
             sys.stdout.write(csv_text)
-    except (InvalidInputError, OSError, yaml.YAMLError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, np.linalg.LinAlgError, MemoryError) as exc:

@@ -190,12 +190,13 @@ def dictionary(spec):
 
 @functools.lru_cache(maxsize=8)
 def _cached_basis(spec):
-    """Read-only Psi and contiguous Psi^H: one entry per spec, for `dictionary` and `OmpPath`."""
+    """Read-only Psi (for `dictionary`), contiguous Psi^H and its row norms (for `OmpPath`), per spec."""
     psi = basis_matrix(spec, spec.codebook.centers)
     psi_h = np.ascontiguousarray(psi.conj().T)
-    for a in (psi, psi_h):
+    out = psi, psi_h, np.linalg.norm(psi_h, axis=1)
+    for a in out:
         a.setflags(write=False)
-    return psi, psi_h
+    return out
 
 
 class OmpPath:
@@ -218,7 +219,7 @@ class OmpPath:
         """`targets`: one Precoder, or a sequence of Precoders of one shape; `k`, in [1, A]: the
         most picks `at` is asked for. Every target picks until it stops, at min(k, M) picks at
         the latest (M span the array)."""
-        self._psi_h = _cached_basis(spec)[1]                       # A x M
+        _, self._psi_h, self._col_norms = _cached_basis(spec)       # A x M, A
         self._k = k = _count(k, "k", 1, self._psi_h.shape[0])      # the path's K
         f = np.stack([t.matrix for t in ([targets] if isinstance(targets, Precoder) else targets)])
         p, m, s = f.shape
@@ -250,14 +251,14 @@ class OmpPath:
         k = self._steps
         corr = self._corr[t]                                             # Psi^H R, Pa x S x A
         picks = np.argmax(np.sum(corr.real ** 2 + corr.imag ** 2, axis=1), axis=1)
-        cols = self._psi_h[picks].conj()                                 # Pa x M
+        rows = self._psi_h[picks]                                        # col^H, Pa x M
         q = self._q[t, :k]                                               # Pa x k x M
-        coef = (cols.conj()[:, None] @ q.transpose(0, 2, 1)).conj()      # Q^H col, Pa x 1 x k
-        v = cols[:, None] - coef @ q
+        coef = (rows[:, None] @ q.transpose(0, 2, 1)).conj()             # Q^H col, Pa x 1 x k
+        v = rows.conj()[:, None] - coef @ q
         again = (v.conj() @ q.transpose(0, 2, 1)).conj()                 # Q^H of what is left
         v -= again @ q
         norm = np.linalg.norm(v[:, 0], axis=1)
-        ok = norm > _ZERO_RESIDUAL * np.linalg.norm(cols, axis=1)
+        ok = norm > _ZERO_RESIDUAL * self._col_norms[picks]
         if not ok.all():                      # numerically inside Q's span: stop, no pick
             self._running[run[~ok]] = False
             t, picks, coef, again, v, norm = run[ok], picks[ok], coef[ok], again[ok], v[ok], norm[ok]

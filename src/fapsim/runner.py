@@ -17,7 +17,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,8 +175,9 @@ class BeamPatternConfig:
         _log2_exact(self.codebook_size, "beam_pattern.codebook_size")
         _count(self.center_index, "beam_pattern.center_index", 0, self.codebook_size - 1)
         _count(self.grid_size, "beam_pattern.grid_size", BEAM_PATTERN_MIN_GRID)
-        for i, gamma in enumerate(self.gammas):
-            _count(gamma, f"beam_pattern.gammas[{i}]")
+        gammas = tuple(self.gammas) if np.iterable(self.gammas) else ()
+        object.__setattr__(self, "gammas", tuple(_count(gamma, f"beam_pattern.gammas[{i}]")
+                                                 for i, gamma in enumerate(gammas)))
         if not 0 < len(set(self.gammas)) == len(self.gammas):
             raise InvalidInputError("beam_pattern.gammas: entries must be unique, with at least one")
 
@@ -345,6 +345,7 @@ def _map_targets(fn, cfg, workers):
         finally:
             restore()
     else:
+        from concurrent.futures import ProcessPoolExecutor     # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             results = list(pool.map(fn, [cfg] * len(blocks), blocks))
     return [r for block in results for r in block]

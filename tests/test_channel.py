@@ -169,6 +169,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             ArrayGeometry(4, -0.5)
 
+    @pytest.mark.parametrize("field", ["tx", "rx"])
+    @pytest.mark.parametrize("value", [8, None, "8", (8, 0.5), np.int64(8)])
+    def test_arrays_must_be_geometries(self, field, value):
+        # Refused by name at construction, not by an AttributeError at the first draw.
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an ArrayGeometry"):
+            small_config(**{field: value})
+
 
 class TestSubstream:
     def test_order_insensitive(self):

@@ -185,6 +185,30 @@ class TestMainExitCodes:
         assert cli.main(["overhead", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error: --config: ")
 
+    def test_malformed_yaml_is_a_config_error_naming_the_flag(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("a: [\n")
+        done = run_fapsim(["rate", "--config", str(path)])
+        err = done.stderr.decode()
+        assert done.returncode == 1 and done.stdout == b""
+        assert err.startswith("config error: --config: ") and "Traceback" not in err
+
+    def test_start_up_loads_only_what_the_command_runs(self, tmp_path):
+        # A run without --config loads no PyYAML, and one at --workers 1 no process pool: each
+        # costs some 20 ms of every start. With --config, the file is still read as YAML.
+        script = ("import sys\nimport fapsim, fapsim.cli\n"
+                  "for argv in (['overhead'], ['overhead', '--config', sys.argv[1]]):\n"
+                  "    assert fapsim.cli.main(argv) == 0\n"
+                  "    loaded = {'yaml', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+                  "    print(sorted(loaded), file=sys.stderr)\n")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, write_config(tmp_path, TINY)],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stderr.decode().splitlines() == ["[]", "['yaml']"]
+        assert parse_csv(done.stdout.decode().split("# fapsim overhead table")[-1])["scheme"] == [
+            "optimal", "proposed_k3_g1_cb32"]
+
     @pytest.mark.parametrize("flag, value", [("--trials", "x"), ("--workers", "2.5")])
     def test_malformed_flag_is_a_config_error(self, capsys, flag, value):
         assert cli.main(["overhead", flag, value]) == 1

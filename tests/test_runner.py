@@ -694,11 +694,26 @@ class TestConfigValidation:
         (dict(gammas=()), "beam_pattern.gammas"),
         (dict(gammas=np.array([], int)), "beam_pattern.gammas"),
         (dict(gammas=np.array([2, 2])), "beam_pattern.gammas"),
+        (dict(gammas=4), "beam_pattern.gammas"),
+        (dict(gammas=None), "beam_pattern.gammas"),
+        (dict(gammas=np.array(4)), "beam_pattern.gammas"),
+        (dict(gammas="12"), "beam_pattern.gammas"),
+        (dict(gammas=[1, True]), "beam_pattern.gammas"),
+        (dict(gammas=np.zeros((1, 2), int)), "beam_pattern.gammas"),
     ])
     def test_beam_pattern_config_names_field(self, kwargs, field):
         # A library-built config fails where the CLI's would, naming the field.
         with pytest.raises(InvalidInputError, match=field):
             small_experiment(beam_pattern=BeamPatternConfig(**kwargs))
+
+    @pytest.mark.parametrize("gammas", [[1, 2, 4], (1, 2, 4), range(1, 5, 3), np.array([1, 2, 4]),
+                                        np.array([1, 2], dtype=object), np.ones(1, np.uint8)])
+    def test_beam_pattern_gammas_take_any_iterable_of_counts(self, gammas):
+        # Stored as a tuple of ints, as `schemes` is stored as a tuple; a generator is read once.
+        for given in (gammas, (g for g in gammas)):
+            built = BeamPatternConfig(gammas=given)
+            assert built.gammas == tuple(int(g) for g in gammas)
+            assert type(built.gammas) is tuple and all(type(g) is int for g in built.gammas)
 
     def test_non_integer_gamma_rejected(self):
         # gamma = 2.5 would build 3 beams scaled by 1/sqrt(2.5) under a `g2.5` label.
