@@ -29,6 +29,13 @@ class PowerAllocation:
             raise InvalidInputError(f"unknown allocation mode {self.mode!r}")
         object.__setattr__(self, "total_power", numerics._positive(self.total_power, "total_power"))
 
+    def split(self, sigma, cols):
+        """The Precoder of `factor`'s (sigma, cols): equal stream powers, or `water_fill`'s, which
+        gives a stream below the water level a zero column."""
+        alpha = (np.full(len(sigma), 1.0 / np.sqrt(len(sigma))) if self.mode == "unitary"
+                 else np.sqrt(water_fill(sigma, self.total_power)))
+        return Precoder(cols * alpha[None, :])
+
 
 @dataclass(frozen=True, eq=False)
 class Precoder:
@@ -80,14 +87,10 @@ def water_fill(sigma, snr):
     return power
 
 
-def optimal_precoder(h, num_streams, alloc):
-    """Top-S right singular vectors of H with the requested power split.
-
-    Each singular vector's phase is fixed so that its largest-magnitude entry (the lowest
-    index among those within PIVOT_RTOL of the largest) is real non-negative, making the
-    output deterministic. Under water-filling, `water_fill` sets each stream's power; one
-    below the water level gets a zero column.
-    """
+def factor(h, num_streams):
+    """H's top-S singular values, and its top-S right singular vectors, each phase-fixed so that
+    its largest-magnitude entry (the lowest index among those within PIVOT_RTOL of the largest)
+    is real non-negative, making the output deterministic. Only the power split depends on SNR."""
     h = numerics._as_matrix(h, "h")
     num_streams = numerics._count(num_streams, "num_streams", 1, min(h.shape))
     u, s, v = numerics.svd(h)
@@ -99,10 +102,9 @@ def optimal_precoder(h, num_streams, alloc):
     mags = np.abs(cols)
     first = np.argmax(mags >= (1.0 - PIVOT_RTOL) * np.max(mags, axis=0), axis=0)
     pivot = cols[first, np.arange(num_streams)]
-    cols = cols * (np.conj(pivot) / np.abs(pivot))
+    return s[:num_streams], cols * (np.conj(pivot) / np.abs(pivot))
 
-    if alloc.mode == "unitary":
-        alpha = np.full(num_streams, 1.0 / np.sqrt(num_streams))
-    else:
-        alpha = np.sqrt(water_fill(s[:num_streams], alloc.total_power))
-    return Precoder(cols * alpha[None, :])
+
+def optimal_precoder(h, num_streams, alloc):
+    """Top-S right singular vectors of H (`factor`) with the requested power split."""
+    return alloc.split(*factor(h, num_streams))

@@ -30,7 +30,7 @@ from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, deser
                        overhead_bits, pack_report, proposed_bits, reconstruct_precoder,
                        serialize_report)
 from .numerics import _count, _log2_exact, _reals
-from .precoding import PowerAllocation, optimal_precoder
+from .precoding import PowerAllocation, factor
 
 
 # A block holds the (trial, precoder group) targets of BLOCK_TRIALS trials at the reference
@@ -148,9 +148,10 @@ class MultilevelScheme(_Scheme):
                              coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
 
     def precoders(self, cfg, stage):
-        h_hat = {t: multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
-                                            self.coeff_codebook) for t, ch in stage.channels.items()}
-        return [optimal_precoder(h_hat[t], cfg.streams, alloc).matrix for t, alloc in stage.targets]
+        factors = {t: factor(multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
+                                                     self.coeff_codebook), cfg.streams)
+                   for t, ch in stage.channels.items()}
+        return [alloc.split(*factors[t]).matrix for t, alloc in stage.targets]
 
 
 # Scheme classes keyed on the config file's `type`.
@@ -268,17 +269,16 @@ def _precoder_stage(cfg, targets):
     """Per target index of `targets`: (trial, channel, SNR indices, linear SNRs, the I x M x S
     stack of every scheme's precoder).
 
-    Each distinct trial's channel is drawn once, from its own sub-stream, and checked. Each
-    scheme's `precoders` runs once on the block's `_Stage`: (trial, PowerAllocation) per target,
-    channels by trial, the P x M x S F_opt stack and one lockstep `OmpPath` per BasisSpec.
+    Each distinct trial's channel is drawn once, from its own sub-stream, checked and factored
+    (`factor`). Each scheme's `precoders` runs once on the block's `_Stage`: (trial, allocation)
+    per target, channels by trial, the P x M x S F_opt stack and one lockstep `OmpPath` per BasisSpec.
     """
     groups, snr = _groups(cfg), _snr_linear(cfg)
     picked = [(i // len(groups), *groups[i % len(groups)]) for i in targets]
     channels = {t: sample_channel(cfg.channel, substream(cfg.seed, t))
                 for t in dict.fromkeys(t for t, _, _, _ in picked)}
-    for ch in channels.values():
-        check_channel(ch.matrix, snr)
-    f_opts = [optimal_precoder(channels[t].matrix, cfg.streams, alloc) for t, _, _, alloc in picked]
+    factors = {t: factor(check_channel(ch.matrix, snr)[0], cfg.streams) for t, ch in channels.items()}
+    f_opts = [alloc.split(*factors[t]) for t, _, _, alloc in picked]
     stage = _Stage([(t, alloc) for t, _, _, alloc in picked], channels,
                    np.stack([f.matrix for f in f_opts]),
                    {spec: OmpPath(f_opts, spec, k) for spec, k in _omp_bases(cfg).items()})

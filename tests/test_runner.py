@@ -15,7 +15,7 @@ from helpers import parse_csv, scheme_curve
 from test_evaluation import expression_block, single_call_detector
 from test_rate_oracle import rate_configs
 
-from fapsim import benchmarks, cli, evaluation, feedback, runner
+from fapsim import benchmarks, cli, evaluation, feedback, numerics, runner
 from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.errors import InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
@@ -89,16 +89,21 @@ def assert_cells_are_the_single_call_detector(monkeypatch, cfg):
 
 class TestTrialEngine:
     def test_one_optimal_precoder_per_channel(self, monkeypatch):
-        cfg = reference_experiment(trials=1)
-        calls = []
+        # A trial's H and its multilevel estimate H_hat are each factored once, and every
+        # precoder group applies its power split to that factor: 2 SVDs per trial under either
+        # allocation, not one per (trial, group) target (26 under water-filling's 13 groups).
+        calls, svd = [], numerics.svd
 
-        def counting(h, num_streams, alloc):
+        def counting(h):
             calls.append(h.shape)
-            return optimal_precoder(h, num_streams, alloc)
+            return svd(h)
 
-        monkeypatch.setattr(runner, "optimal_precoder", counting)
-        runner._rate_block(cfg, trial_targets(cfg, 0))
-        assert len(calls) == 2          # F_opt of H, shared, and the multilevel H_hat's
+        monkeypatch.setattr(numerics, "svd", counting)
+        for allocation in ("unitary", "water_filling"):
+            cfg = reference_experiment(trials=1, allocation=allocation)
+            calls.clear()
+            runner._rate_block(cfg, trial_targets(cfg, 0))
+            assert calls == [(cfg.channel.rx.num_elements, cfg.channel.tx.num_elements)] * 2
 
     def test_each_scheme_builds_a_block_in_one_call(self, monkeypatch):
         # Two water-filling trials in one block are 26 targets: each scheme's `precoders` runs
@@ -243,6 +248,11 @@ class TestTrialEngine:
         cfg = small_experiment(allocation=allocation)
         rates = np.hstack(runner._rate_block(cfg, trial_targets(cfg, 5)))
         ch = sample_channel(cfg.channel, substream(cfg.seed, 5))
+        ml = next(i for i, s in enumerate(cfg.schemes) if isinstance(s, MultilevelScheme))
+        multilevel = cfg.schemes[ml]
+        h_hat = benchmarks.multilevel_csi_feedback(ch, cfg.channel, multilevel.k,
+                                                   multilevel.angle_codebook_size,
+                                                   multilevel.coeff_codebook)
         groups = runner._precoder_stage(cfg, trial_targets(cfg, 5))
         # Unitary: one group for the whole grid; water-filling: one group per SNR point.
         assert len(groups) == (1 if allocation == "unitary" else len(cfg.snr_db_grid))
@@ -255,6 +265,8 @@ class TestTrialEngine:
                 alloc = PowerAllocation(allocation, total_power=snr)
                 assert np.array_equal(precoders[0],
                                       optimal_precoder(ch.matrix, cfg.streams, alloc).matrix)
+                assert np.array_equal(precoders[ml],
+                                      optimal_precoder(h_hat, cfg.streams, alloc).matrix)
                 for i, f in enumerate(precoders):
                     assert rates[i, j] == pytest.approx(achievable_rate(ch.matrix, f, snr), abs=1e-12)
 
