@@ -27,6 +27,7 @@ from .precoding import Precoder
 # Residuals at or below this norm are treated as exact recoveries; the
 # greedy argmax is meaningless on a numerically zero residual.
 _ZERO_RESIDUAL = 1e-12
+OMP_TIE_RTOL = 1e-10        # a pick's ties: the scores within this relative distance of the best
 
 
 @dataclass(frozen=True)
@@ -204,15 +205,15 @@ class OmpPath:
     construction, to the largest K; `at` only reads them.
 
     Per pick, every running target takes the dictionary column most correlated with its
-    residual R (ties to the lowest index): one argmax over an atoms x targets score. Classical
+    residual R: one argmax over an atoms x targets score. Scores within OMP_TIE_RTOL (relative)
+    of the best tie, and a tie goes to the lowest index, however many targets run. Classical
     Gram-Schmidt, run twice (CGS2), orthogonalizes the column against Q, the orthonormal basis
     of that target's picks: Q gains a column v, the triangular R of Psi(phi) = Q R a column and
     Q^H F a row v^H F. The residual F - Q (Q^H F) loses v (v^H F), so its correlations Psi^H R
     lose (Psi^H v)(v^H F): one product with the dictionary per pick, not a new correlation.
     `at(k, p)` solves R_k G = (Q^H F)_k for target p. The picks do not depend on K, so one run
     serves every K, read in any order. A zero residual or a column with no norm left outside
-    Q's span (as a column picked before) stops a target: it is frozen there, and larger Ks get
-    its stopped state.
+    Q's span (as a column picked before) stops a target: it is frozen there, for every larger K.
     """
 
     def __init__(self, targets, spec, k):
@@ -250,7 +251,8 @@ class OmpPath:
         t = slice(None) if run.size == self._running.size else run    # a view when all run
         k = self._steps
         corr = self._corr[t]                                             # Psi^H R, Pa x S x A
-        picks = np.argmax(np.sum(corr.real ** 2 + corr.imag ** 2, axis=1), axis=1)
+        score = np.sum(corr.real ** 2 + corr.imag ** 2, axis=1)          # Pa x A
+        picks = np.argmax(score >= (1 - OMP_TIE_RTOL) * score.max(axis=1, keepdims=True), axis=1)
         rows = self._psi_h[picks]                                        # col^H, Pa x M
         q = self._q[t, :k]                                               # Pa x k x M
         coef = (rows[:, None] @ q.transpose(0, 2, 1)).conj()             # Q^H col, Pa x 1 x k

@@ -16,7 +16,6 @@ import glob
 import json
 import math
 import os
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +75,7 @@ class OptimalScheme(_Scheme):
         return 0, 0
 
     def precoders(self, cfg, stage):
-        return stage.f_opt
+        return [f.matrix for f in stage.f_opt]
 
 
 class _ReportScheme(_Scheme):
@@ -148,10 +147,8 @@ class MultilevelScheme(_Scheme):
                              coeff_codebook_size=2 ** self.coeff_codebook.bits_per_value)
 
     def precoders(self, cfg, stage):
-        factors = {t: factor(multilevel_csi_feedback(ch, cfg.channel, self.k, self.angle_codebook_size,
-                                                     self.coeff_codebook), cfg.streams)
-                   for t, ch in stage.channels.items()}
-        return [alloc.split(*factors[t]).matrix for t, alloc in stage.targets]
+        return [f.matrix for f in stage.split(lambda ch: multilevel_csi_feedback(
+            ch, cfg.channel, self.k, self.angle_codebook_size, self.coeff_codebook))]
 
 
 # Scheme classes keyed on the config file's `type`.
@@ -262,49 +259,48 @@ def _block_targets(cfg):
     return max(1, min(BLOCK_TRIALS * len(_groups(cfg)), BLOCK_BYTES // _target_bytes(cfg)))
 
 
-_Stage = namedtuple("_Stage", "targets channels f_opt paths")
+class _Stage:
+    """A block's one record, built from `(cfg, block)`: `targets`, each target's (trial, SNR
+    indices, linear SNRs, power allocation), and `channels`, each distinct trial's channel, drawn
+    once from its own sub-stream and checked once. `f_opt`, `split` of the checked channels, and
+    `paths`, one lockstep `OmpPath` per BasisSpec, serve each scheme's `precoders`, run once into
+    `precoders`, the P x I x M x S stack; both are released then, before any metric runs."""
 
+    def __init__(self, cfg, block):
+        groups, snr, self._streams = _groups(cfg), _snr_linear(cfg), cfg.streams
+        self.targets = [(i // len(groups), *groups[i % len(groups)]) for i in block]
+        self.channels = {t: sample_channel(cfg.channel, substream(cfg.seed, t))
+                         for t in dict.fromkeys(t for t, *_ in self.targets)}
+        self.f_opt = self.split(lambda ch: check_channel(ch.matrix, snr)[0])
+        self.paths = {spec: OmpPath(self.f_opt, spec, k) for spec, k in _omp_bases(cfg).items()}
+        self.precoders = np.empty((len(block), len(cfg.schemes), *self.f_opt[0].matrix.shape), complex)
+        for i, s in enumerate(cfg.schemes):
+            self.precoders[:, i] = s.precoders(cfg, self)
+        del self.f_opt, self.paths
 
-def _precoder_stage(cfg, targets):
-    """Per target index of `targets`: (trial, channel, SNR indices, linear SNRs, the I x M x S
-    stack of every scheme's precoder).
-
-    Each distinct trial's channel is drawn once, from its own sub-stream, checked and factored
-    (`factor`). Each scheme's `precoders` runs once on the block's `_Stage`: (trial, allocation)
-    per target, channels by trial, the P x M x S F_opt stack and one lockstep `OmpPath` per BasisSpec.
-    """
-    groups, snr = _groups(cfg), _snr_linear(cfg)
-    picked = [(i // len(groups), *groups[i % len(groups)]) for i in targets]
-    channels = {t: sample_channel(cfg.channel, substream(cfg.seed, t))
-                for t in dict.fromkeys(t for t, _, _, _ in picked)}
-    factors = {t: factor(check_channel(ch.matrix, snr)[0], cfg.streams) for t, ch in channels.items()}
-    f_opts = [alloc.split(*factors[t]) for t, _, _, alloc in picked]
-    stage = _Stage([(t, alloc) for t, _, _, alloc in picked], channels,
-                   np.stack([f.matrix for f in f_opts]),
-                   {spec: OmpPath(f_opts, spec, k) for spec, k in _omp_bases(cfg).items()})
-    out = np.empty((len(picked), len(cfg.schemes), *stage.f_opt.shape[1:]), complex)
-    for i, s in enumerate(cfg.schemes):
-        out[:, i] = s.precoders(cfg, stage)
-    return [(t, channels[t], cols, snrs, f) for (t, cols, snrs, _), f in zip(picked, out)]
+    def split(self, estimate):
+        """Each target's F_opt of `estimate(its trial's channel)`: each trial's matrix factored once."""
+        factors = {t: factor(estimate(ch), self._streams) for t, ch in self.channels.items()}
+        return [alloc.split(*factors[t]) for t, _, _, alloc in self.targets]
 
 
 def _rate_block(cfg, block):
     """Rates per target of `block`, schemes x its SNR points: one stacked SVD of H F."""
-    stage = _precoder_stage(cfg, block)
-    hf = np.stack([ch.matrix @ f for _, ch, _, _, f in stage])               # P x I x N x S
-    snrs = np.array([snrs for _, _, _, snrs, _ in stage])[:, None]           # P x 1 x C
+    stage = _Stage(cfg, block)
+    hf = np.stack([stage.channels[t].matrix @ f for (t, *_), f in zip(stage.targets, stage.precoders)])
+    snrs = np.array([snrs for _, _, snrs, _ in stage.targets])[:, None]     # P x 1 x C
     return list(link_rates(link_gains(hf)[:, :, None], snrs))               # P x I x C
 
 
 def _ber_block(cfg, block):
     """Bit errors per target of `block`, schemes x its SNR points: one stacked link per target,
     and one symbol/noise block per (trial, SNR) shared by every scheme, pairing the comparison."""
-    out = []
-    for t, ch, cols, snrs, precoders in _precoder_stage(cfg, block):
-        link = MmseLink(ch.matrix, precoders)
+    stage, out = _Stage(cfg, block), []
+    for (t, cols, snrs, _), precoders in zip(stage.targets, stage.precoders):
+        link = MmseLink(stage.channels[t].matrix, precoders)
         out.append(np.column_stack([
             link.bit_errors(snr, *draw_qpsk(substream(cfg.seed, t, j), cfg.streams,
-                                            ch.matrix.shape[0], cfg.symbols_per_trial))
+                                            cfg.channel.rx.num_elements, cfg.symbols_per_trial))
             for j, snr in zip(cols, snrs)]))
     return out
 

@@ -476,6 +476,25 @@ class TestOmpPath:
         spec = spec_of(m=1, size=8, gamma=gamma)
         assert OmpPath(Precoder(np.array([[1j]])), spec, 3).at(3)[0] == (0,)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, m=st.sampled_from([16, 32, 64, 128]), size_bits=st.integers(4, 8),
+           gamma=st.sampled_from([1, 2, 4]), atoms=st.integers(2, 3), position=st.integers(0, 15))
+    def test_tied_picks_do_not_depend_on_the_stack(self, seed, m, size_bits, gamma, atoms,
+                                                   position):
+        # f = psi_i + e^{j theta} psi_j (+ a third atom): columns i and j tie up to rounding, and
+        # a one-row product (P = 1, or one target left running) rounds otherwise than a product
+        # of several rows. Within OMP_TIE_RTOL the pick is the lowest index in either case.
+        spec = spec_of(m=m, size=2 ** size_bits, gamma=gamma)
+        rng = np.random.default_rng(seed)
+        columns = rng.choice(spec.codebook.size, atoms, replace=False)
+        f = dictionary(spec)[:, columns] @ np.exp(2j * np.pi * rng.random(atoms))
+        target = Precoder(f[:, None] / np.linalg.norm(f))
+        expected = omp_approximate(target, spec, 8)
+        for p in (1, 2, 16):
+            stack = [random_precoder(rng, m, 1) for _ in range(p - 1)]
+            stack.insert(position % p, target)
+            assert_same_omp(OmpPath(stack, spec, 8).at(8, position % p), expected)
+
     def test_a_pick_inside_the_span_stops_the_run(self):
         # At d/lambda = 1 / (sin c1 - sin c0) columns 0 and 1 coincide, and so do 2 and 3. Once
         # one column of each pair is picked, the residual is orthogonal to every column and the
