@@ -1,6 +1,6 @@
 """Command-line experiment harness.
 
-Subcommands: rate, ber, beam-pattern, overhead. A YAML config file is merged
+Subcommands: the keys of COMMANDS. A YAML config file is merged
 over built-in defaults, then --seed/--trials/--gammas over that; a key the
 defaults lack is an error. Exit codes: 0 success, 1 config error, 2 numeric
 failure.
@@ -212,6 +212,16 @@ def build_experiment_config(raw):
     )
 
 
+# Each subcommand: its help line, and its runner of (config, workers). A runner is looked up
+# among this module's globals when it is called, so a patched `run_rate_sweep` is the one run.
+COMMANDS = {
+    "rate": ("achievable-rate sweep over SNR", lambda cfg, workers: run_rate_sweep(cfg, workers=workers)),
+    "ber": ("uncoded QPSK BER sweep over SNR", lambda cfg, workers: run_ber_sweep(cfg, workers=workers)),
+    "beam-pattern": ("beam-pattern profile per gamma", lambda cfg, workers: run_beam_pattern(cfg)),
+    "overhead": ("feedback-bit table per scheme", lambda cfg, workers: run_overhead_table(cfg)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A malformed flag (`--trials x`) is a config error naming the flag, not argparse's exit 2."""
 
@@ -235,12 +245,7 @@ def main(argv=None):
         description="Feedback-aware hybrid precoding Monte-Carlo experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in [
-        ("rate", "achievable-rate sweep over SNR"),
-        ("ber", "uncoded QPSK BER sweep over SNR"),
-        ("beam-pattern", "beam-pattern profile per gamma"),
-        ("overhead", "feedback-bit table per scheme"),
-    ]:
+    for name, (descr, _) in COMMANDS.items():
         p = sub.add_parser(name, help=descr)
         _add_common(p)
         if name == "beam-pattern":
@@ -259,15 +264,7 @@ def main(argv=None):
                                         f"got {args.gammas!r}") from None
             flags["beam_pattern"] = {"gammas": list(_entries(gammas, int, "--gammas"))}
         cfg = build_experiment_config(_merge(load_config(args.config), flags, ""))
-
-        if args.command == "rate":
-            csv_text = run_rate_sweep(cfg, workers=args.workers)
-        elif args.command == "ber":
-            csv_text = run_ber_sweep(cfg, workers=args.workers)
-        elif args.command == "beam-pattern":
-            csv_text = run_beam_pattern(cfg)
-        else:
-            csv_text = run_overhead_table(cfg)
+        csv_text = COMMANDS[args.command][1](cfg, args.workers)
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

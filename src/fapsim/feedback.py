@@ -332,12 +332,15 @@ def reconstruct_precoder(report, spec):
 # Feedback overhead accounting
 # ---------------------------------------------------------------------------
 
-_SCHEME_PARAMS = {
-    "direct_H": ("m", "n", "coeff_codebook_size"),
-    "direct_F": ("m", "s", "coeff_codebook_size"),
-    "sparse_precoder": ("q", "s", "angle_codebook_size", "coeff_codebook_size"),
-    "multilevel_csi": ("k", "angle_codebook_size", "coeff_codebook_size"),
-    "proposed": ("k", "s", "angle_codebook_size", "coeff_codebook_size"),
+# Per scheme: its parameters, and its (angle_bits, amplitude_bits) in them, each size as log2.
+_PROPOSED = lambda k, s, a, c: (k * a, k * s * c)         # the sparse precoder's too, at K = Q
+_OVERHEAD = {
+    "direct_H": (("m", "n", "coeff_codebook_size"), lambda m, n, c: (0, m * n * c)),
+    "direct_F": (("m", "s", "coeff_codebook_size"), lambda m, s, c: (0, m * s * c)),
+    "sparse_precoder": (("q", "s", "angle_codebook_size", "coeff_codebook_size"), _PROPOSED),
+    "multilevel_csi": (("k", "angle_codebook_size", "coeff_codebook_size"),
+                       lambda k, a, c: (2 * k * a, k * c)),
+    "proposed": (("k", "s", "angle_codebook_size", "coeff_codebook_size"), _PROPOSED),
 }
 
 
@@ -351,26 +354,19 @@ def overhead_bits(scheme, *, m=None, n=None, s=None, q=None, k=None,
     multilevel_csi:  (2*K*log2|Cphi|,   K*log2|Cc|)
     proposed:        (K*log2|Cphi|,     K*S*log2|Cc|)
     """
-    if scheme not in _SCHEME_PARAMS:
+    if scheme not in _OVERHEAD:
         raise InvalidInputError(f"unknown scheme {scheme!r}")
+    names, formula = _OVERHEAD[scheme]
     have = {"m": m, "n": n, "s": s, "q": q, "k": k,
-            "angle_codebook_size": angle_codebook_size,
-            "coeff_codebook_size": coeff_codebook_size}
-    for name in _SCHEME_PARAMS[scheme]:
+            "angle_codebook_size": angle_codebook_size, "coeff_codebook_size": coeff_codebook_size}
+    for name in names:
         if have[name] is None:
             raise InvalidInputError(f"scheme {scheme!r} requires parameter {name!r}")
         have[name] = _count(have[name], name)
-    m, n, s, q, k = (have[key] for key in "mnsqk")
-
-    cbits = _log2_exact(coeff_codebook_size, "coeff_codebook_size")
-    if scheme in ("direct_H", "direct_F"):
-        return 0, m * (n if scheme == "direct_H" else s) * cbits
-    abits = _log2_exact(angle_codebook_size, "angle_codebook_size")
-    if scheme == "sparse_precoder":
-        return q * abits, q * s * cbits
-    if scheme == "multilevel_csi":
-        return 2 * k * abits, k * cbits
-    return k * abits, k * s * cbits
+    for name in ("coeff_codebook_size", "angle_codebook_size"):     # the order its errors keep
+        if name in names:
+            have[name] = _log2_exact(have[name], name)
+    return formula(*(have[name] for name in names))
 
 
 def proposed_bits(k, num_streams, codebook, cc):

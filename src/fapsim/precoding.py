@@ -21,11 +21,12 @@ PIVOT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    mode: str                      # "unitary" | "water_filling"
+    MODES = ("unitary", "water_filling")    # a class attribute, not a field
+    mode: str                      # one of MODES
     total_power: float = 1.0       # linear SNR for water-filling (unit noise variance)
 
     def __post_init__(self):
-        if self.mode not in ("unitary", "water_filling"):
+        if self.mode not in self.MODES:
             raise InvalidInputError(f"unknown allocation mode {self.mode!r}")
         object.__setattr__(self, "total_power", numerics._positive(self.total_power, "total_power"))
 

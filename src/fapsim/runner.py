@@ -203,8 +203,8 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", _count(self.trials, "trials"))
         object.__setattr__(self, "symbols_per_trial", _count(self.symbols_per_trial, "symbols_per_trial"))
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
-        if self.allocation not in ("unitary", "water_filling"):
-            raise InvalidInputError("allocation: must be 'unitary' or 'water_filling'")
+        if self.allocation not in PowerAllocation.MODES:
+            raise InvalidInputError("allocation: must be " + " or ".join(map(repr, PowerAllocation.MODES)))
         object.__setattr__(self, "schemes", tuple(self.schemes) if np.iterable(self.schemes) else ())
         if len(self.schemes) == 0 or not all(isinstance(s, _Scheme) for s in self.schemes):
             raise InvalidInputError("schemes: must be a non-empty sequence of scheme objects")

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -16,7 +17,7 @@ from helpers import parse_csv
 
 from fapsim import cli, runner
 from fapsim.benchmarks import multilevel_csi_feedback
-from fapsim.channel import sample_channel, substream
+from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substream
 from fapsim.feedback import ComplexCodebook
 
 
@@ -37,6 +38,12 @@ def write_config(tmp_path, tree, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(tree))
     return str(path)
+
+
+def default_of(cls, name):
+    """The default of the dataclass `cls`'s field `name`."""
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    return f.default_factory() if f.default is dataclasses.MISSING else f.default
 
 
 TINY = {
@@ -68,6 +75,20 @@ class TestConfigLoading:
         assert ks == [6, 8, 16]
         assert all(s.angle_codebook_size == 256 for s in cfg.schemes
                    if isinstance(s, runner.ProposedScheme))
+
+    def test_builtin_config_is_the_library_defaults(self):
+        # DEFAULT_CONFIG restates the dataclass defaults; they must agree exactly.
+        cfg = cli.build_experiment_config(cli.load_config())
+        assert cfg.beam_pattern == runner.BeamPatternConfig()
+        for name in ("tx_sector", "rx_sector", "angular_spread"):
+            assert getattr(cfg.channel, name) == default_of(ChannelConfig, name)
+        spacing = default_of(ArrayGeometry, "spacing_over_wavelength")
+        assert cfg.channel.tx.spacing_over_wavelength == cfg.channel.rx.spacing_over_wavelength == spacing
+        assert cfg.allocation == default_of(runner.ExperimentConfig, "allocation")
+        for scheme in cfg.schemes:
+            names = {f.name for f in dataclasses.fields(scheme)}
+            for name in names & {"gamma", "angle_codebook_size", "coeff_codebook"}:
+                assert getattr(scheme, name) == default_of(type(scheme), name), (scheme.label, name)
 
     def test_partial_override_merges(self, tmp_path):
         path = write_config(tmp_path, {"channel": {"tx_antennas": 64}, "trials": 5})
@@ -137,12 +158,31 @@ class TestMainExitCodes:
         text = capsys.readouterr().out
         assert "# seed: 99" in text
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_writes_its_titled_csv(self, tmp_path, command):
+        titles = {"rate": "# fapsim rate sweep", "ber": "# fapsim ber sweep",
+                  "beam-pattern": "# fapsim beam pattern", "overhead": "# fapsim overhead table"}
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", write_config(tmp_path, TINY), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == titles[command]
+
+    def test_unknown_command_is_a_config_error(self, capsys):
+        assert cli.main(["altmin"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: argument command: invalid choice: 'altmin'")
+        assert captured.out == ""
+
     def test_config_error_names_field(self, tmp_path, capsys):
         bad = dict(TINY, trials=0)
         code = cli.main(["rate", "--config", write_config(tmp_path, bad)])
         assert code == 1
         err = capsys.readouterr().err
         assert "config error" in err and "trials" in err
+
+    def test_unknown_allocation_names_the_modes(self, tmp_path, capsys):
+        bad = dict(TINY, allocation="equal")
+        assert cli.main(["overhead", "--config", write_config(tmp_path, bad)]) == 1
+        assert capsys.readouterr().err == "config error: allocation: must be 'unitary' or 'water_filling'\n"
 
     def test_unknown_scheme_type(self, tmp_path, capsys):
         bad = dict(TINY, schemes=[{"type": "altmin"}])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 import warnings
 
@@ -726,6 +727,48 @@ class TestOverheadBits:
     def test_unknown_scheme(self):
         with pytest.raises(InvalidInputError):
             overhead_bits("alternating", k=8)
+
+    # Each scheme with the parameters of its row, at the reference sizes.
+    ROWS = {
+        "direct_H": {"m": 128, "n": 16, "coeff_codebook_size": 256},
+        "direct_F": {"m": 128, "s": 4, "coeff_codebook_size": 256},
+        "sparse_precoder": {"q": 8, "s": 4, "angle_codebook_size": 256, "coeff_codebook_size": 256},
+        "multilevel_csi": {"k": 16, "angle_codebook_size": 256, "coeff_codebook_size": 256},
+        "proposed": {"k": 8, "s": 4, "angle_codebook_size": 256, "coeff_codebook_size": 256},
+    }
+
+    @pytest.mark.parametrize("scheme, param", [(scheme, param) for scheme, row in ROWS.items()
+                                               for param in row])
+    def test_each_missing_parameter_is_named(self, scheme, param):
+        kwargs = {name: value for name, value in self.ROWS[scheme].items() if name != param}
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"scheme '{scheme}' requires parameter '{param}'")):
+            overhead_bits(scheme, **kwargs)
+
+    @pytest.mark.parametrize("scheme", ["sparse_precoder", "multilevel_csi", "proposed"])
+    def test_coeff_size_is_checked_before_angle_size(self, scheme):
+        kwargs = dict(self.ROWS[scheme], angle_codebook_size=3, coeff_codebook_size=5)
+        with pytest.raises(InvalidInputError, match="^coeff_codebook_size must be a power of two, got 5$"):
+            overhead_bits(scheme, **kwargs)
+
+    def test_parameter_outside_the_row_is_ignored(self):
+        assert overhead_bits("direct_H", m=128, n=16, coeff_codebook_size=256, k=0) == (0, 16384)
+        assert overhead_bits("direct_F", m=128, s=4, coeff_codebook_size=256,
+                             angle_codebook_size=3) == (0, 4096)
+        assert overhead_bits("multilevel_csi", k=16, angle_codebook_size=256, coeff_codebook_size=256,
+                             s=None, q=2.5) == (256, 128)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(1, 1024), b=st.integers(1, 1024), log_angle=st.integers(0, 12),
+           log_coeff=st.integers(0, 16))
+    def test_rows_are_the_docstring_closed_forms(self, a, b, log_angle, log_coeff):
+        sizes = {"angle_codebook_size": 2 ** log_angle, "coeff_codebook_size": 2 ** log_coeff}
+        assert overhead_bits("direct_H", m=a, n=b, **sizes) == (0, a * b * log_coeff)
+        assert overhead_bits("direct_F", m=a, s=b, **sizes) == (0, a * b * log_coeff)
+        assert overhead_bits("sparse_precoder", q=a, s=b, **sizes) == (a * log_angle,
+                                                                      a * b * log_coeff)
+        assert overhead_bits("multilevel_csi", k=a, **sizes) == (2 * a * log_angle, a * log_coeff)
+        assert overhead_bits("proposed", k=a, s=b, **sizes) == (a * log_angle, a * b * log_coeff)
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,5 +237,9 @@ class TestPrecoderType:
             Precoder(f)
 
     def test_bad_allocation_mode(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^unknown allocation mode 'equal'$"):
             PowerAllocation("equal")
+
+    def test_modes_are_a_class_attribute_not_a_field(self):
+        assert PowerAllocation.MODES == ("unitary", "water_filling")
+        assert [f.name for f in dataclasses.fields(PowerAllocation)] == ["mode", "total_power"]
