@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayGeometry, channel_from_paths
-from .feedback import AngleCodebook, BasisSpec, dictionary, omp_approximate, quantize_angles
+from .feedback import AngleCodebook, BasisSpec, _basis_columns, omp_approximate, quantize_angles
 from .numerics import _count
 
 
@@ -39,7 +39,7 @@ def sparse_precoder(f_opt, cfg):
     _count(cfg.num_rf_chains, "num_rf_chains", f_opt.num_streams)
     spec = BasisSpec(codebook=cfg.codebook, tx=cfg.tx, gamma=1)
     indices, g, _ = omp_approximate(f_opt, spec, cfg.num_rf_chains)
-    f_rf = dictionary(spec)[:, list(indices)]
+    f_rf = _basis_columns(spec, indices)
     return f_rf, g
 
 

@@ -151,10 +151,10 @@ def channel_from_paths(gains, aod, aoa, tx, rx, total_paths=None):
         raise InvalidInputError(f"total_paths must be finite and >= 1, got {total_paths!r}")
     if not all(np.all(np.isfinite(x)) for x in (gains, aod, aoa)):
         raise InvalidInputError("path gains and angles must be finite")
-    h_t = _steering_matrix(tx, aod)    # M x K
+    h_t = _steering_matrix(tx, aod)    # M x K, conjugated in place: h_t.conj()'s layout, so its GEMM
     h_r = _steering_matrix(rx, aoa)    # N x K
     scale = np.sqrt(tx.num_elements * rx.num_elements / total_paths)
-    return scale * ((h_r * gains[None, :]) @ h_t.conj().T)
+    return scale * ((h_r * gains[None, :]) @ np.conjugate(h_t, out=h_t).T)
 
 
 def reconstruct_from_paths(paths, tx, rx, total_paths=None):

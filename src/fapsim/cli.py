@@ -136,11 +136,11 @@ def _sector(tree, path):
 
 
 def _coeff_codebook(node, where):
-    where += ".coeff_codebook"
-    if node is None or node == "ideal":
-        return ComplexCodebook.ideal()
+    where, ideal = where + ".coeff_codebook", ComplexCodebook.ideal()
+    if node is None or node == ideal.mode:
+        return ideal
     if not isinstance(node, dict):
-        raise InvalidInputError(f"{where}: expected 'ideal' or a level mapping")
+        raise InvalidInputError(f"{where}: expected {ideal.mode!r} or a level mapping")
     keys = _merge(dict.fromkeys(("magnitude_levels", "phase_levels")), node, where + ".")  # unknown keys
     levels = {key: _get(node, key, int, where + ".") for key in keys}
     try:

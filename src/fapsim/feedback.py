@@ -73,13 +73,14 @@ class BasisSpec:
 class ComplexCodebook:
     """Quantizer for fed-back complex values: ideal passthrough or uniform polar grid."""
 
-    mode: str                      # "ideal" | "uniform_polar"
+    MODES = ("ideal", "uniform_polar")    # a class attribute, not a field
+    mode: str                      # one of MODES
     magnitude_levels: int = 0
     phase_levels: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("ideal", "uniform_polar"):
-            raise InvalidInputError(f"unknown complex codebook mode {self.mode!r}")
+        if self.mode not in self.MODES:
+            raise InvalidInputError(f"unknown complex codebook mode {self.mode!r}, not one of {self.MODES}")
         if self.mode == "uniform_polar":
             for name in ("magnitude_levels", "phase_levels"):
                 object.__setattr__(self, name, 1 << _log2_exact(getattr(self, name), name))
@@ -175,29 +176,41 @@ def basis_matrix(spec, angles):
     cols = np.zeros((spec.tx.num_elements, angles.size), dtype=np.complex128)
     for off in offsets:
         cols += _steering_matrix(spec.tx, angles + off)
-    return cols / np.sqrt(gamma)
+    return np.divide(cols, np.sqrt(gamma), out=cols)
 
 
 def dictionary(spec):
-    """Full basis over every codebook center (the OMP search dictionary).
+    """Full basis Psi over every codebook center (the OMP search dictionary), read-only, cached.
 
-    The dictionary depends only on the shared codebook, the array and gamma,
-    never on the channel, so it is built once per spec and cached. The
-    returned array is read-only; column selections `dictionary(spec)[:, idx]`
-    are bitwise equal to `basis_matrix(spec, centers[idx])`.
+    OMP and the rebuilds read only the cached Psi^H (`_cached_basis`, `_basis_columns`), so Psi is
+    built from it on a spec's first call here. `dictionary(spec)[:, idx]` is bitwise equal to
+    `basis_matrix(spec, centers[idx])`.
     """
-    return _cached_basis(spec)[0]
+    return _cached_psi(spec)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_psi(spec):
+    psi = np.conjugate(_cached_basis(spec)[0].T, order="C")     # conjugation is exact
+    psi.setflags(write=False)
+    return psi
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_basis(spec):
-    """Read-only Psi (for `dictionary`), contiguous Psi^H and its row norms (for `OmpPath`), per spec."""
-    psi = basis_matrix(spec, spec.codebook.centers)
-    psi_h = np.ascontiguousarray(psi.conj().T)
-    out = psi, psi_h, np.linalg.norm(psi_h, axis=1)
+    """Read-only, contiguous Psi^H and its row norms, per spec: the one basis array a run holds."""
+    psi_h = np.conjugate(basis_matrix(spec, spec.codebook.centers).T, order="C")
+    out = psi_h, np.linalg.norm(psi_h, axis=1)
     for a in out:
         a.setflags(write=False)
     return out
+
+
+def _basis_columns(spec, indices):
+    """Psi[:, indices] read off the cached Psi^H: a fresh array with the bytes and the strides
+    of `dictionary(spec)[:, indices]`, for any order and repeats of the indices."""
+    rows = _cached_basis(spec)[0][np.asarray(indices, dtype=int)]      # K x M, C-ordered
+    return np.conjugate(rows, out=rows).T
 
 
 class OmpPath:
@@ -220,7 +233,7 @@ class OmpPath:
         """`targets`: one Precoder, or a sequence of Precoders of one shape; `k`, in [1, A]: the
         most picks `at` is asked for. Every target picks until it stops, at min(k, M) picks at
         the latest (M span the array)."""
-        _, self._psi_h, self._col_norms = _cached_basis(spec)       # A x M, A
+        self._psi_h, self._col_norms = _cached_basis(spec)          # A x M, A
         self._k = k = _count(k, "k", 1, self._psi_h.shape[0])      # the path's K
         f = np.stack([t.matrix for t in ([targets] if isinstance(targets, Precoder) else targets)])
         p, m, s = f.shape
@@ -319,7 +332,7 @@ def _check_made_under(report, spec, cc=None):
 def reconstruct_precoder(report, spec):
     """Transmitter-side rebuild: F_hat = Psi(angles) @ G, renormalized to unit norm."""
     _check_made_under(report, spec)
-    psi = dictionary(spec)[:, np.asarray(report.angle_indices, dtype=int)]
+    psi = _basis_columns(spec, report.angle_indices)
     with np.errstate(over="ignore", invalid="ignore"):     # huge entries overflow to inf
         f = psi @ report.combining
         norm = np.linalg.norm(f)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fapsim.channel import (ArrayGeometry, ChannelConfig, PathComponent, _steering_matrix,
                             array_response, channel_from_paths, reconstruct_from_paths,
@@ -131,6 +133,20 @@ class TestReconstructFromPaths:
             errors.append(np.linalg.norm(ch.matrix - approx))
         assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
         assert errors[-1] <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 128), n=st.integers(1, 16), paths=st.integers(1, 240),
+           extra=st.sampled_from([None, 0, 7]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_is_the_conjugate_copy_product(self, m, n, paths, extra, seed):
+        # H_t is conjugated in place; the product must keep the bytes of the copying form.
+        rng = np.random.default_rng(seed)
+        gains = rng.standard_normal(paths) + 1j * rng.standard_normal(paths)
+        aod, aoa = rng.uniform(-np.pi, np.pi, (2, paths))
+        tx, rx = ArrayGeometry(m), ArrayGeometry(n)
+        total = None if extra is None else paths + extra
+        scale = np.sqrt(m * n / (paths if total is None else total))
+        expected = scale * ((_steering_matrix(rx, aoa) * gains) @ _steering_matrix(tx, aod).conj().T)
+        assert channel_from_paths(gains, aod, aoa, tx, rx, total).tobytes() == expected.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

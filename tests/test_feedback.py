@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fapsim.channel import ArrayGeometry, array_response
 from fapsim.errors import DomainError, InvalidInputError
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport, OmpPath,
-                             basis_matrix, build_report, deserialize_report, dictionary,
+                             _basis_columns, basis_matrix, build_report, deserialize_report, dictionary,
                              omp_approximate, overhead_bits, proposed_bits,
                              quantize_angles, reconstruct_precoder, serialize_report)
 from fapsim.numerics import least_squares
@@ -106,6 +106,16 @@ class TestComplexCodebook:
         assert np.array_equal(cc.encode(quantized, scale), words)
         assert np.array_equal(cc.decode(cc.encode(quantized, scale), scale), quantized)
 
+    def test_modes_are_a_class_attribute_not_a_field(self):
+        assert ComplexCodebook.MODES == ("ideal", "uniform_polar")
+        assert [f.name for f in dataclasses.fields(ComplexCodebook)] == [
+            "mode", "magnitude_levels", "phase_levels"]
+
+    def test_unknown_mode_names_every_mode(self):
+        with pytest.raises(InvalidInputError, match="^unknown complex codebook mode 'polar'") as exc:
+            ComplexCodebook("polar")
+        assert all(repr(mode) in str(exc.value) for mode in ComplexCodebook.MODES)
+
 
 class TestBasisSpec:
     @pytest.mark.parametrize("gamma", [0, 2.5, 2.0, "2"])
@@ -188,6 +198,19 @@ class TestDictionaryCache:
         assert g1 is not g2
         assert not np.array_equal(g1, g2)
         assert dictionary(spec_of(m=20, size=8, gamma=1)) is g1
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(8, 128), log_size=st.integers(4, 8), gamma=st.sampled_from([1, 2, 4]),
+           data=st.data())
+    def test_column_read_is_the_dictionary_selection(self, m, log_size, gamma, data):
+        # The rebuilds read Psi's columns off the cached Psi^H. Same bytes and same strides as
+        # the selection from Psi (F-ordered: the transpose of a C-ordered K x M copy), so the
+        # products taken with them make the same BLAS calls, for unsorted and repeated picks.
+        spec = spec_of(m=m, size=2 ** log_size, gamma=gamma)
+        idx = data.draw(st.lists(st.integers(0, 2 ** log_size - 1), min_size=1, max_size=24))
+        got, expected = _basis_columns(spec, tuple(idx)), dictionary(spec)[:, idx]
+        assert got.tobytes() == expected.tobytes()
+        assert got.strides == expected.strides and got.T.flags.c_contiguous
 
 
 class TestOmp:

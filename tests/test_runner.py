@@ -21,7 +21,8 @@ from fapsim.channel import ArrayGeometry, ChannelConfig, sample_channel, substre
 from fapsim.errors import InvalidInputError
 from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, build_report,
-                             deserialize_report, overhead_bits, serialize_report)
+                             deserialize_report, overhead_bits, reconstruct_precoder,
+                             serialize_report)
 from fapsim.precoding import PowerAllocation, optimal_precoder
 from fapsim.precoding import Precoder
 from fapsim.runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, MultilevelScheme,
@@ -186,6 +187,22 @@ class TestTrialEngine:
         runner._ber_block(cfg, trial_targets(cfg, 0))
         assert svds == [(6, 16, 4)] * groups                   # 6 and 78 link SVDs
         assert draws == [(4, 16, 1000)] * 13
+
+    def test_no_sweep_or_link_path_builds_psi(self, monkeypatch):
+        # OMP and the rebuilds read only the cached Psi^H; Psi itself is built for callers of
+        # `dictionary` alone. Checked on one reference rate block and one wire round trip per gamma.
+        calls, built = [], feedback.dictionary
+        monkeypatch.setattr(feedback, "dictionary", lambda spec: calls.append(spec) or built(spec))
+        cfg = reference_experiment()
+        runner._rate_block(cfg, range(runner._block_targets(cfg)))
+        cc, alloc = ComplexCodebook.uniform_polar(16, 16), PowerAllocation("unitary")
+        f_opt = optimal_precoder(sample_channel(cfg.channel, substream(5, 0)).matrix, cfg.streams, alloc)
+        for gamma in (1, 2, 4):
+            spec = BasisSpec(AngleCodebook(cfg.channel.tx_sector, 256), cfg.channel.tx, gamma)
+            report = build_report(f_opt, spec, 16, cc)
+            decoded = deserialize_report(serialize_report(report, spec, cc), spec, cc, cfg.streams)
+            assert reconstruct_precoder(decoded, spec).matrix.shape == f_opt.matrix.shape
+        assert calls == []
 
     def test_ber_block_draws_with_no_omp_path_alive(self, monkeypatch):
         # The stage releases its OMP paths once the schemes have read them: a stage that kept
