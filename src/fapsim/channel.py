@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import _count, _positive, _reals
+from .numerics import _count, _instance, _positive, _reals
 
 # Laplacian scale of the intra-cluster ray offsets (std ~1.24 deg). Narrow
 # enough that a 16-term basis expansion tracks the optimal precoder closely;
@@ -54,8 +54,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         for name in ("tx", "rx"):
-            if not isinstance(getattr(self, name), ArrayGeometry):
-                raise InvalidInputError(f"{name} must be an ArrayGeometry, got {getattr(self, name)!r}")
+            _instance(getattr(self, name), ArrayGeometry, name)
         object.__setattr__(self, "num_clusters", _count(self.num_clusters, "num_clusters"))
         object.__setattr__(self, "rays_per_cluster", _count(self.rays_per_cluster, "rays_per_cluster"))
         object.__setattr__(self, "angular_spread", _positive(self.angular_spread, "angular_spread"))

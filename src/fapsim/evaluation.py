@@ -109,7 +109,9 @@ class MmseLink:
         estimate, real and imaginary, against the sign of the symbol sent (negative for a 1 bit).
         As U^H H F = Sigma V^H, the estimate is V diag(w sigma sqrt(P)) V^H s + V diag(w) U^H z,
         w = sigma / (sigma^2 + 1/P). A precoder with an entry within `delta` of zero, a bound on
-        its distance from the U^H y form (||z||_F >= ||z_t||), is counted in that form instead."""
+        its distance from the U^H y form (||z||_F >= ||z_t||), is counted in that form instead,
+        unless each such entry is of a stream whose row of V diag(w) is exactly zero (a zero-power
+        column of F): that stream's entries are exactly 0 in both forms."""
         i, n, s = self.hf.shape
         if symbols.shape[0] != s or noise.shape != (n, symbols.shape[1]):
             raise InvalidInputError(f"symbols {symbols.shape} and noise {noise.shape} do not fit "
@@ -123,7 +125,9 @@ class MmseLink:
         delta = (8 * (n + s + 8) * np.finfo(np.float64).eps * np.sqrt(s) * w.max(axis=1)
                  * (np.sqrt(p) * self.sigma[:, 0] * np.sqrt(s) + np.sqrt(np.vdot(noise, noise).real)))
         for k in np.flatnonzero(~(np.abs(est, out=est).min(axis=1, initial=np.inf) > delta)):
-            errors[k] = self.exact_bit_errors(k, p, symbols, noise)
+            live = vw[k].any(axis=1)                             # streams with a nonzero row
+            if not est[k].reshape(s, -1)[live].min(initial=np.inf) > delta[k]:
+                errors[k] = self.exact_bit_errors(k, p, symbols, noise)
         return errors
 
     def exact_bit_errors(self, k, p, symbols, noise):

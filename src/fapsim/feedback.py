@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ArrayGeometry, _check_sector, _steering_matrix
 from .errors import DomainError, InvalidInputError
-from .numerics import _count, _is_real, _log2_exact
+from .numerics import _count, _instance, _is_real, _log2_exact
 from .precoding import Precoder
 
 # Residuals at or below this norm are treated as exact recoveries; the
@@ -66,6 +66,8 @@ class BasisSpec:
     gamma: int = 1
 
     def __post_init__(self):
+        _instance(self.codebook, AngleCodebook, "codebook")
+        _instance(self.tx, ArrayGeometry, "tx")
         object.__setattr__(self, "gamma", _count(self.gamma, "gamma"))
 
 
@@ -131,14 +133,28 @@ class FeedbackReport:
     coeff_codebook: ComplexCodebook
     magnitude_scale: float = None  # polar-quantizer range, sent unquantized
 
-    def __post_init__(self):                 # the one check of the indices
-        idx, size = self.angle_indices, self.spec.codebook.size
-        if len(idx) == 0 or min(idx) < 0 or max(idx) >= size:
-            raise InvalidInputError(f"angle indices must be non-empty and in [0, {size})")
-        scale, polar = self.magnitude_scale, self.coeff_codebook.mode != "ideal"
+    def __post_init__(self):                 # the one check of a report's form
+        size = _instance(self.spec, BasisSpec, "spec").codebook.size
+        mode = _instance(self.coeff_codebook, ComplexCodebook, "coeff_codebook").mode
+        idx = self.angle_indices
+        if isinstance(idx, np.ndarray) and idx.ndim == 1:
+            idx = idx.tolist()               # numpy integers as ints, bools as bools
+        ints = isinstance(idx, (list, tuple, range)) and all(     # each distinct type, not each index
+            issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, idx)))
+        if not (ints and len(idx) > 0 and 0 <= min(idx) and max(idx) < size):
+            raise InvalidInputError(f"angle indices must be integers, non-empty and in [0, {size})")
+        object.__setattr__(self, "angle_indices", tuple(map(int, idx)))
+        scale, polar = self.magnitude_scale, mode != "ideal"
         if (scale is not None) != polar or polar and not (_is_real(scale) and 0 < scale < np.inf):
             raise InvalidInputError(f"magnitude scale must be {'positive and finite' if polar else 'None'}"
-                                    f" under a {self.coeff_codebook.mode} codebook, got {scale!r}")
+                                    f" under a {mode} codebook, got {scale!r}")
+        g, k = self.combining, len(idx)
+        if not (isinstance(g, np.ndarray) and g.dtype.kind in "iufc" and g.ndim == 2
+                and g.shape[0] == k and g.shape[1] >= 1 and np.isfinite(g).all()):
+            raise InvalidInputError(f"combining must be a finite {k} x S array, S >= 1, got "
+                                    f"{getattr(g, 'shape', type(g).__name__)}")
+        if polar and not np.abs(g).max() <= scale:
+            raise InvalidInputError(f"combining entries must have modulus at most magnitude scale {scale}")
 
     k = property(lambda self: len(self.angle_indices))
     gamma = property(lambda self: self.spec.gamma)
@@ -180,18 +196,10 @@ def basis_matrix(spec, angles):
 
 
 def dictionary(spec):
-    """Full basis Psi over every codebook center (the OMP search dictionary), read-only, cached.
-
-    OMP and the rebuilds read only the cached Psi^H (`_cached_basis`, `_basis_columns`), so Psi is
-    built from it on a spec's first call here. `dictionary(spec)[:, idx]` is bitwise equal to
-    `basis_matrix(spec, centers[idx])`.
-    """
-    return _cached_psi(spec)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_psi(spec):
-    psi = np.conjugate(_cached_basis(spec)[0].T, order="C")     # conjugation is exact
+    """Full basis Psi over every codebook center (the OMP search dictionary), read-only: the
+    `_basis_columns` read of every column, built from the cached Psi^H on each call, not kept.
+    `dictionary(spec)[:, idx]` is bitwise equal to `basis_matrix(spec, centers[idx])`."""
+    psi = _basis_columns(spec, range(spec.codebook.size))
     psi.setflags(write=False)
     return psi
 
@@ -324,6 +332,7 @@ def build_report(f_opt, spec, k, cc):
 
 def _check_made_under(report, spec, cc=None):
     """The mismatch rule: a report is read only under the spec (and codebook) it was made under."""
+    _instance(report, FeedbackReport, "report")
     for made, given in ((report.spec, spec), (report.coeff_codebook, cc)):
         if given is not None and given != made:
             raise InvalidInputError(f"report was made under {made}, not {given}")
@@ -331,7 +340,7 @@ def _check_made_under(report, spec, cc=None):
 
 def reconstruct_precoder(report, spec):
     """Transmitter-side rebuild: F_hat = Psi(angles) @ G, renormalized to unit norm."""
-    _check_made_under(report, spec)
+    _check_made_under(report, _instance(spec, BasisSpec, "spec"))
     psi = _basis_columns(spec, report.angle_indices)
     with np.errstate(over="ignore", invalid="ignore"):     # huge entries overflow to inf
         f = psi @ report.combining
@@ -426,10 +435,16 @@ def _unpack_bits(data, widths):
     return values
 
 
+def _check_wire_state(spec, cc):
+    """The wire format's shared state: a BasisSpec and a quantized ComplexCodebook."""
+    _instance(spec, BasisSpec, "spec")
+    if _instance(cc, ComplexCodebook, "cc").mode == "ideal":
+        raise InvalidInputError("an ideal complex codebook has no wire form")
+
+
 def serialize_report(report, spec, cc):
     """Encode a quantized report for the feedback link; see the layout notes above."""
-    if cc.mode == "ideal":
-        raise InvalidInputError("an ideal complex codebook has no wire form")
+    _check_wire_state(spec, cc)
     _check_made_under(report, spec, cc)
     for name, value, top in (("K", report.k, 0xFFFF), ("gamma", report.gamma, 0xFF)):
         if value > top:
@@ -437,7 +452,7 @@ def serialize_report(report, spec, cc):
     if np.any(np.abs(report.combining) == 0):
         raise InvalidInputError("zero combining entries are not representable on the polar grid")
     words = cc.encode(report.combining, report.magnitude_scale)
-    fields = [(int(idx), spec.codebook.index_bits) for idx in report.angle_indices]
+    fields = [(idx, spec.codebook.index_bits) for idx in report.angle_indices]
     fields += [(int(word), cc.bits_per_value) for word in words.reshape(-1)]
     header = _HEADER.pack(report.k, report.gamma, _FLAG_QUANTIZED, report.magnitude_scale)
     return header + _pack_bits(fields)
@@ -445,8 +460,7 @@ def serialize_report(report, spec, cc):
 
 def deserialize_report(data, spec, cc, num_streams):
     """Decode a serialized report; the basis spec, codebooks, and S are shared state."""
-    if cc.mode == "ideal":
-        raise InvalidInputError("an ideal complex codebook has no wire form")
+    _check_wire_state(spec, cc)
     if len(data) < _HEADER.size:
         raise InvalidInputError("truncated report header")
     k, gamma, flags, scale = _HEADER.unpack_from(data)

@@ -3,8 +3,8 @@
 Thin, validated wrappers around LAPACK (via numpy.linalg) so the rest of the
 package shares one set of conventions: economy SVD with descending singular
 values, minimum-norm least squares, and a Cholesky-based log-determinant in
-base 2. The rules `_as_matrix`, `_count`, `_positive` and `_reals` check what
-callers pass in, and name the field.
+base 2. The rules `_as_matrix`, `_count`, `_instance`, `_positive` and `_reals` check
+what callers pass in, and name the field.
 """
 
 import numpy as np
@@ -21,6 +21,14 @@ def _count(value, name, low=1, high=None):
         return int(value)
     raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}" if high is None
                             else f"{name} must be in [{low}, {high}], got {value!r}")
+
+
+def _instance(value, cls, name):
+    """`value`, an instance of `cls` (a held object: a geometry, a codebook, a spec, a config)."""
+    if isinstance(value, cls):
+        return value
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    raise InvalidInputError(f"{name} must be {article} {cls.__name__}, got {value!r}")
 
 
 def _is_real(value):

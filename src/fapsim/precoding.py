@@ -40,9 +40,12 @@ class PowerAllocation:
 
 @dataclass(frozen=True, eq=False)
 class Precoder:
-    matrix: np.ndarray             # M x S, unit Frobenius norm
+    matrix: np.ndarray             # M x S complex, unit Frobenius norm
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.complex128))
+        if self.matrix.ndim != 2:
+            raise InvalidInputError(f"precoder must be a 2-D matrix, got shape {self.matrix.shape}")
         norm = np.linalg.norm(self.matrix)
         if not abs(norm - 1.0) <= PRECODER_NORM_TOL:           # also rejects a NaN norm
             raise InvalidInputError(f"precoder must have unit Frobenius norm, got {norm}")

@@ -28,7 +28,7 @@ from .evaluation import (BEAM_PATTERN_MIN_GRID, MmseLink, beam_pattern, check_ch
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, deserialize_report,
                        overhead_bits, pack_report, proposed_bits, reconstruct_precoder,
                        serialize_report)
-from .numerics import _count, _log2_exact, _reals
+from .numerics import _count, _instance, _log2_exact, _reals
 from .precoding import PowerAllocation, factor
 
 
@@ -114,6 +114,7 @@ class ProposedScheme(_ReportScheme):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
         object.__setattr__(self, "k", _count(self.k, f"{where}.k", 1, self.angle_codebook_size))
         _count(self.gamma, f"{where}.gamma")
+        _instance(self.coeff_codebook, ComplexCodebook, f"{where}.coeff_codebook")
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,7 @@ class MultilevelScheme(_Scheme):
     def validate(self, cfg, where):
         _log2_exact(self.angle_codebook_size, f"{where}.angle_codebook_size")
         object.__setattr__(self, "k", _count(self.k, f"{where}.k", 1, cfg.channel.num_paths))
+        _instance(self.coeff_codebook, ComplexCodebook, f"{where}.coeff_codebook")
 
     def overhead(self, cfg):
         return overhead_bits("multilevel_csi", k=self.k, angle_codebook_size=self.angle_codebook_size,
@@ -193,6 +195,8 @@ class ExperimentConfig:
     beam_pattern: BeamPatternConfig = field(default_factory=BeamPatternConfig)
 
     def __post_init__(self):
+        _instance(self.channel, ChannelConfig, "channel")
+        _instance(self.beam_pattern, BeamPatternConfig, "beam_pattern")
         object.__setattr__(self, "streams", _count(self.streams, "streams", 1, min(
             self.channel.tx.num_elements, self.channel.rx.num_elements)))
         object.__setattr__(self, "snr_db_grid", _reals(self.snr_db_grid, "snr_db_grid"))

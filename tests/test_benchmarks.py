@@ -8,7 +8,7 @@ from fapsim.errors import InvalidInputError
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, build_report,
                              dictionary, overhead_bits, reconstruct_precoder)
 from fapsim.numerics import least_squares
-from fapsim.precoding import PowerAllocation, optimal_precoder
+from fapsim.precoding import PowerAllocation, Precoder, optimal_precoder
 
 QUARTER = (-np.pi / 4, np.pi / 4)
 UNITARY = PowerAllocation("unitary")
@@ -21,6 +21,15 @@ def sample_setup(seed, m=32, n=8, clusters=4, rays=3):
 
 
 class TestSparsePrecoder:
+    def test_real_target(self):
+        # A real F_opt is held complex, so OMP runs on it (it raised a bare UFuncTypeError).
+        bench = SparsePrecoderConfig(num_rf_chains=2, codebook=AngleCodebook(QUARTER, 16),
+                                     tx=ArrayGeometry(8))
+        real = np.eye(8, 2) / np.sqrt(2)
+        f_rf, f_bb = sparse_precoder(Precoder(real), bench)
+        expected = sparse_precoder(Precoder(real.astype(complex)), bench)
+        assert np.array_equal(f_rf, expected[0]) and np.array_equal(f_bb, expected[1])
+
     def test_equivalence_with_proposed_at_k_q(self):
         # With a single-beam basis and K = Q the two designs coincide exactly.
         for seed in range(5):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from fapsim.channel import ArrayGeometry, array_response
 from fapsim.errors import DomainError, InvalidInputError
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport, OmpPath,
-                             _basis_columns, basis_matrix, build_report, deserialize_report, dictionary,
-                             omp_approximate, overhead_bits, proposed_bits,
+                             _basis_columns, _cached_basis, basis_matrix, build_report,
+                             deserialize_report, dictionary, omp_approximate, overhead_bits, proposed_bits,
                              quantize_angles, reconstruct_precoder, serialize_report)
 from fapsim.numerics import least_squares
 from fapsim.precoding import Precoder
@@ -126,6 +126,16 @@ class TestBasisSpec:
     def test_numpy_integer_gamma_accepted(self):
         assert spec_of(gamma=np.int64(2)).gamma == 2
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("codebook", None, "an AngleCodebook"), ("codebook", 16, "an AngleCodebook"),
+        ("tx", 8, "an ArrayGeometry"), ("tx", None, "an ArrayGeometry"),
+        ("codebook", ArrayGeometry(8), "an AngleCodebook")])
+    def test_held_objects_must_be_their_types(self, field, value, kind):
+        # Refused by name at construction, not by an AttributeError on first use.
+        held = dict(codebook=AngleCodebook(QUARTER, 16), tx=ArrayGeometry(8))
+        with pytest.raises(InvalidInputError, match=f"^{field} must be {kind}, got"):
+            BasisSpec(**{**held, field: value})
+
 
 class TestBasisMatrix:
     def test_single_beam_is_array_response(self):
@@ -180,8 +190,9 @@ class TestDictionaryCache:
             psi[0, 0] = 0.0
 
     def test_list_sector_hits_same_entry(self):
-        first = dictionary(spec_of(m=20, size=8, sector=(-0.5, 0.5)))
-        second = dictionary(spec_of(m=20, size=8, sector=[-0.5, 0.5]))
+        # Psi^H is the one cached basis array; `dictionary` builds Psi from it on each call.
+        first = _cached_basis(spec_of(m=20, size=8, sector=(-0.5, 0.5)))[0]
+        second = _cached_basis(spec_of(m=20, size=8, sector=[-0.5, 0.5]))[0]
         assert second is first
 
     def test_equal_specs_are_one_cache_key(self):
@@ -193,11 +204,11 @@ class TestDictionaryCache:
         assert len({hash(spec) for spec in specs}) == 1
 
     def test_gammas_get_separate_entries(self):
-        g1 = dictionary(spec_of(m=20, size=8, gamma=1))
-        g2 = dictionary(spec_of(m=20, size=8, gamma=2))
+        g1 = _cached_basis(spec_of(m=20, size=8, gamma=1))[0]
+        g2 = _cached_basis(spec_of(m=20, size=8, gamma=2))[0]
         assert g1 is not g2
         assert not np.array_equal(g1, g2)
-        assert dictionary(spec_of(m=20, size=8, gamma=1)) is g1
+        assert _cached_basis(spec_of(m=20, size=8, gamma=1))[0] is g1
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(8, 128), log_size=st.integers(4, 8), gamma=st.sampled_from([1, 2, 4]),
@@ -288,6 +299,16 @@ class TestOmp:
         spec = spec_of(size=8)
         with pytest.raises(InvalidInputError):
             omp_approximate(atom_precoder(spec, 0), spec, 9)
+
+    def test_a_real_target_is_a_complex_one(self):
+        # A real unit-norm F_opt is stored complex, so OMP's in-place residual update takes the
+        # complex correction (it raised a bare UFuncTypeError on a float copy).
+        spec, real = spec_of(m=8, size=16), np.eye(8, 2) / np.sqrt(2)
+        expected = omp_approximate(Precoder(real.astype(complex)), spec, 2)
+        got = omp_approximate(Precoder(real), spec, 2)
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
+        report = build_report(Precoder(real), spec, 2, ComplexCodebook.uniform_polar(4, 4))
+        assert report.k == 2
 
 
 def orthogonal_to_dictionary(spec, rng, s=1):
@@ -720,6 +741,63 @@ class TestReconstructPrecoder:
                 reconstruct_precoder(decoded, spec)
 
 
+def polar_report(**overrides):
+    """A valid report on a 16-entry codebook under a 4 x 4 polar grid and magnitude range 1."""
+    fields = dict(angle_indices=(1, 5), combining=np.full((2, 2), 0.5 + 0.5j), spec=spec_of(m=8, size=16),
+                  coeff_codebook=ComplexCodebook.uniform_polar(4, 4), magnitude_scale=1.0)
+    return FeedbackReport(**{**fields, **overrides})
+
+
+class TestReportForm:
+    # The constructor is the one check of a report's form: each malformed report is refused
+    # there, with no warning, not accepted or failed later by a rebuild or the wire format.
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(angle_indices=(1.7, 2)), "angle indices must be integers"),
+        (dict(angle_indices=(1.0, 2.0)), "angle indices must be integers"),
+        (dict(angle_indices="ab"), "angle indices must be integers"),
+        (dict(angle_indices=(True, 2)), "angle indices must be integers"),
+        (dict(angle_indices=np.array([1.0, 2.0])), "angle indices must be integers"),
+        (dict(angle_indices=np.array([True, False])), "angle indices must be integers"),
+        (dict(angle_indices=np.array([[1, 2]])), "angle indices must be integers"),
+        (dict(angle_indices=7), "angle indices must be integers"),
+        (dict(angle_indices=(1, 16)), r"non-empty and in \[0, 16\)"),
+        (dict(combining=np.full((3, 2), 0.5 + 0.5j)), r"combining must be a finite 2 x S array"),
+        (dict(combining=np.full(2, 0.5 + 0.5j)), r"combining must be a finite 2 x S array"),
+        (dict(combining=np.full((1, 2), 0.5 + 0.5j)), r"combining must be a finite 2 x S array"),
+        (dict(combining=np.full((2, 0), 0.5 + 0.5j)), r"combining must be a finite 2 x S array"),
+        (dict(combining=[[0.5, 0.5], [0.5, 0.5]]), r"combining must be a finite 2 x S array"),
+        (dict(combining=np.full((2, 2), "x")), r"combining must be a finite 2 x S array"),
+        (dict(combining=np.array([[0.5, np.nan], [0.5, 0.5]])), r"combining must be a finite 2 x S array"),
+        (dict(combining=np.array([[0.5, np.inf * 1j], [0.5, 0.5]])), r"combining must be a finite"),
+        (dict(combining=np.array([[0.5, 5.0], [0.5, 0.5]])), r"modulus at most magnitude scale 1\.0"),
+        (dict(spec=None), "spec must be a BasisSpec, got None"),
+        (dict(spec=AngleCodebook(QUARTER, 16)), "spec must be a BasisSpec"),
+        (dict(coeff_codebook="uniform_polar"), "coeff_codebook must be a ComplexCodebook"),
+    ])
+    def test_malformed_report_is_refused(self, overrides, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=message):
+                polar_report(**overrides)
+
+    def test_malformed_ideal_report_is_refused(self):
+        # A wrong K under an ideal codebook raised a bare ValueError from the rebuild's product.
+        with pytest.raises(InvalidInputError, match="combining must be a finite 3 x S array"):
+            FeedbackReport((1, 2, 3), np.ones((2, 2), complex), spec_of(m=8, size=16), IDEAL)
+        assert FeedbackReport((1, 2), np.full((2, 2), 5.0), spec_of(m=8, size=16), IDEAL).k == 2
+
+    @pytest.mark.parametrize("indices", [np.array([1, 5]), np.array([1, 5], np.uint8), [1, np.int32(5)],
+                                         range(1, 6, 4)])
+    def test_accepted_indices_are_a_tuple_of_ints(self, indices):
+        report = polar_report(angle_indices=indices)
+        assert report.angle_indices == (1, 5)
+        assert type(report.angle_indices) is tuple and all(type(i) is int for i in report.angle_indices)
+
+    def test_a_report_at_the_magnitude_range_is_accepted(self):
+        # `quantize` makes the largest |entry| the range itself, so a range-sized entry fits.
+        assert polar_report(combining=np.array([[1.0, -1j], [0.5, 0.5]])).k == 2
+
+
 class TestOverheadBits:
     def test_table_rows(self):
         assert overhead_bits("direct_H", m=128, n=16, coeff_codebook_size=256) == (0, 16384)
@@ -949,6 +1027,23 @@ class TestSerialization:
         for tail in (b"\x00", b"\x00\x00", blob):
             with pytest.raises(InvalidInputError, match=f"trailing bytes: {len(tail)}$"):
                 deserialize_report(blob + tail, spec, cc, 1)
+
+    def test_arguments_must_be_a_report_a_spec_and_a_codebook(self):
+        # Refused by name, not by an AttributeError on `cc.mode` or `spec.gamma`.
+        spec, cc = spec_of(m=8, size=16), ComplexCodebook.uniform_polar(4, 4)
+        report = build_report(random_precoder(np.random.default_rng(63), 8, 2), spec, 2, cc)
+        blob = serialize_report(report, spec, cc)
+        no_cc, no_spec = "cc must be a ComplexCodebook", "spec must be a BasisSpec"
+        no_report = "report must be a FeedbackReport"
+        for call, refused in ((lambda: serialize_report(report, spec, None), no_cc),
+                              (lambda: serialize_report(report, "x", cc), no_spec),
+                              (lambda: serialize_report("x", spec, cc), no_report),
+                              (lambda: deserialize_report(blob, spec, None, 2), no_cc),
+                              (lambda: deserialize_report(blob, "x", cc, 2), no_spec),
+                              (lambda: reconstruct_precoder(report, None), no_spec),
+                              (lambda: reconstruct_precoder(blob, spec), no_report)):
+            with pytest.raises(InvalidInputError, match=f"^{refused}, got"):
+                call()
 
     def test_truncated_magnitude_scale(self):
         with pytest.raises(InvalidInputError, match="truncated"):

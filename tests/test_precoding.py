@@ -236,6 +236,20 @@ class TestPrecoderType:
         with pytest.raises(InvalidInputError):
             Precoder(f)
 
+    @pytest.mark.parametrize("bad", [np.ones(4) / 2, np.ones((2, 2, 2)) / np.sqrt(8), np.array(1.0)])
+    def test_rejects_any_rank_but_two(self, bad):
+        # A 1-D F passed the norm check and failed later, in `num_streams`.
+        with pytest.raises(InvalidInputError, match="precoder must be a 2-D matrix"):
+            Precoder(bad)
+
+    def test_holds_a_complex_matrix(self):
+        # A list or a real array is stored as a complex array; a complex array is stored as is.
+        for given in ([[1.0, 0.0], [0.0, 0.0]], np.eye(2, 1), np.eye(2, 1, dtype=np.float32)):
+            held = Precoder(given).matrix
+            assert held.dtype == np.complex128 and np.array_equal(held, np.asarray(given))
+        f = np.eye(3, 2, dtype=complex) / np.sqrt(2)
+        assert Precoder(f).matrix is f and Precoder([[1.0, 0.0], [0.0, 0.0]]).num_streams == 2
+
     def test_bad_allocation_mode(self):
         with pytest.raises(InvalidInputError, match="^unknown allocation mode 'equal'$"):
             PowerAllocation("equal")

@@ -271,12 +271,12 @@ class TestTrialEngine:
 
     def test_zero_power_cells_are_the_single_call_detector(self, monkeypatch):
         # At -20 to -15 dB water-filling leaves some streams no power: a zero precoder column
-        # gives estimate entries of exactly 0, inside the certificate, so each such precoder
-        # takes one fallback step, to the same count.
+        # gives estimate entries of exactly 0 in both forms, so the certificate leaves them out
+        # and no such precoder takes the fallback step.
         cfg = reference_experiment(trials=3, allocation="water_filling",
                                    snr_db_grid=(-20.0, -17.5, -15.0))
         fallbacks, zero_columns = assert_cells_are_the_single_call_detector(monkeypatch, cfg)
-        assert fallbacks and [i for i, _ in fallbacks] == zero_columns
+        assert zero_columns and fallbacks == []
 
     def test_reference_sweep_takes_no_fallback(self, monkeypatch):
         # A bound too loose for the reference links would cost the stacked step's speed unseen.
@@ -778,6 +778,22 @@ class TestConfigValidation:
                            match=r"schemes\[1\]\.gamma must be an integer >= 1, got 2\.5"):
             small_experiment(schemes=(OptimalScheme(), ProposedScheme(k=4, gamma=2.5,
                                                                       angle_codebook_size=64)))
+
+    @pytest.mark.parametrize("overrides, field, kind", [
+        (dict(channel="x"), "channel", "a ChannelConfig"),
+        (dict(channel=None), "channel", "a ChannelConfig"),
+        (dict(beam_pattern=None), "beam_pattern", "a BeamPatternConfig"),
+        (dict(beam_pattern={"gammas": (1, 2)}), "beam_pattern", "a BeamPatternConfig"),
+        (dict(schemes=(OptimalScheme(), ProposedScheme(k=2, coeff_codebook="ideal"))),
+         r"schemes\[1\]\.coeff_codebook", "a ComplexCodebook"),
+        (dict(schemes=(MultilevelScheme(k=2, coeff_codebook=None),)),
+         r"schemes\[0\]\.coeff_codebook", "a ComplexCodebook"),
+    ])
+    def test_held_objects_must_be_their_types(self, overrides, field, kind):
+        # Refused by name, not by an AttributeError in the constructor, a KeyError from a
+        # scheme's label or an AttributeError in `run_beam_pattern`.
+        with pytest.raises(InvalidInputError, match=f"^{field} must be {kind}, got"):
+            small_experiment(**overrides)
 
     def test_empty_snr_grid(self):
         with pytest.raises(InvalidInputError, match="snr_db_grid"):
