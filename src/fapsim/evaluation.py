@@ -36,12 +36,12 @@ def check_channel(h, snr_linear):
 
 
 def _link_inputs(h, f, snr_linear):
-    """A link metric's checked (H, F, SNR array): `check_channel`, and a unit-norm F that fits H."""
+    """A link metric's checked (H F, SNR array): `check_channel`, and a unit-norm F that fits H."""
     h, snr = check_channel(h, snr_linear)
     f = Precoder(numerics._as_matrix(f, "f")).matrix
     if h.shape[1] != f.shape[0]:
         raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
-    return h, f, snr
+    return h @ f, snr
 
 
 def link_gains(hf):
@@ -62,8 +62,8 @@ def achievable_rate(h, f, snr_linear):
     H F, so one SVD serves every SNR: `snr_linear` may be a scalar (returns a
     float) or an array of SNRs (returns an array of rates of the same shape).
     """
-    h, f, snr = _link_inputs(h, f, snr_linear)
-    rate = link_rates(link_gains(h @ f), snr)
+    hf, snr = _link_inputs(h, f, snr_linear)
+    rate = link_rates(link_gains(hf), snr)
     return float(rate) if rate.ndim == 0 else rate
 
 
@@ -87,20 +87,17 @@ def draw_qpsk(rng, num_streams, num_rx, num_symbols):
 
 
 class MmseLink:
-    """The links y = sqrt(P) H F s + z of a stack of precoders F (I x M x S, or one M x S),
+    """The links y = sqrt(P) H F s + z of a stack of products H F (I x N x S, or one N x S),
     factored once for joint LMMSE detection at any SNR P.
 
     With H F = U diag(sigma) V^H, the estimator P F^H H^H (P H F F^H H^H + I)^{-1} y (unit
     noise variance) is V diag(sigma / (sigma^2 + 1/P)) U^H y: one SVD serves every SNR, and no
-    rank of H F and no SNR makes it singular. It checks only that H and F fit and that a block
-    fits the links; its caller checks that H, F and P are finite, F of unit norm and P positive.
+    rank of H F and no SNR makes it singular. It checks only that a block fits the links; its
+    caller hands it a checked product (finite H, unit-norm F that fits H) and a positive P.
     """
 
-    def __init__(self, h, f):
-        h, f = np.asarray(h, dtype=np.complex128), np.asarray(f, dtype=np.complex128)
-        if f.ndim not in (2, 3) or h.shape[1] != f.shape[-2]:
-            raise InvalidInputError(f"shape mismatch: H is {h.shape}, F is {f.shape}")
-        self.hf = (h @ f).reshape(-1, h.shape[0], f.shape[-1])               # I x N x S
+    def __init__(self, hf):
+        self.hf = hf.reshape(-1, *hf.shape[-2:])                                   # I x N x S
         u, self.sigma, self.vh = np.linalg.svd(self.hf, full_matrices=False)
         self.uh, self.v = u.conj().transpose(0, 2, 1), self.vh.conj().transpose(0, 2, 1)
 
@@ -144,11 +141,11 @@ def ber_qpsk_mmse(h, f, snr_linear, num_symbols, rng):
     Checks its inputs as `achievable_rate` does (the SNR a scalar), then draws one block
     from `rng` (`draw_qpsk`) and detects it (`MmseLink`): (bit_errors, bits_sent).
     """
-    h, f, snr = _link_inputs(h, f, snr_linear)
+    hf, snr = _link_inputs(h, f, snr_linear)
     if snr.ndim != 0:
         raise InvalidInputError("snr_linear must be a scalar")
-    symbols, noise = draw_qpsk(rng, f.shape[1], h.shape[0], num_symbols)
-    return int(MmseLink(h, f).bit_errors(snr, symbols, noise)[0]), 2 * symbols.size
+    symbols, noise = draw_qpsk(rng, hf.shape[1], hf.shape[0], num_symbols)
+    return int(MmseLink(hf).bit_errors(snr, symbols, noise)[0]), 2 * symbols.size
 
 
 def beam_pattern(spec, center_index, grid_size=BEAM_PATTERN_GRID):

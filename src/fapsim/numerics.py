@@ -60,11 +60,15 @@ def _log2_exact(n, name):
     return n.bit_length() - 1
 
 
-def _as_matrix(a, name):
-    a = np.asarray(a, dtype=np.complex128)
+def _as_matrix(a, name, finite=True):
+    """`a` as a complex 2-D array whose entries numpy reads as bool, integer, real or complex."""
+    try:                                      # not a string, None, another object or a ragged list
+        a = np.asarray(a).astype(np.complex128, casting="same_kind", copy=False)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must hold only numbers: bool, integer, real or complex") from None
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInputError(f"{name} must be a 2-D matrix with at least one row and column")
-    if not np.all(np.isfinite(a)):
+    if finite and not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
 

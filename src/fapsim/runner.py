@@ -301,7 +301,7 @@ def _ber_block(cfg, block):
     and one symbol/noise block per (trial, SNR) shared by every scheme, pairing the comparison."""
     stage, out = _Stage(cfg, block), []
     for (t, cols, snrs, _), precoders in zip(stage.targets, stage.precoders):
-        link = MmseLink(stage.channels[t].matrix, precoders)
+        link = MmseLink(stage.channels[t].matrix @ precoders)
         out.append(np.column_stack([
             link.bit_errors(snr, *draw_qpsk(substream(cfg.seed, t, j), cfg.streams,
                                             cfg.channel.rx.num_elements, cfg.symbols_per_trial))

@@ -212,7 +212,7 @@ class TestBerQpskMmse:
         f = optimal_precoder(h, 2, PowerAllocation("unitary")).matrix
         symbols, noise = draw_qpsk(np.random.default_rng(5), 2, 4, 300)
         assert symbols.shape == (2, 300) and noise.shape == (4, 300)
-        link = MmseLink(h, f)
+        link = MmseLink(h @ f)
         for snr in (0.1, 1.0, 10.0):
             assert (link.bit_errors(snr, symbols, noise), 2 * 2 * 300) == ber_qpsk_mmse(
                 h, f, snr, 300, np.random.default_rng(5))
@@ -263,12 +263,17 @@ class TestBerQpskMmse:
                           np.random.default_rng(0))
 
     def test_detect_rejects_mismatched_block(self):
-        # The factor step checks H against F, the per-SNR step the block against the link.
-        with pytest.raises(InvalidInputError, match="shape mismatch"):
-            MmseLink(np.eye(2), np.ones((3, 1)) / np.sqrt(3))
+        # `_link_inputs` checks H against F for both metrics; the detector's per-SNR step checks
+        # the block against the link.
+        h, f = np.eye(2), np.ones((3, 1)) / np.sqrt(3)
+        mismatch = r"shape mismatch: H is \(2, 2\), F is \(3, 1\)"
+        with pytest.raises(InvalidInputError, match=mismatch):
+            ber_qpsk_mmse(h, f, 1.0, 10, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match=mismatch):
+            achievable_rate(h, f, 1.0)
         symbols, noise = draw_qpsk(np.random.default_rng(0), 1, 2, 10)
         with pytest.raises(InvalidInputError, match="do not fit 2 streams"):
-            MmseLink(np.eye(2), np.eye(2) / np.sqrt(2)).bit_errors(1.0, symbols, noise)
+            MmseLink(np.eye(2) / np.sqrt(2)).bit_errors(1.0, symbols, noise)
 
 
 def single_call_detector(h, f, snr_linear, bits, noise):
@@ -312,7 +317,7 @@ def test_split_detector_is_the_single_call_detector(seed, n, m, data, t, degener
     elif degenerate == "singular_h":
         h = np.outer(h[:, 0], h[0])                 # rank 1
     bits, symbols, noise = expression_block(rng, s, n, t)
-    link = MmseLink(h, np.array(fs) if stack else fs[0])
+    link = MmseLink(h @ (np.array(fs) if stack else fs[0]))
     if data.draw(st.booleans()):                    # the same symbols in a strided layout
         symbols = np.asfortranarray(symbols)
     for snr_db in snrs_db:
@@ -329,7 +334,7 @@ def test_stacked_detector_on_rank_deficient_links(seed, n, m, s, t):
     rng = np.random.default_rng(seed)
     h, f = random_channel(rng, n, m), unit_precoder(rng, m, s)
     bits, symbols, noise = expression_block(rng, s, n, t)
-    link = MmseLink(h, np.array([f, f[::-1]]))
+    link = MmseLink(h @ np.array([f, f[::-1]]))
     for snr in 10.0 ** (np.array([250.0, 278.0, 300.0]) / 10.0):
         assert link.bit_errors(snr, symbols, noise).tolist() == [
             single_call_detector(h, g, snr, bits, noise) for g in (f, f[::-1])]

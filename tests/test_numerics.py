@@ -3,6 +3,9 @@ import pytest
 
 from fapsim import numerics
 from fapsim.errors import DomainError, InvalidInputError
+from fapsim.evaluation import achievable_rate, ber_qpsk_mmse
+from fapsim.hybrid import decompose
+from fapsim.precoding import PowerAllocation, Precoder, optimal_precoder
 
 
 def random_complex(rng, rows, cols):
@@ -109,3 +112,44 @@ class TestLogDetHermitian:
     def test_not_hermitian(self):
         with pytest.raises(InvalidInputError):
             numerics.log_det_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestMatrixEntries:
+    """`_as_matrix`'s entry rule, through each public entry point that takes a matrix."""
+
+    NON_NUMBERS = {"string": [["a", "b"]], "numeric_string": np.array([["1"]]), "none": [[None, 1.0]],
+                   "object": [[object()]], "ragged": [[1, 0], [0]]}
+    ENTRY_POINTS = {
+        "svd": ("a", numerics.svd),
+        "least_squares_a": ("a", lambda m: numerics.least_squares(m, np.eye(2))),
+        "least_squares_b": ("b", lambda m: numerics.least_squares(np.eye(2), m)),
+        "log_det_hermitian": ("a", numerics.log_det_hermitian),
+        "Precoder": ("precoder", Precoder),
+        "optimal_precoder": ("h", lambda m: optimal_precoder(m, 1, PowerAllocation("unitary"))),
+        "decompose": ("f", decompose),
+        "achievable_rate_h": ("h", lambda m: achievable_rate(m, np.eye(2) / np.sqrt(2), 1.0)),
+        "achievable_rate_f": ("f", lambda m: achievable_rate(np.eye(2), m, 1.0)),
+        "ber_qpsk_mmse_h": ("h", lambda m: ber_qpsk_mmse(m, np.eye(2) / np.sqrt(2), 1.0, 4,
+                                                         np.random.default_rng(0))),
+        "ber_qpsk_mmse_f": ("f", lambda m: ber_qpsk_mmse(np.eye(2), m, 1.0, 4, np.random.default_rng(0))),
+    }
+
+    @pytest.mark.parametrize("entries", sorted(NON_NUMBERS))
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_non_numbers_are_refused_by_name(self, entry_point, entries):
+        # Each ended in numpy's bare ValueError or TypeError.
+        field, call = self.ENTRY_POINTS[entry_point]
+        with pytest.raises(InvalidInputError, match=rf"^{field} must hold only numbers: bool, "):
+            call(self.NON_NUMBERS[entries])
+
+    @pytest.mark.parametrize("given", [
+        [[True, False]], [[1, 2], [3, 4]], np.array([[255]], dtype=np.uint8),
+        np.array([[2 ** 64 - 1]], dtype=np.uint64), np.array([[0.5]], dtype=np.float16),
+        [[1.5, -2.0]], np.array([[1 + 2j]], dtype=np.complex64), [[1j, 2.0]],
+        np.array([[0.25]], dtype=np.longdouble),
+    ])
+    def test_numbers_convert_as_before(self, given):
+        # bool, integer, real and complex entries convert exactly as a direct complex cast.
+        held = numerics._as_matrix(given, "a")
+        assert held.dtype == np.complex128
+        assert held.tobytes() == np.asarray(given, dtype=np.complex128).tobytes()
