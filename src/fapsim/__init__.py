@@ -6,6 +6,8 @@ decomposition, benchmark schemes, and Monte-Carlo link evaluation. The
 `fapsim` CLI drives seeded, reproducible experiment sweeps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .benchmarks import SparsePrecoderConfig, multilevel_csi_feedback, sparse_precoder
 from .channel import (ArrayGeometry, ChannelConfig, ChannelRealization, PathComponent,
                       array_response, channel_from_paths, reconstruct_from_paths, sample_channel,
@@ -24,17 +26,5 @@ from .runner import (SCHEMES, BeamPatternConfig, ExperimentConfig, MultilevelSch
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SCHEMES", "AngleCodebook", "ArrayGeometry", "BasisSpec", "BeamPattern", "BeamPatternConfig",
-    "ChannelConfig", "ChannelRealization", "ComplexCodebook", "DegenerateChannelError",
-    "DomainError", "ExperimentConfig", "FeedbackReport", "HybridDecomposition",
-    "InvalidInputError", "MultilevelScheme", "OmpPath", "OptimalScheme",
-    "PathComponent", "Precoder", "PowerAllocation", "ProposedScheme", "SparsePrecoderConfig",
-    "SparseScheme", "achievable_rate", "array_response", "basis_matrix", "beam_pattern",
-    "ber_qpsk_mmse", "build_report", "channel_from_paths", "decompose", "deserialize_report",
-    "dictionary", "multilevel_csi_feedback", "omp_approximate", "optimal_precoder",
-    "overhead_bits", "pack_report", "proposed_bits", "quantize_angles",
-    "reconstruct", "reconstruct_from_paths", "reconstruct_precoder", "run_beam_pattern",
-    "run_ber_sweep", "run_overhead_table", "run_rate_sweep", "sample_channel",
-    "serialize_report", "sparse_precoder", "substream", "water_fill",
-]
+# Every public name imported above (its submodules aside).
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import _count, _instance, _positive, _reals
+from .numerics import _count, _instance, _positive, _sequence
 
 # Laplacian scale of the intra-cluster ray offsets (std ~1.24 deg). Narrow
 # enough that a 16-term basis expansion tracks the optimal precoder closely;
@@ -36,7 +36,7 @@ class ArrayGeometry:
 
 
 def _check_sector(sector, name):
-    lo, hi = _reals(sector, name, 2)
+    lo, hi = _sequence(sector, name, 2)
     if not (-np.pi <= lo < hi <= np.pi):
         raise InvalidInputError(f"{name} must satisfy -pi <= lo < hi <= pi, got ({lo}, {hi})")
     return float(lo), float(hi)

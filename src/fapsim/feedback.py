@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ArrayGeometry, _check_sector, _steering_matrix
 from .errors import DomainError, InvalidInputError
-from .numerics import _count, _instance, _is_real, _log2_exact
+from .numerics import _count, _instance, _is_real, _log2_exact, _sequence
 from .precoding import Precoder
 
 # Residuals at or below this norm are treated as exact recoveries; the
@@ -81,7 +81,7 @@ class ComplexCodebook:
     phase_levels: int = 0
 
     def __post_init__(self):
-        if self.mode not in self.MODES:
+        if not (isinstance(self.mode, str) and self.mode in self.MODES):
             raise InvalidInputError(f"unknown complex codebook mode {self.mode!r}, not one of {self.MODES}")
         if self.mode == "uniform_polar":
             for name in ("magnitude_levels", "phase_levels"):
@@ -136,13 +136,8 @@ class FeedbackReport:
     def __post_init__(self):                 # the one check of a report's form
         size = _instance(self.spec, BasisSpec, "spec").codebook.size
         mode = _instance(self.coeff_codebook, ComplexCodebook, "coeff_codebook").mode
-        idx = self.angle_indices
-        if isinstance(idx, np.ndarray) and idx.ndim == 1:
-            idx = idx.tolist()               # numpy integers as ints, bools as bools
-        ints = isinstance(idx, (list, tuple, range)) and all(     # each distinct type, not each index
-            issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, idx)))
-        if not (ints and len(idx) > 0 and 0 <= min(idx) and max(idx) < size):
-            raise InvalidInputError(f"angle indices must be integers, non-empty and in [0, {size})")
+        idx = _sequence(self.angle_indices, "angle indices", kind=f"integers in [0, {size})", entry=lambda i:
+                        isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < size)
         object.__setattr__(self, "angle_indices", tuple(map(int, idx)))
         scale, polar = self.magnitude_scale, mode != "ideal"
         if (scale is not None) != polar or polar and not (_is_real(scale) and 0 < scale < np.inf):
@@ -449,9 +444,9 @@ def serialize_report(report, spec, cc):
     for name, value, top in (("K", report.k, 0xFFFF), ("gamma", report.gamma, 0xFF)):
         if value > top:
             raise InvalidInputError(f"report header field {name} must be <= {top}, got {value}")
-    if np.any(np.abs(report.combining) == 0):
-        raise InvalidInputError("zero combining entries are not representable on the polar grid")
     words = cc.encode(report.combining, report.magnitude_scale)
+    if not np.array_equal(cc.decode(words, report.magnitude_scale), report.combining):
+        raise InvalidInputError("combining entries must be points of the polar grid, which zero never is")
     fields = [(idx, spec.codebook.index_bits) for idx in report.angle_indices]
     fields += [(int(word), cc.bits_per_value) for word in words.reshape(-1)]
     header = _HEADER.pack(report.k, report.gamma, _FLAG_QUANTIZED, report.magnitude_scale)

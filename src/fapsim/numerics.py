@@ -3,7 +3,7 @@
 Thin, validated wrappers around LAPACK (via numpy.linalg) so the rest of the
 package shares one set of conventions: economy SVD with descending singular
 values, minimum-norm least squares, and a Cholesky-based log-determinant in
-base 2. The rules `_as_matrix`, `_count`, `_instance`, `_positive` and `_reals` check
+base 2. The rules `_as_matrix`, `_count`, `_instance`, `_positive` and `_sequence` check
 what callers pass in, and name the field.
 """
 
@@ -43,13 +43,14 @@ def _positive(value, name):
     raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _reals(values, name, size=None):
-    """`values` as a tuple: a list, tuple, range or 1-D numpy array of `size` (default: 1+) reals."""
+def _sequence(values, name, size=None, entry=_is_real, kind="reals"):
+    """`values` as a tuple: a list, tuple, range or 1-D numpy array of `size` (default: 1+) entries
+    that each pass `entry`; never a set (its order follows the hash seed), mapping, string or iterator."""
     if ((isinstance(values, (list, tuple, range)) or isinstance(values, np.ndarray) and values.ndim == 1)
-            and 0 < len(values) == (size or len(values)) and all(map(_is_real, values))):
+            and 0 < len(values) == (size or len(values)) and all(map(entry, values))):
         return tuple(values)
     raise InvalidInputError(f"{name} must be a list, tuple, range or 1-D array of {size or 'one or more'} "
-                            f"reals, got {values!r}")
+                            f"{kind}, got {values!r}")
 
 
 def _log2_exact(n, name):

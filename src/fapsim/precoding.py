@@ -26,7 +26,7 @@ class PowerAllocation:
     total_power: float = 1.0       # linear SNR for water-filling (unit noise variance)
 
     def __post_init__(self):
-        if self.mode not in self.MODES:
+        if not (isinstance(self.mode, str) and self.mode in self.MODES):
             raise InvalidInputError(f"unknown allocation mode {self.mode!r}")
         object.__setattr__(self, "total_power", numerics._positive(self.total_power, "total_power"))
 

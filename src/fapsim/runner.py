@@ -28,7 +28,7 @@ from .evaluation import (BEAM_PATTERN_MIN_GRID, MmseLink, beam_pattern, check_ch
 from .feedback import (AngleCodebook, BasisSpec, ComplexCodebook, OmpPath, deserialize_report,
                        overhead_bits, pack_report, proposed_bits, reconstruct_precoder,
                        serialize_report)
-from .numerics import _count, _instance, _log2_exact, _reals
+from .numerics import _count, _instance, _log2_exact, _sequence
 from .precoding import PowerAllocation, factor
 
 
@@ -175,11 +175,11 @@ class BeamPatternConfig:
         _log2_exact(self.codebook_size, "beam_pattern.codebook_size")
         _count(self.center_index, "beam_pattern.center_index", 0, self.codebook_size - 1)
         _count(self.grid_size, "beam_pattern.grid_size", BEAM_PATTERN_MIN_GRID)
-        gammas = tuple(self.gammas) if np.iterable(self.gammas) else ()
+        gammas = _sequence(self.gammas, "beam_pattern.gammas", entry=lambda _: True, kind="counts")
         object.__setattr__(self, "gammas", tuple(_count(gamma, f"beam_pattern.gammas[{i}]")
                                                  for i, gamma in enumerate(gammas)))
-        if not 0 < len(set(self.gammas)) == len(self.gammas):
-            raise InvalidInputError("beam_pattern.gammas: entries must be unique, with at least one")
+        if len(set(self.gammas)) != len(self.gammas):
+            raise InvalidInputError("beam_pattern.gammas: entries must be unique")
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class ExperimentConfig:
         _instance(self.beam_pattern, BeamPatternConfig, "beam_pattern")
         object.__setattr__(self, "streams", _count(self.streams, "streams", 1, min(
             self.channel.tx.num_elements, self.channel.rx.num_elements)))
-        object.__setattr__(self, "snr_db_grid", _reals(self.snr_db_grid, "snr_db_grid"))
+        object.__setattr__(self, "snr_db_grid", _sequence(self.snr_db_grid, "snr_db_grid"))
         for i, snr_db in enumerate(self.snr_db_grid):
             if not 0.0 < _db_to_linear(snr_db) < math.inf:
                 raise InvalidInputError(
@@ -207,11 +207,10 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", _count(self.trials, "trials"))
         object.__setattr__(self, "symbols_per_trial", _count(self.symbols_per_trial, "symbols_per_trial"))
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
-        if self.allocation not in PowerAllocation.MODES:
+        if not (isinstance(self.allocation, str) and self.allocation in PowerAllocation.MODES):
             raise InvalidInputError("allocation: must be " + " or ".join(map(repr, PowerAllocation.MODES)))
-        object.__setattr__(self, "schemes", tuple(self.schemes) if np.iterable(self.schemes) else ())
-        if len(self.schemes) == 0 or not all(isinstance(s, _Scheme) for s in self.schemes):
-            raise InvalidInputError("schemes: must be a non-empty sequence of scheme objects")
+        object.__setattr__(self, "schemes", _sequence(self.schemes, "schemes", kind="scheme objects",
+                                                      entry=lambda s: isinstance(s, _Scheme)))
         for i, scheme in enumerate(self.schemes):
             scheme.validate(self, f"schemes[{i}]")
         labels = [s.label for s in self.schemes]

@@ -12,8 +12,8 @@ from fapsim.channel import ArrayGeometry, array_response
 from fapsim.errors import DomainError, InvalidInputError
 from fapsim.feedback import (AngleCodebook, BasisSpec, ComplexCodebook, FeedbackReport, OmpPath,
                              _basis_columns, _cached_basis, basis_matrix, build_report,
-                             deserialize_report, dictionary, omp_approximate, overhead_bits, proposed_bits,
-                             quantize_angles, reconstruct_precoder, serialize_report)
+                             deserialize_report, dictionary, omp_approximate, overhead_bits, pack_report,
+                             proposed_bits, quantize_angles, reconstruct_precoder, serialize_report)
 from fapsim.numerics import least_squares
 from fapsim.precoding import Precoder
 
@@ -719,7 +719,7 @@ class TestReconstructPrecoder:
         spec = spec_of(size=8)
         for indices in [(8,), (-1,), (0, 8), ()]:
             combining = np.ones((len(indices), 1), dtype=complex)
-            with pytest.raises(InvalidInputError, match=r"non-empty and in \[0, 8\)"):
+            with pytest.raises(InvalidInputError, match=r"one or more integers in \[0, 8\)"):
                 FeedbackReport(angle_indices=indices, combining=combining, spec=spec, coeff_codebook=IDEAL)
 
     def test_gamma_mismatch(self):
@@ -770,19 +770,23 @@ def polar_report(**overrides):
     return FeedbackReport(**{**fields, **overrides})
 
 
+# The sequence rule's refusal of angle indices under a 16-entry codebook.
+NOT_INDICES = r"angle indices must be a list, tuple, range or 1-D array of one or more integers in \[0, 16\)"
+
+
 class TestReportForm:
     # The constructor is the one check of a report's form: each malformed report is refused
     # there, with no warning, not accepted or failed later by a rebuild or the wire format.
     @pytest.mark.parametrize("overrides, message", [
-        (dict(angle_indices=(1.7, 2)), "angle indices must be integers"),
-        (dict(angle_indices=(1.0, 2.0)), "angle indices must be integers"),
-        (dict(angle_indices="ab"), "angle indices must be integers"),
-        (dict(angle_indices=(True, 2)), "angle indices must be integers"),
-        (dict(angle_indices=np.array([1.0, 2.0])), "angle indices must be integers"),
-        (dict(angle_indices=np.array([True, False])), "angle indices must be integers"),
-        (dict(angle_indices=np.array([[1, 2]])), "angle indices must be integers"),
-        (dict(angle_indices=7), "angle indices must be integers"),
-        (dict(angle_indices=(1, 16)), r"non-empty and in \[0, 16\)"),
+        (dict(angle_indices=(1.7, 2)), NOT_INDICES),
+        (dict(angle_indices=(1.0, 2.0)), NOT_INDICES),
+        (dict(angle_indices="ab"), NOT_INDICES),
+        (dict(angle_indices=(True, 2)), NOT_INDICES),
+        (dict(angle_indices=np.array([1.0, 2.0])), NOT_INDICES),
+        (dict(angle_indices=np.array([True, False])), NOT_INDICES),
+        (dict(angle_indices=np.array([[1, 2]])), NOT_INDICES),
+        (dict(angle_indices=7), NOT_INDICES),
+        (dict(angle_indices=(1, 16)), r"integers in \[0, 16\), got \(1, 16\)"),
         (dict(combining=np.full((3, 2), 0.5 + 0.5j)), r"combining must be a finite 2 x S array"),
         (dict(combining=np.full(2, 0.5 + 0.5j)), r"combining must be a finite 2 x S array"),
         (dict(combining=np.full((1, 2), 0.5 + 0.5j)), r"combining must be a finite 2 x S array"),
@@ -966,7 +970,8 @@ class TestSerialization:
             with pytest.raises(InvalidInputError, match="magnitude scale must be .* under a uniform_polar"):
                 FeedbackReport((1,), np.ones((1, 1)), spec, polar, magnitude_scale=scale)
         for scale in (2, np.float32(0.5), np.int64(3)):
-            report = FeedbackReport((1,), np.full((1, 1), 0.1), spec, polar, magnitude_scale=scale)
+            entry = polar.decode(polar.encode(np.full((1, 1), 0.1), scale), scale)    # on the grid
+            report = FeedbackReport((1,), entry, spec, polar, magnitude_scale=scale)
             decoded = deserialize_report(serialize_report(report, spec, polar), spec, polar, 1)
             assert decoded.magnitude_scale == scale
 
@@ -1090,8 +1095,38 @@ class TestSerialization:
         report = FeedbackReport(angle_indices=(2,), combining=np.array([[0.5 + 0.5j, 0.0]]),
                                 spec=spec, coeff_codebook=cc, magnitude_scale=1.0)
         assert (report.bits_angles, report.bits_amplitudes) == (2, 4)
-        with pytest.raises(InvalidInputError, match="zero combining entries"):
+        with pytest.raises(InvalidInputError, match="points of the polar grid, which zero never is"):
             serialize_report(report, spec, cc)
+
+    def test_off_grid_combining_entry_not_serializable(self):
+        # An entry off the polar grid was sent as its nearest grid point: 0.3+0.1j under a 4 x 4
+        # grid of range 1 arrived as 0.265+0.265j. That grid point crosses unchanged.
+        spec, cc = spec_of(m=8, size=16), ComplexCodebook.uniform_polar(4, 4)
+        off = np.array([[0.3 + 0.1j]])
+        with pytest.raises(InvalidInputError, match="points of the polar grid"):
+            serialize_report(FeedbackReport((3,), off, spec, cc, magnitude_scale=1.0), spec, cc)
+        on = cc.decode(cc.encode(off, 1.0), 1.0)
+        assert np.allclose(on, 0.375 * np.exp(0.25j * np.pi))
+        blob = serialize_report(FeedbackReport((3,), on, spec, cc, magnitude_scale=1.0), spec, cc)
+        assert deserialize_report(blob, spec, cc, 1).combining.tobytes() == on.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cc=POLAR, seed=SEEDS, k=st.integers(1, 8), s=st.integers(1, 4), size_bits=st.integers(1, 8),
+           exponent=st.integers(-200, 200))
+    def test_packed_reports_cross_the_wire_unchanged(self, cc, seed, k, s, size_bits, exponent):
+        # `pack_report` puts every entry, zero included, on the grid, so the wire takes each
+        # report it makes and gives back the same indices and combining bytes.
+        rng = np.random.default_rng(seed)
+        spec = spec_of(m=8, size=2 ** size_bits)
+        indices = tuple(rng.integers(0, spec.codebook.size, size=k).tolist())
+        g = random_complex(rng, (k, s), 10.0 ** exponent)
+        zeros = rng.random((k, s)) < 0.25
+        zeros[0, 0] = False
+        g[zeros] = 0
+        report = pack_report(indices, g, spec, cc)
+        decoded = deserialize_report(serialize_report(report, spec, cc), spec, cc, s)
+        assert decoded.angle_indices == report.angle_indices
+        assert decoded.combining.tobytes() == report.combining.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(cc=POLAR, seed=SEEDS, k=st.integers(1, 8), s=st.integers(1, 4),

@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import glob
+import itertools
 import json
 import math
 import os
@@ -766,11 +767,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("gammas", [[1, 2, 4], (1, 2, 4), range(1, 5, 3), np.array([1, 2, 4]),
                                         np.array([1, 2], dtype=object), np.ones(1, np.uint8)])
     def test_beam_pattern_gammas_take_any_iterable_of_counts(self, gammas):
-        # Stored as a tuple of ints, as `schemes` is stored as a tuple; a generator is read once.
-        for given in (gammas, (g for g in gammas)):
-            built = BeamPatternConfig(gammas=given)
-            assert built.gammas == tuple(int(g) for g in gammas)
-            assert type(built.gammas) is tuple and all(type(g) is int for g in built.gammas)
+        # Stored as a tuple of ints, as `schemes` is stored as a tuple. A generator of the same
+        # counts is refused by name, as every sequence field refuses an iterator.
+        built = BeamPatternConfig(gammas=gammas)
+        assert built.gammas == tuple(int(g) for g in gammas)
+        assert type(built.gammas) is tuple and all(type(g) is int for g in built.gammas)
+        with pytest.raises(InvalidInputError, match=r"beam_pattern\.gammas must be a list, tuple, range"):
+            BeamPatternConfig(gammas=(g for g in gammas))
 
     def test_non_integer_gamma_rejected(self):
         # gamma = 2.5 would build 3 beams scaled by 1/sqrt(2.5) under a `g2.5` label.
@@ -950,7 +953,7 @@ def test_library_sequence_fields_refuse_by_name(container, entries, schemes):
     # The sequence fields' counterpart of `test_library_scalar_fields_refuse_by_name`: a sector
     # or SNR grid is taken only as a list, tuple, range or 1-D array of reals (of two for a
     # sector), never of bools, and gives what the same Python numbers give; the schemes are
-    # taken from any iterable of scheme objects, stored as a tuple. Anything else raises
+    # taken by the same rule, of scheme objects, stored as a tuple. Anything else raises
     # InvalidInputError naming the field, never a bare TypeError or ValueError.
     wrap = CONTAINERS[container]
     for name, size, build in SEQUENCE_FIELDS:
@@ -973,6 +976,49 @@ def test_library_sequence_fields_refuse_by_name(container, entries, schemes):
     else:
         assert isinstance(built.schemes, tuple) and len(set(built.schemes)) == len(schemes) > 0
         assert all(isinstance(s, runner._Scheme) for s in built.schemes), schemes
+
+
+# Every sequence field read by `numerics._sequence` whose entries are not a sector's: (the field
+# as its error names it, valid entries, the object built with a given value).
+ORDERED_FIELDS = [
+    ("schemes", [OptimalScheme(), ProposedScheme(k=4, angle_codebook_size=64)],
+     lambda v: small_experiment(schemes=v)),
+    (r"beam_pattern\.gammas", [1, 2, 4], lambda v: BeamPatternConfig(gammas=v)),
+    ("snr_db_grid", [-10.0, 0.0, 10.0], lambda v: small_experiment(snr_db_grid=v)),
+    ("angle indices", [1, 5], lambda v: feedback.FeedbackReport(
+        v, np.ones((2, 1)), BasisSpec(AngleCodebook((-1.0, 1.0), 16), ArrayGeometry(8)),
+        ComplexCodebook.ideal())),
+]
+UNORDERED = {
+    "set": set, "frozenset": frozenset, "dict": dict.fromkeys, "dict keys": lambda e: dict.fromkeys(e).keys(),
+    "generator": lambda e: (x for x in e), "endless": lambda e: itertools.count(1),
+}
+
+
+@pytest.mark.parametrize("container", sorted(UNORDERED))
+@pytest.mark.parametrize("name, entries, build", ORDERED_FIELDS, ids=[f[0] for f in ORDERED_FIELDS])
+def test_sequence_fields_refuse_unordered_containers(name, entries, build, container):
+    # A set's order changes with the hash seed (a set of four schemes gave four CSV row orders
+    # under PYTHONHASHSEED 1 to 4), and an endless iterator was read until memory ran out. Each
+    # is refused at once, naming the field; the same entries in a tuple are taken.
+    with pytest.raises(InvalidInputError, match=f"{name} must be a list, tuple, range or 1-D array"):
+        build(UNORDERED[container](entries))
+    build(tuple(entries))
+
+
+@pytest.mark.parametrize("value", [np.array(["unitary", "x"]), np.array([1, 2]), ["unitary"], None, 1],
+                         ids=["str array", "int array", "list", "None", "int"])
+@pytest.mark.parametrize("name, valid, build", [
+    ("allocation mode", "water_filling", lambda v: PowerAllocation(v)),
+    ("complex codebook mode", "ideal", lambda v: ComplexCodebook(v)),
+    ("allocation: must be", "water_filling", lambda v: small_experiment(allocation=v)),
+], ids=["PowerAllocation", "ComplexCodebook", "ExperimentConfig"])
+def test_mode_names_refuse_non_strings_by_name(name, valid, build, value):
+    # A numpy array reached `in MODES` and raised numpy's bare "truth value of an array is
+    # ambiguous" ValueError. A numpy string is a string, and builds what the str builds.
+    with pytest.raises(InvalidInputError, match=name):
+        build(value)
+    assert build(np.str_(valid)) == build(valid)
 
 
 _COEFF_CODEBOOKS = st.one_of(
